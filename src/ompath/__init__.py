@@ -19,9 +19,7 @@ from .functionals import (
     FunctionalReport,
     eval_G,
     eval_I,
-    eval_J_infinite,
     eval_objective,
-    grad_I,
     grad_objective,
 )
 from .gamma import BVStepPath, EpsComparison, GammaReport, compare_with_eps, eval_I0, optimize_support

@@ -8,6 +8,7 @@ Traces and paths go to CSV, summaries to JSON.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .experiments import (
     run_figure,
     run_minimization,
     triple_well_graph,
+    write_json,
 )
 from .flow import NonFiniteObjectiveError
 from .gamma import eval_I0, optimize_support
@@ -34,7 +36,7 @@ from .heteroclinic import (
     gradient_connection,
     hamiltonian_connection_adaptive,
 )
-from .potentials import get_potential
+from .potentials import TripleWell, get_potential
 
 
 def _read_config(path: str) -> dict:
@@ -52,47 +54,56 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Config file values fill in flags the user left at their defaults."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = _read_config(args.config)
-    casts = {"eps": float, "nodes": int, "seed": int, "grid": int, "maxiter": int}
-    for key, raw in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+def _config_argv(sp: argparse.ArgumentParser, path: str) -> list[str]:
+    """Config entries as the flags they stand for, so the parser itself types
+    and checks them.  A key is a flag's name without its leading dashes; a
+    switch takes ``true`` or ``false``."""
+    flags = {
+        opt[2:]: a
+        for a in sp._actions
+        if a.dest not in ("help", "config")
+        for opt in a.option_strings
+        if opt.startswith("--")
+    }
+    out = []
+    for key, raw in _read_config(path).items():
+        action = flags.get(key)
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, attr) == _DEFAULTS.get(attr, object()):
-            setattr(args, attr, casts.get(attr, str)(raw))
-    return args
+        if action.nargs != 0:
+            out.append(f"--{key}={raw}")
+        elif raw not in ("true", "false"):
+            raise ValueError(f"config key {key!r} takes true or false, not {raw!r}")
+        elif raw == "true":
+            out.append(f"--{key}")
+    return out
 
 
-_DEFAULTS = {
-    "potential": "triple-well",
-    "eps": DEFAULT_EPS,
-    "nodes": DEFAULT_NODES,
-    "objective": "I",
-    "out": ".",
-    "seed": 0,
-    "grid": 40,
-    "maxiter": 30_000,
-}
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line; a ``--config`` file supplies flags that the
+    command line itself does not set."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.config is None:
+        return args
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    # config flags go right after the command name, so the explicit flags
+    # that follow them win
+    i = argv.index(args.command) + 1
+    return ap.parse_args(argv[:i] + _config_argv(sub.choices[args.command], args.config) + argv[i:])
 
 
-def _add_common(sp):
-    sp.add_argument("--potential", default=_DEFAULTS["potential"])
-    sp.add_argument("--out", default=_DEFAULTS["out"])
+def _add_common(sp, potential: bool = True):
+    if potential:
+        sp.add_argument("--potential", default="triple-well")
+    sp.add_argument("--out", default=".")
     sp.add_argument("--config", default=None, help="flat key=value config file")
-    sp.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
 
 
-def _write_json(outdir, name, payload):
-    os.makedirs(outdir, exist_ok=True)
-    target = os.path.join(outdir, name)
-    with open(target, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    return target
+def _add_box(sp):
+    sp.add_argument("--box", default="-0.5,1.5")
+    sp.add_argument("--grid", type=int, default=40)
 
 
 def _parse_box(text: str, dim: int):
@@ -109,18 +120,8 @@ def cmd_critical_points(args) -> int:
     box = _parse_box(args.box, p.dim)
     cps = find_critical_points(p, box, args.grid)
     report = check_admissibility(p, cps, args.radius)
-    target = _write_json(args.out, "critical_points.json", json.loads(cps.to_json()))
-    _write_json(
-        args.out,
-        "admissibility.json",
-        {
-            "finite": report.finite,
-            "min_abs_eigenvalue": report.min_abs_eigenvalue,
-            "coercivity_inf": report.coercivity_inf,
-            "radius": report.radius,
-            "admissible": report.admissible,
-        },
-    )
+    target = write_json(args.out, "critical_points.json", [c.to_dict() for c in cps])
+    write_json(args.out, "admissibility.json", dataclasses.asdict(report))
     print(target)
     return 0
 
@@ -151,7 +152,7 @@ def cmd_minimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path.write_csv(os.path.join(args.out, "path.csv"))
     trace.write_csv(os.path.join(args.out, "trace.csv"))
-    target = _write_json(
+    target = write_json(
         args.out,
         "minimize_summary.json",
         {
@@ -188,7 +189,7 @@ def cmd_heteroclinic(args) -> int:
         mode = int(np.argmin(eigval))
         orbit = gradient_connection(p, src, eigvec[:, mode], args.sign, cps, n_nodes=args.nodes)
     orbit.path.write_csv(os.path.join(args.out, "orbit.csv"))
-    target = _write_json(
+    target = write_json(
         args.out,
         "orbit_summary.json",
         {
@@ -217,17 +218,12 @@ def cmd_graph(args) -> int:
         j, _ = cps.nearest(resolve_point(y, p))
         pairs.append((i, j))
     graph = build_transition_graph(p, cps, hamiltonian_pairs=pairs, ham_M=args.nodes)
-    os.makedirs(args.out, exist_ok=True)
-    target = os.path.join(args.out, "transition_graph.json")
-    with open(target, "w") as f:
-        f.write(graph.to_json())
-        f.write("\n")
-    print(target)
+    print(write_json(args.out, "transition_graph.json", graph.to_dict()))
     return 0
 
 
 def cmd_gamma(args) -> int:
-    p = get_potential(args.potential)
+    p = TripleWell()
     graph = triple_well_graph(p, ham_M=args.nodes)
     tokens = args.route.split(",")
     seq = []
@@ -238,7 +234,7 @@ def cmd_gamma(args) -> int:
         seq.append(graph.cps[i])
     bv = optimize_support(graph, seq[0], seq[-1], seq)
     report = eval_I0(graph, bv)
-    target = _write_json(
+    target = write_json(
         args.out,
         "gamma_summary.json",
         {"route": tokens, "bv_path": bv.to_dict(), "report": report.to_dict()},
@@ -248,30 +244,18 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    cfg = ExperimentConfig(
-        potential=args.potential,
-        eps=args.eps,
-        nodes=args.nodes,
-        out=args.out,
-        seed=args.seed,
-        max_iter=args.maxiter,
-    )
-    if args.number == "all":
-        numbers = list(range(1, 10))
-    else:
-        numbers = [int(args.number)]
-    if len(numbers) > 1 and args.jobs > 1:
+    numbers = list(range(1, 10)) if args.number == "all" else [int(args.number)]
+    jobs = []
+    for n in numbers:
+        out = os.path.join(args.out, f"figure{n}")
+        jobs.append((n, ExperimentConfig(eps=args.eps, nodes=args.nodes, out=out, max_iter=args.maxiter)))
+    if len(jobs) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            futures = []
-            for n in numbers:
-                sub = ExperimentConfig(**{**cfg.__dict__, "out": os.path.join(args.out, f"figure{n}")})
-                futures.append(ex.submit(run_figure, n, sub))
-            for fut in futures:
+            for fut in [ex.submit(run_figure, *job) for job in jobs]:
                 fut.result()
     else:
-        for n in numbers:
-            sub = ExperimentConfig(**{**cfg.__dict__, "out": os.path.join(args.out, f"figure{n}")})
-            run_figure(n, sub)
+        for job in jobs:
+            run_figure(*job)
     print(args.out)
     return 0
 
@@ -285,21 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("critical-points", help="locate and classify critical points")
     _add_common(sp)
-    sp.add_argument("--box", default="-0.5,1.5")
-    sp.add_argument("--grid", type=int, default=_DEFAULTS["grid"])
+    _add_box(sp)
     sp.add_argument("--radius", type=float, default=3.0)
     sp.set_defaults(func=cmd_critical_points)
 
     sp = sub.add_parser("minimize", help="descend the action from a waypoint start")
     _add_common(sp)
-    sp.add_argument("--eps", type=float, default=_DEFAULTS["eps"])
-    sp.add_argument("--nodes", type=int, default=_DEFAULTS["nodes"])
+    sp.add_argument("--seed", type=int, default=0, help="seed of the --jitter noise")
+    sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     sp.add_argument("--from", dest="start", default="")
     sp.add_argument("--to", dest="end", default="")
     sp.add_argument("--waypoints", default="", help="semicolon-separated intermediate points")
-    sp.add_argument("--objective", choices=["I", "J"], default=_DEFAULTS["objective"])
+    sp.add_argument("--objective", choices=["I", "J"], default="I")
     sp.add_argument("--continuation", default="", help="comma-separated decreasing eps schedule")
-    sp.add_argument("--maxiter", type=int, default=_DEFAULTS["maxiter"])
+    sp.add_argument("--maxiter", type=int, default=30_000)
     sp.add_argument("--jitter", type=float, default=0.0)
     sp.set_defaults(func=cmd_minimize)
 
@@ -310,31 +294,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sign", type=int, choices=[-1, 1], default=1)
     sp.add_argument("--hamiltonian", action="store_true")
     sp.add_argument("--waypoints", default="")
-    sp.add_argument("--nodes", type=int, default=_DEFAULTS["nodes"])
-    sp.add_argument("--box", default="-0.5,1.5")
-    sp.add_argument("--grid", type=int, default=_DEFAULTS["grid"])
+    sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    _add_box(sp)
     sp.set_defaults(func=cmd_heteroclinic)
 
     sp = sub.add_parser("graph", help="build the transition graph")
     _add_common(sp)
-    sp.add_argument("--box", default="-0.5,1.5")
-    sp.add_argument("--grid", type=int, default=_DEFAULTS["grid"])
+    _add_box(sp)
     sp.add_argument("--hamiltonian", default="", help="extra saddle pairs, e.g. 'S1:S2'")
-    sp.add_argument("--nodes", type=int, default=_DEFAULTS["nodes"])
+    sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     sp.set_defaults(func=cmd_graph)
 
-    sp = sub.add_parser("gamma", help="evaluate the limit functional on a route")
-    _add_common(sp)
+    sp = sub.add_parser("gamma", help="evaluate the limit functional on a triple-well route")
+    _add_common(sp, potential=False)
     sp.add_argument("--route", required=True, help="comma-separated critical points, e.g. S1,M0,S2")
-    sp.add_argument("--nodes", type=int, default=_DEFAULTS["nodes"])
+    sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     sp.set_defaults(func=cmd_gamma)
 
-    sp = sub.add_parser("figure", help="reproduce the data behind one figure (1..9)")
-    _add_common(sp)
+    sp = sub.add_parser("figure", help="reproduce the data behind one triple-well figure (1..9)")
+    _add_common(sp, potential=False)
     sp.add_argument("number", help="figure number 1..9 or 'all'")
-    sp.add_argument("--eps", type=float, default=_DEFAULTS["eps"])
-    sp.add_argument("--nodes", type=int, default=_DEFAULTS["nodes"])
-    sp.add_argument("--maxiter", type=int, default=_DEFAULTS["maxiter"])
+    sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    sp.add_argument("--maxiter", type=int, default=30_000)
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for 'all'")
     sp.set_defaults(func=cmd_figure)
 
@@ -342,10 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = parse_args(argv)
         return args.func(args)
     except (ValueError, NoCriticalPointsError, EscapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -354,7 +334,7 @@ def main(argv=None) -> int:
         diag = {"error": str(exc), "diagnostics": getattr(exc, "diagnostics", {})}
         out = getattr(args, "out", ".")
         try:
-            _write_json(out, "failure.json", diag)
+            write_json(out, "failure.json", diag)
         except OSError:
             pass
         print(json.dumps(diag), file=sys.stderr)

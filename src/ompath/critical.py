@@ -204,7 +204,6 @@ class AdmissibilityReport:
     spheres of radius >= R; a sampled check, not a proof.
     """
 
-    finite: bool
     min_abs_eigenvalue: float
     coercivity_inf: float
     radius: float
@@ -220,7 +219,7 @@ def check_admissibility(
     coercivity_tol: float = 1e-3,
     seed: int = 0,
 ) -> AdmissibilityReport:
-    """Report on finiteness, nondegeneracy and sampled weak coercivity."""
+    """Report on nondegeneracy and sampled weak coercivity."""
     if len(cps) == 0:
         raise ValueError("critical point set must be nonempty")
     min_eig = min(float(np.min(np.abs(c.eigenvalues))) for c in cps)
@@ -241,7 +240,6 @@ def check_admissibility(
 
     admissible = min_eig >= eig_tol and inf_grad > coercivity_tol
     return AdmissibilityReport(
-        finite=True,
         min_abs_eigenvalue=min_eig,
         coercivity_inf=inf_grad,
         radius=R,

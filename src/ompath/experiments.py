@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .critical import CriticalPoint, CriticalPointSet, classify_point, find_critical_points
 from .flow import FlowConfig, FlowTrace, continuation_minimize, minimize
-from .functionals import eval_I
-from .gamma import compare_with_eps, eval_I0, optimize_support
+from .functionals import FunctionalReport, eval_I
+from .gamma import compare_with_eps, eval_I0, optimize_support, support_score
 from .heteroclinic import (
     TransitionGraph,
     build_transition_graph,
@@ -24,7 +24,7 @@ from .heteroclinic import (
     hamiltonian_connection_adaptive,
 )
 from .paths import DiscretePath
-from .potentials import PotentialModel, TripleWell, get_potential
+from .potentials import PotentialModel, TripleWell
 
 _SQ2 = np.sqrt(2.0)
 
@@ -83,7 +83,7 @@ def run_minimization(
     eps_schedule=None,
     jitter: float = 0.0,
     seed: int = 0,
-) -> tuple[DiscretePath, FlowTrace, "eval_I"]:
+) -> tuple[DiscretePath, FlowTrace, FunctionalReport]:
     """Minimize one objective from a piecewise-linear waypoint start."""
     start = DiscretePath.from_waypoints(waypoints, M)
     if jitter > 0.0:
@@ -98,40 +98,24 @@ def run_minimization(
     return path, trace, eval_I(p, path, eps)
 
 
-def support_fraction(path: DiscretePath, locations, radius: float = 0.05) -> float:
-    """Fraction of nodes within ``radius`` of any of the given locations."""
-    locs = np.atleast_2d(np.asarray(locations, dtype=float))
-    d = np.min(np.linalg.norm(path.nodes[:, None, :] - locs[None, :, :], axis=-1), axis=1)
-    return float(np.mean(d <= radius))
-
-
-def transition_fraction(path: DiscretePath, locations, radius: float = 0.05) -> float:
-    """Fraction of the time interval spent outside every dwell neighbourhood."""
-    return 1.0 - support_fraction(path, locations, radius)
-
-
 @dataclass
 class ExperimentConfig:
-    """Resolved settings for one figure or minimize run."""
+    """Resolved settings for one figure run."""
 
-    potential: str = "triple-well"
     eps: float = DEFAULT_EPS
     nodes: int = DEFAULT_NODES
-    objective: str = "I"
-    start: str = ""
-    end: str = ""
-    waypoints: list = field(default_factory=list)
     out: str = "."
-    seed: int = 0
-    grad_tol: float = 1e-6
     max_iter: int = 30_000
 
 
-def _write_json(outdir, name, payload):
+def write_json(outdir, name, payload) -> str:
+    """Write payload as indented JSON with a trailing newline; returns the file path."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, name), "w") as f:
+    target = os.path.join(outdir, name)
+    with open(target, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
+    return target
 
 
 def triple_well_graph(p, cps: CriticalPointSet | None = None, ham_M: int = 4000) -> TransitionGraph:
@@ -150,20 +134,22 @@ def continuation_schedule(eps: float) -> list[float]:
 
 
 def _minimize_to_files(p, tag, waypoints, cfg: ExperimentConfig, objective, eps_schedule=None):
+    """Run one figure minimization, write its path and trace CSVs, and return
+    the path, its report and the summary record of the minimizer."""
     path, trace, report = run_minimization(
         p,
         waypoints,
         cfg.nodes,
         cfg.eps,
         objective,
-        grad_tol=cfg.grad_tol,
         max_iter=cfg.max_iter,
         eps_schedule=eps_schedule,
     )
     os.makedirs(cfg.out, exist_ok=True)
     path.write_csv(os.path.join(cfg.out, f"{tag}_path.csv"))
     trace.write_csv(os.path.join(cfg.out, f"{tag}_trace.csv"))
-    return path, trace, report
+    record = {"J_eps": report.j_eps, "I_eps": report.i_eps, "converged": trace.converged}
+    return path, report, record
 
 
 # Waypoint routes used by the figure experiments.  The "via" routes thread
@@ -184,10 +170,10 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
     """Reproduce the data behind figure n (1..9) of the triple-well study."""
     if n not in range(1, 10):
         raise ValueError("figure number must be in 1..9")
-    p = get_potential(cfg.potential)
-    routes = figure_routes(p) if isinstance(p, TripleWell) else {}
+    p = TripleWell()
+    routes = figure_routes(p)
     names = named_points(p)
-    summary: dict = {"figure": n, "potential": cfg.potential, "eps": cfg.eps, "nodes": cfg.nodes}
+    summary: dict = {"figure": n, "potential": "triple-well", "eps": cfg.eps, "nodes": cfg.nodes}
 
     if n == 1:
         xs = np.linspace(-0.5, 1.5, 201)
@@ -199,9 +185,8 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
             for (x1, x2), v in zip(grid, vals):
                 f.write(f"{x1:.12g},{x2:.12g},{v:.17g}\n")
         cps = find_critical_points(p, DEFAULT_BOX, 40)
-        with open(os.path.join(cfg.out, "critical_points.json"), "w") as f:
-            f.write(cps.to_json())
         summary["critical_points"] = [c.to_dict() for c in cps]
+        write_json(cfg.out, "critical_points.json", summary["critical_points"])
         summary["saddle_contour_level"] = float(2.0 / 27.0)
 
     elif n == 2:
@@ -240,30 +225,22 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
     elif n == 3:
         res = {}
         for tag, route in (("green_via_M0", "M1_M2_via_M0"), ("blue_avoid_M0", "M1_M2_avoid")):
-            path, trace, report = _minimize_to_files(p, tag, routes[route], cfg, "J")
-            res[tag] = {"J_eps": report.j_eps, "I_eps": report.i_eps, "converged": trace.converged}
+            _, _, res[tag] = _minimize_to_files(p, tag, routes[route], cfg, "J")
         summary["minimizers"] = res
 
     elif n in (4, 5):
         objective = "J" if n == 4 else "I"
         res = {}
         for tag in ("S1_S2_avoid_a", "S1_S2_avoid_b", "S1_S2_avoid_c"):
-            path, trace, report = _minimize_to_files(p, f"{objective}_{tag}", routes[tag], cfg, objective)
-            res[tag] = {"J_eps": report.j_eps, "I_eps": report.i_eps, "converged": trace.converged}
+            _, _, res[tag] = _minimize_to_files(p, f"{objective}_{tag}", routes[tag], cfg, objective)
         summary["minimizers"] = res
 
     elif n in (6, 7):
         objective = "J" if n == 6 else "I"
         tag = f"{objective}_S1_S2_via_M0"
-        path, trace, report = _minimize_to_files(p, tag, routes["S1_S2_via_M0"], cfg, objective)
-        summary["minimizers"] = {
-            tag: {
-                "J_eps": report.j_eps,
-                "I_eps": report.i_eps,
-                "converged": trace.converged,
-                "fraction_near_M0": support_fraction(path, [names["M0"].location]),
-            }
-        }
+        path, report, record = _minimize_to_files(p, tag, routes["S1_S2_via_M0"], cfg, objective)
+        record["fraction_near_M0"] = support_score(path, [names["M0"].location])
+        summary["minimizers"] = {tag: record}
         if n == 7:
             cps = find_critical_points(p, DEFAULT_BOX, 40)
             graph = build_transition_graph(p, cps)
@@ -275,36 +252,22 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
 
     elif n == 8:
         tag = "J_M1_M2_via_all"
-        path, trace, report = _minimize_to_files(p, tag, routes["M1_M2_via_M0"], cfg, "J")
-        summary["minimizers"] = {
-            tag: {
-                "J_eps": report.j_eps,
-                "I_eps": report.i_eps,
-                "converged": trace.converged,
-                "fraction_near_support": support_fraction(
-                    path, [v.location for v in names.values()]
-                ),
-            }
-        }
+        path, report, record = _minimize_to_files(p, tag, routes["M1_M2_via_M0"], cfg, "J")
+        record["fraction_near_support"] = support_score(path, [v.location for v in names.values()])
+        summary["minimizers"] = {tag: record}
 
     elif n == 9:
         # The full-action run starts away from the middle well (its minimizer
         # also stays away) and is annealed down to the target temperature; a
         # direct flow at eps = 1e-3 stalls in a wide-interface transient.
         tag = "I_M1_M2_avoid"
-        path, trace, report = _minimize_to_files(
+        path, report, record = _minimize_to_files(
             p, tag, routes["M1_M2_avoid"], cfg, "I", eps_schedule=continuation_schedule(cfg.eps)
         )
         dwell = [names["M1"].location, names["M2"].location]
-        summary["minimizers"] = {
-            tag: {
-                "J_eps": report.j_eps,
-                "I_eps": report.i_eps,
-                "converged": trace.converged,
-                "fraction_near_M1_M2": support_fraction(path, dwell),
-                "transition_fraction": transition_fraction(path, dwell),
-            }
-        }
+        record["fraction_near_M1_M2"] = support_score(path, dwell)
+        record["transition_fraction"] = 1.0 - record["fraction_near_M1_M2"]
+        summary["minimizers"] = {tag: record}
         graph = triple_well_graph(p, ham_M=cfg.nodes)
         order = ("M1", "S1", "M0", "S2", "M2")
         cand_names = [order, ("M1", "S1", "S2", "M2")]
@@ -323,5 +286,5 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
             "comparison": cmp.to_dict(),
         }
 
-    _write_json(cfg.out, f"figure{n}_summary.json", summary)
+    write_json(cfg.out, f"figure{n}_summary.json", summary)
     return summary

@@ -154,9 +154,6 @@ def minimize(
             break
     else:
         trace.stop_reason = "max iterations reached"
-
-    if not trace.stop_reason:
-        trace.stop_reason = "max iterations reached"
     return path, trace
 
 

@@ -79,43 +79,6 @@ def eval_I(p: PotentialModel, path: DiscretePath, eps: float) -> FunctionalRepor
     )
 
 
-@dataclass
-class TruncatedActionValue:
-    """eps-free action of a path read as a truncation of the whole line.
-
-    ``endpoint_warning`` is set when either boundary value sits further than
-    1e-4 from a zero of grad V, i.e. when the truncation error is suspect.
-    """
-
-    value: float
-    endpoint_grad_norms: tuple[float, float]
-    endpoint_warning: bool
-
-    def __float__(self):
-        return self.value
-
-
-def eval_J_infinite(p: PotentialModel, path: DiscretePath) -> TruncatedActionValue:
-    """Sum over intervals of 0.5(|xdot|^2 + |grad V|^2), unit temperature.
-
-    The endpoint check is done through |grad V| at the boundary values, which
-    vanishes exactly at critical points.
-    """
-    x = path.nodes
-    h = path.h
-    dx = np.diff(x, axis=0)
-    kinetic = (0.5 / h) * float(np.sum(dx * dx))
-    g = p.gradient(x)
-    w = _trapezoid_weights(x.shape[0])
-    force = (h / 2.0) * float(np.sum(w * np.sum(g * g, axis=-1)))
-    gn0 = float(np.linalg.norm(g[0]))
-    gn1 = float(np.linalg.norm(g[-1]))
-    # |grad V| ~ |eig| * dist near a nondegenerate critical point; 1e-3 on the
-    # gradient corresponds to the 1e-4 endpoint-distance contract for O(1) spectra
-    warn = max(gn0, gn1) > 1e-3
-    return TruncatedActionValue(kinetic + force, (gn0, gn1), warn)
-
-
 def grad_objective(
     p: PotentialModel, path: DiscretePath, eps: float, objective: str = "I"
 ) -> np.ndarray:
@@ -138,11 +101,6 @@ def grad_objective(
     if objective == "I":
         nonstiff = nonstiff - h * p.grad_laplacian(xi)
     return kin + nonstiff
-
-
-def grad_I(p: PotentialModel, path: DiscretePath, eps: float) -> np.ndarray:
-    """Gradient of the full action w.r.t. interior nodes."""
-    return grad_objective(p, path, eps, "I")
 
 
 def eval_objective(

@@ -7,7 +7,6 @@ value that small-temperature minimizers approach.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +76,6 @@ class GammaReport:
             "laplacian_integral": self.laplacian_integral,
             "I0": self.i0,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def eval_I0(graph: TransitionGraph, path: BVStepPath) -> GammaReport:
@@ -156,6 +152,13 @@ class EpsComparison:
         }
 
 
+def support_score(path: DiscretePath, locations, capture_distance: float = 0.05) -> float:
+    """Fraction of path nodes within ``capture_distance`` of any of the locations."""
+    locs = np.atleast_2d(np.asarray(locations, dtype=float))
+    d = np.min(np.linalg.norm(path.nodes[:, None, :] - locs[None, :, :], axis=-1), axis=1)
+    return float(np.mean(d <= capture_distance))
+
+
 def compare_with_eps(
     minimized: tuple[DiscretePath, FunctionalReport],
     predicted: GammaReport,
@@ -167,11 +170,7 @@ def compare_with_eps(
     path, report = minimized
     score = np.nan
     if support is not None:
-        locs = support.support_locations()
-        d = np.min(
-            np.linalg.norm(path.nodes[:, None, :] - locs[None, :, :], axis=-1), axis=1
-        )
-        score = float(np.mean(d <= capture_distance))
+        score = support_score(path, support.support_locations(), capture_distance)
     return EpsComparison(
         i_eps=report.i_eps,
         i0=predicted.i0,

@@ -1,11 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism, config handling."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ompath.cli import main
+from ompath.cli import build_parser, main, parse_args
 
 
 def run(argv):
@@ -149,6 +150,27 @@ class TestFigure:
     def test_bad_figure_number(self, tmp_path):
         assert run(["figure", "12", "--out", str(tmp_path)]) == 2
 
+    def test_figure_1_critical_points_match_the_command(self, tmp_path):
+        assert run(["figure", "1", "--out", str(tmp_path / "fig")]) == 0
+        assert run(["critical-points", "--out", str(tmp_path / "cp")]) == 0
+        fig = (tmp_path / "fig" / "figure1" / "critical_points.json").read_bytes()
+        assert fig == (tmp_path / "cp" / "critical_points.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--route", "0,0", "--potential", "quadratic"],
+            ["figure", "3", "--potential", "double-well-1d"],
+            ["graph", "--seed", "3"],
+        ],
+        ids=["gamma-potential", "figure-potential", "graph-seed"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_fills_defaults(self, tmp_path):
@@ -213,3 +235,67 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wibble = 3\n")
         assert run(["critical-points", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+# arguments each command needs before a config file can be read
+_REQUIRED = {"heteroclinic": ["--from", "S1"], "gamma": ["--route", "S1,M0,S2"], "figure": ["3"]}
+
+
+def _defaulted_flags():
+    """(command, action) for every flag that has a default, in every subcommand."""
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sp in sub.choices.items():
+        for action in sp._actions:
+            named = action.option_strings and action.dest not in ("help", "config")
+            if named and action.default is not None:
+                yield command, action
+
+
+def _other_value(action) -> str:
+    """A value of the flag's type that is not its default."""
+    if action.choices:
+        return str(next(c for c in action.choices if c != action.default))
+    if action.type is int:
+        return str(action.default + 1)
+    if action.type is float:
+        return "0.5"
+    return "0.25,0.75"
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize(
+        "command,action",
+        list(_defaulted_flags()),
+        ids=lambda v: v if isinstance(v, str) else v.option_strings[-1][2:],
+    )
+    def test_config_key_equals_flag(self, tmp_path, command, action):
+        key = action.option_strings[-1][2:]
+        if action.nargs == 0:
+            value, flag = "true", f"--{key}"
+        else:
+            value = _other_value(action)
+            flag = f"--{key}={value}"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        base = [command, *_REQUIRED.get(command, [])]
+        from_config = vars(parse_args(base + ["--config", str(cfg)]))
+        from_flag = vars(parse_args(base + [flag]))
+        assert from_config.pop("config") == str(cfg)
+        assert from_flag.pop("config") is None
+        assert from_config == from_flag
+        assert from_flag[action.dest] != action.default
+
+    def test_explicit_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.5\n")
+        args = parse_args(["minimize", "--eps", "0.001", "--config", str(cfg)])
+        assert args.eps == 0.001
+
+    def test_out_of_choices_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sign = 5\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["heteroclinic", "--from", "S1", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

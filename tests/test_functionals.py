@@ -13,11 +13,10 @@ from ompath import (
     TripleWell,
     eval_G,
     eval_I,
-    eval_J_infinite,
     eval_objective,
-    grad_I,
     grad_objective,
 )
+from ompath.heteroclinic import _endpoint_warning
 
 
 class TestPathPotential:
@@ -113,16 +112,19 @@ class TestTruncatedAction:
         T = 20.0
         ts = np.linspace(-T, T, 8001)
         path = DiscretePath(np.tanh(ts)[:, None], a=-T, b=T)
-        res = eval_J_infinite(dw, path)
-        assert res.value == pytest.approx(0.8, abs=1e-5)
-        assert not res.endpoint_warning
-        assert float(res) == res.value
+        value = eval_I(dw, path, 1.0).j_eps
+        assert value == pytest.approx(0.8, abs=1e-5)
+        assert not _endpoint_warning(dw, path)
+        assert isinstance(value, float)
 
     def test_endpoint_warning_off_critical_points(self, tw):
         path = DiscretePath.from_waypoints([[0.4, 0.4], [0.6, 0.6]], 50, a=-1, b=1)
-        res = eval_J_infinite(tw, path)
-        assert res.endpoint_warning
-        assert min(res.endpoint_grad_norms) > 1e-3
+        assert _endpoint_warning(tw, path)
+        assert min(np.linalg.norm(tw.gradient(path.nodes[[0, -1]]), axis=-1)) > 1e-3
+        # one endpoint off a critical point is enough
+        half = DiscretePath.from_waypoints([[0.0, 0.0], [0.6, 0.6]], 50, a=-1, b=1)
+        assert _endpoint_warning(tw, half)
+        assert _endpoint_warning(tw, half.reversed())
 
 
 class TestGradientOracle:
@@ -146,10 +148,10 @@ class TestGradientOracle:
                 ) / (2 * delta)
         np.testing.assert_allclose(g, fd, atol=1e-6 * (1 + np.max(np.abs(fd))))
 
-    def test_grad_I_alias(self, tw):
+    def test_default_objective_is_I(self, tw):
         path = DiscretePath.from_waypoints([[0.0, 0.0], [1.0, 0.0]], 6)
         np.testing.assert_array_equal(
-            grad_I(tw, path, 0.1), grad_objective(tw, path, 0.1, "I")
+            grad_objective(tw, path, 0.1), grad_objective(tw, path, 0.1, "I")
         )
 
     def test_objective_validation(self, tw):

@@ -12,7 +12,7 @@ from ompath import (
     TransitionGraph,
     classify_point,
     CriticalPointSet,
-    eval_J_infinite,
+    eval_I,
     gradient_connection,
     hamiltonian_connection,
     hamiltonian_connection_adaptive,
@@ -57,7 +57,7 @@ class TestGradientOrbits:
     def test_time_reversal_keeps_action(self, tw, graph_tw):
         o = _gradient_orbits(graph_tw)[0]
         rev = o.reversed()
-        assert eval_J_infinite(tw, rev.path).value == pytest.approx(o.j_value, abs=1e-12)
+        assert eval_I(tw, rev.path, 1.0).j_eps == pytest.approx(o.j_value, abs=1e-12)
         assert rev.source is o.target and rev.target is o.source
 
     def test_source_must_be_saddle(self, tw, cps_tw, names_tw):
@@ -168,7 +168,7 @@ class TestTransitionGraph:
     def test_json_export(self, graph_full):
         import json
 
-        doc = json.loads(graph_full.to_json())
+        doc = json.loads(json.dumps(graph_full.to_dict()))
         assert len(doc["nodes"]) == len(graph_full.cps)
         assert len(doc["edges"]) == len(graph_full.edges)
         assert doc["phi"][0][0] == 0.0
