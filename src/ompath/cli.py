@@ -115,6 +115,14 @@ def _parse_box(text: str, dim: int):
     raise ValueError("box must be 'lo,hi' or per-axis 'lo1,hi1,lo2,hi2,...'")
 
 
+def _critical_index(cps, token: str, p, what: str) -> int:
+    """Index of the critical point that ``token`` names, to within 1e-6."""
+    i, d = cps.nearest(resolve_point(token, p))
+    if d > 1e-6:
+        raise ValueError(f"{what} {token!r} is not a critical point (nearest is {d:.2g} away)")
+    return i
+
+
 def cmd_critical_points(args) -> int:
     p = get_potential(args.potential)
     box = _parse_box(args.box, p.dim)
@@ -173,17 +181,12 @@ def cmd_heteroclinic(args) -> int:
     p = get_potential(args.potential)
     box = _parse_box(args.box, p.dim)
     cps = find_critical_points(p, box, args.grid)
-    i, d = cps.nearest(resolve_point(args.start, p))
-    if d > 1e-6:
-        raise ValueError(f"--from must name a critical point (nearest is {d:.2g} away)")
-    src = cps[i]
+    src = cps[_critical_index(cps, args.start, p, "--from")]
     os.makedirs(args.out, exist_ok=True)
     if args.hamiltonian:
-        j, d = cps.nearest(resolve_point(args.end, p))
-        if d > 1e-6:
-            raise ValueError("--to must name a critical point")
+        dst = cps[_critical_index(cps, args.end, p, "--to")]
         wp = [resolve_point(t, p) for t in args.waypoints.split(";")] if args.waypoints else None
-        orbit = hamiltonian_connection_adaptive(p, src, cps[j], M=args.nodes, waypoints=wp)
+        orbit = hamiltonian_connection_adaptive(p, src, dst, M=args.nodes, waypoints=wp)
     else:
         eigval, eigvec = np.linalg.eigh(p.hessian(src.location))
         mode = int(np.argmin(eigval))
@@ -214,9 +217,7 @@ def cmd_graph(args) -> int:
     pairs = []
     for spec in args.hamiltonian.split(";") if args.hamiltonian else []:
         x, y = spec.split(":")
-        i, _ = cps.nearest(resolve_point(x, p))
-        j, _ = cps.nearest(resolve_point(y, p))
-        pairs.append((i, j))
+        pairs.append(tuple(_critical_index(cps, t, p, "--hamiltonian end") for t in (x, y)))
     graph = build_transition_graph(p, cps, hamiltonian_pairs=pairs, ham_M=args.nodes)
     print(write_json(args.out, "transition_graph.json", graph.to_dict()))
     return 0
@@ -226,12 +227,7 @@ def cmd_gamma(args) -> int:
     p = TripleWell()
     graph = triple_well_graph(p, ham_M=args.nodes)
     tokens = args.route.split(",")
-    seq = []
-    for tok in tokens:
-        i, d = graph.cps.nearest(resolve_point(tok, p))
-        if d > 1e-6:
-            raise ValueError(f"route entry {tok!r} is not a critical point")
-        seq.append(graph.cps[i])
+    seq = [graph.cps[_critical_index(graph.cps, tok, p, "route entry")] for tok in tokens]
     bv = optimize_support(graph, seq[0], seq[-1], seq)
     report = eval_I0(graph, bv)
     target = write_json(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,13 +47,17 @@ class FlowConfig:
 
 @dataclass
 class FlowTrace:
-    """Per-step record of the flow; accepted objective values never increase."""
+    """Per-trial record of the flow; accepted objective values never increase.
 
-    iterations: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    accepted: list = field(default_factory=list)
+    The five per-trial fields are typed arrays (8 bytes a value, 1 for
+    ``accepted``), so long traces stay small; use ``list(...)`` for JSON.
+    """
+
+    iterations: array = field(default_factory=lambda: array("q"))
+    objectives: array = field(default_factory=lambda: array("d"))
+    steps: array = field(default_factory=lambda: array("d"))
+    grad_norms: array = field(default_factory=lambda: array("d"))
+    accepted: array = field(default_factory=lambda: array("b"))
     converged: bool = False
     stop_reason: str = ""
 
@@ -106,7 +111,9 @@ def minimize(
     x_int = start.interior.copy()
     x0, x1 = start.left, start.right
     path = start
-    obj = eval_objective(p, path, cfg.eps, cfg.objective)
+    # grad V at the nodes of the current path, from its objective evaluation;
+    # its interior rows feed the next grad_objective
+    obj, grad_v = eval_objective(p, path, cfg.eps, cfg.objective, with_grad_v=True)
     if not np.isfinite(obj):
         raise NonFiniteObjectiveError("objective non-finite at the starting path")
 
@@ -115,7 +122,7 @@ def minimize(
     it = 0
     while it < cfg.max_iter:
         it += 1
-        g = grad_objective(p, path, cfg.eps, cfg.objective)
+        g = grad_objective(p, path, cfg.eps, cfg.objective, grad_v=grad_v[1:-1])
         gnorm = _grad_norm(g, h)
         if gnorm <= cfg.grad_tol:
             trace.converged = True
@@ -134,14 +141,14 @@ def minimize(
             ab[1, :] = 1.0 + 2.0 * tau * kappa
             x_new = solveh_banded(ab, rhs)
             cand = path.with_interior(x_new)
-            obj_new = eval_objective(p, cand, cfg.eps, cfg.objective)
+            obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective, with_grad_v=True)
             if not np.isfinite(obj_new):
                 raise NonFiniteObjectiveError(
                     f"objective non-finite at iteration {it} (tau={tau:.3g})"
                 )
             if obj_new <= obj:
                 trace.record(it, obj_new, tau, gnorm, True)
-                path, x_int, obj = cand, x_new, obj_new
+                path, x_int, obj, grad_v = cand, x_new, obj_new, grad_v_new
                 tau = min(tau * cfg.grow, cfg.tau_max)
                 accepted = True
                 break

@@ -56,8 +56,9 @@ def _trapezoid_weights(n_nodes: int) -> np.ndarray:
     return w
 
 
-def eval_I(p: PotentialModel, path: DiscretePath, eps: float) -> FunctionalReport:
-    """Evaluate the action at temperature eps on a discrete path."""
+def _terms(p: PotentialModel, path: DiscretePath, eps: float, laplacian: bool) -> tuple:
+    """The kinetic, trapezoid-force and Laplacian terms of the action (the
+    last 0.0 unless ``laplacian``), and grad V at every node."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = path.nodes
@@ -67,7 +68,13 @@ def eval_I(p: PotentialModel, path: DiscretePath, eps: float) -> FunctionalRepor
     g = p.gradient(x)
     w = _trapezoid_weights(x.shape[0])
     force = (h / (2.0 * eps)) * float(np.sum(w * np.sum(g * g, axis=-1)))
-    lap = h * float(np.sum(w * p.laplacian(x)))
+    lap = h * float(np.sum(w * p.laplacian(x))) if laplacian else 0.0
+    return kinetic, force, lap, g
+
+
+def eval_I(p: PotentialModel, path: DiscretePath, eps: float) -> FunctionalReport:
+    """Evaluate the action at temperature eps on a discrete path."""
+    kinetic, force, lap, _ = _terms(p, path, eps, laplacian=True)
     j_eps = kinetic + force
     return FunctionalReport(
         i_eps=j_eps - lap,
@@ -80,12 +87,20 @@ def eval_I(p: PotentialModel, path: DiscretePath, eps: float) -> FunctionalRepor
 
 
 def grad_objective(
-    p: PotentialModel, path: DiscretePath, eps: float, objective: str = "I"
+    p: PotentialModel,
+    path: DiscretePath,
+    eps: float,
+    objective: str = "I",
+    *,
+    grad_v: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact gradient of the discrete objective w.r.t. the interior nodes.
 
     objective "I" includes the third-derivative term from the Laplacian;
-    objective "J" drops it.  Shape (M-1, N).
+    objective "J" drops it.  Shape (M-1, N).  ``grad_v``, if given, is
+    grad V at the interior nodes (rows 1..M-1 of what
+    ``eval_objective(..., with_grad_v=True)`` returns) and is not computed
+    again.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -95,17 +110,24 @@ def grad_objective(
     h = path.h
     xi = x[1:-1]
     kin = (eps / h) * (2.0 * xi - x[:-2] - x[2:])
-    g = p.gradient(xi)
-    H = p.hessian(xi)
-    nonstiff = (h / eps) * np.einsum("kij,kj->ki", H, g)
+    g = p.gradient(xi) if grad_v is None else grad_v
+    nonstiff = (h / eps) * p.hessian_vector(xi, g)
     if objective == "I":
         nonstiff = nonstiff - h * p.grad_laplacian(xi)
     return kin + nonstiff
 
 
 def eval_objective(
-    p: PotentialModel, path: DiscretePath, eps: float, objective: str = "I"
-) -> float:
-    """Scalar objective matching grad_objective."""
-    rep = eval_I(p, path, eps)
-    return rep.i_eps if objective == "I" else rep.j_eps
+    p: PotentialModel,
+    path: DiscretePath,
+    eps: float,
+    objective: str = "I",
+    *,
+    with_grad_v: bool = False,
+) -> float | tuple[float, np.ndarray]:
+    """Scalar objective matching grad_objective, bitwise equal to the
+    matching field of ``eval_I``; objective "J" skips the Laplacian.  With
+    ``with_grad_v`` it returns ``(value, grad V at every node)``."""
+    kinetic, force, lap, g = _terms(p, path, eps, laplacian=objective == "I")
+    value = kinetic + force - lap
+    return (value, g) if with_grad_v else value

@@ -85,8 +85,7 @@ def _orbit_residuals(p: PotentialModel, path: DiscretePath):
     bwd = float(np.max(np.linalg.norm(v - g, axis=-1)))
     grad_kind = "gradient-forward" if fwd <= bwd else "gradient-backward"
     acc = (x[2:] - 2.0 * xi + x[:-2]) / h**2
-    H = p.hessian(xi)
-    el = float(np.max(np.linalg.norm(acc - np.einsum("kij,kj->ki", H, g), axis=-1)))
+    el = float(np.max(np.linalg.norm(acc - p.hessian_vector(xi, g), axis=-1)))
     return energy, zero_energy, min(fwd, bwd), el, grad_kind
 
 

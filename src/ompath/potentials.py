@@ -30,7 +30,9 @@ class PotentialModel:
     Subclasses must provide ``value`` and ``gradient``.  ``hessian``,
     ``laplacian`` and ``grad_laplacian`` fall back to central finite
     differences with step 1e-5*(1+|x|), which suffices when the Laplacian
-    is only needed at critical points.
+    is only needed at critical points.  ``hessian_vector`` contracts
+    ``hessian``; the path flow calls it once per step, so a subclass with
+    a cheaper closed form should override it.
     """
 
     dim: int = 0
@@ -54,6 +56,10 @@ class PotentialModel:
                 out[k, :, j] = (self.gradient(p + e) - self.gradient(p - e)) / (2 * h)
             out[k] = 0.5 * (out[k] + out[k].T)
         return out[0] if single else out
+
+    def hessian_vector(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Hessian times v at each point; override to skip the full Hessian."""
+        return np.einsum("...ij,...j->...i", self.hessian(x), v)
 
     def laplacian(self, x: np.ndarray) -> np.ndarray:
         h = self.hessian(x)
@@ -125,6 +131,27 @@ class TripleWell(PotentialModel):
             + sym(gu, gw) * v[..., None, None]
             + sym(gv, gw) * u[..., None, None]
         )
+
+    def hessian_vector(self, x, v):
+        # the three Hessian entries, each summed in the order hessian() sums
+        # them, so the result equals contracting hessian(x) (the zero that
+        # hessian() adds off the diagonal can change only the sign of a zero)
+        x = _check_finite(x)
+        fu, fv, fw, gu, gv, gw = self._factors(x)
+        s = fu * fv + fu * fw + fv * fw
+
+        def terms(i, j):
+            return [
+                (a[..., i] * b[..., j] + b[..., i] * a[..., j]) * c
+                for a, b, c in ((gu, gv, fw), (gu, gw, fv), (gv, gw, fu))
+            ]
+
+        t00, t01, t11 = terms(0, 0), terms(0, 1), terms(1, 1)
+        h00 = 2.0 * s + t00[0] + t00[1] + t00[2]
+        h01 = t01[0] + t01[1] + t01[2]
+        h11 = 2.0 * s + t11[0] + t11[1] + t11[2]
+        v0, v1 = v[..., 0], v[..., 1]
+        return np.stack([h00 * v0 + h01 * v1, h01 * v0 + h11 * v1], axis=-1)
 
     def laplacian(self, x):
         x = _check_finite(x)

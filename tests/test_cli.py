@@ -123,6 +123,13 @@ class TestGraphAndGamma:
         phi = np.array([[np.inf if v is None else v for v in row] for row in doc["phi"]])
         np.testing.assert_allclose(phi, phi.T, atol=1e-12)
 
+    def test_graph_hamiltonian_ends_must_be_critical(self, tmp_path, capsys):
+        # (0.3, 0.3) is about 0.34 from S1; it must not snap to it
+        argv = ["graph", "--hamiltonian", "0.3,0.3:S2", "--nodes", "200", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert "not a critical point" in capsys.readouterr().err
+        assert not (tmp_path / "transition_graph.json").exists()
+
     def test_gamma_route_value(self, tmp_path):
         code = run(["gamma", "--route", "S1,M0,S2", "--nodes", "1000", "--out", str(tmp_path)])
         assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ompath import (
     DiscretePath,
     FlowConfig,
+    FlowTrace,
     NonFiniteObjectiveError,
     Quadratic,
     TripleWell,
@@ -118,6 +119,67 @@ class TestTrace:
         assert lines[0] == "iteration,objective,step,gradnorm,accepted"
         assert len(lines) >= 2
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+    def test_storage_and_csv(self):
+        trace = FlowTrace()
+        trace.record(1, 0.1, 1e-3, 2.0, True)
+        trace.record(2, 0.2, 1.2e-3, 1.5, False)
+        trace.record(2, 0.0625, 6e-4, 1.5, True)
+        assert trace.to_csv() == (
+            "iteration,objective,step,gradnorm,accepted\r\n"
+            "1,0.10000000000000001,0.001,2,1\r\n"
+            "2,0.20000000000000001,0.0012,1.5,0\r\n"
+            "2,0.0625,0.0006,1.5,1\r\n"
+        )
+        assert trace.accepted_objectives == [0.1, 0.0625]
+        assert trace.final_objective == 0.0625
+        n_accepted = sum(trace.accepted)
+        assert type(n_accepted) is int and n_accepted == 2
+        trace.objectives[1] = 0.05
+        assert trace.to_csv().splitlines()[2] == "2,0.050000000000000003,0.0012,1.5,0"
+
+
+class CountingTripleWell(TripleWell):
+    """Delegates every kernel to a TripleWell and counts the calls."""
+
+    def __init__(self):
+        self.inner = TripleWell()
+        self.calls = dict.fromkeys(("gradient", "hessian", "laplacian", "grad_laplacian"), 0)
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def _count(self, name, x):
+        self.calls[name] += 1
+        return getattr(self.inner, name)(x)
+
+    def gradient(self, x):
+        return self._count("gradient", x)
+
+    def hessian(self, x):
+        return self._count("hessian", x)
+
+    def laplacian(self, x):
+        return self._count("laplacian", x)
+
+    def grad_laplacian(self, x):
+        return self._count("grad_laplacian", x)
+
+
+class TestWorkPerStep:
+    def test_j_flow_kernel_calls(self):
+        # one gradient per trial plus one at the start; H·g never builds the
+        # Hessian and J never needs the Laplacian
+        p = CountingTripleWell()
+        path = DiscretePath.from_waypoints([[0.0, 0.0], [0.6, 0.6], [1.0, 0.0]], 40)
+        cfg = FlowConfig(objective="J", eps=0.05, tau0=1.0, max_iter=30)
+        out, trace = minimize(p, path, cfg)
+        trials = len(trace.accepted)
+        assert trials > 30  # some trials were rejected
+        assert p.calls == {"gradient": trials + 1, "hessian": 0, "laplacian": 0, "grad_laplacian": 0}
+        plain, _ = minimize(TripleWell(), path, cfg)
+        assert out.nodes.tobytes() == plain.nodes.tobytes()
 
 
 class TestContinuation:

@@ -148,6 +148,17 @@ class TestGradientOracle:
                 ) / (2 * delta)
         np.testing.assert_allclose(g, fd, atol=1e-6 * (1 + np.max(np.abs(fd))))
 
+    @pytest.mark.parametrize("objective", ["I", "J"])
+    def test_handed_in_gradient_changes_nothing(self, tw, rng, objective):
+        path = DiscretePath(rng.uniform(-0.3, 1.2, size=(40, 2)))
+        value, grad_v = eval_objective(tw, path, 0.05, objective, with_grad_v=True)
+        assert value == eval_objective(tw, path, 0.05, objective)
+        np.testing.assert_array_equal(grad_v, tw.gradient(path.nodes))
+        np.testing.assert_array_equal(
+            grad_objective(tw, path, 0.05, objective, grad_v=grad_v[1:-1]),
+            grad_objective(tw, path, 0.05, objective),
+        )
+
     def test_default_objective_is_I(self, tw):
         path = DiscretePath.from_waypoints([[0.0, 0.0], [1.0, 0.0]], 6)
         np.testing.assert_array_equal(
@@ -173,6 +184,22 @@ class TestGradientOracle:
         gI = grad_objective(tw, path, eps, "I")
         expected = np.tile(-path.h * tw.grad_laplacian(np.zeros(2)), (gI.shape[0], 1))
         np.testing.assert_allclose(gI, expected, atol=1e-14)
+
+
+class TestObjectiveValue:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=2, max_value=300),
+        eps=st.sampled_from([1e-3, 0.05, 1.0]),
+    )
+    def test_matches_eval_I_bitwise(self, seed, m, eps):
+        # J skips the Laplacian, yet must equal the j_eps of the full report
+        tw = TripleWell()
+        path = DiscretePath(np.random.default_rng(seed).uniform(-0.5, 1.5, size=(m + 1, 2)))
+        rep = eval_I(tw, path, eps)
+        assert eval_objective(tw, path, eps, "J") == rep.j_eps
+        assert eval_objective(tw, path, eps, "I") == rep.i_eps
 
 
 class TestQuadraticClosedForm:

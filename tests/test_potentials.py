@@ -132,3 +132,40 @@ class TestEdgesAndPlumbing:
     def test_check_derivatives_needs_probes(self, tw):
         with pytest.raises(ValueError):
             check_derivatives(tw, np.empty((0, 2)))
+
+
+class TestHessianVector:
+    """H·v equals contracting the full Hessian, bitwise."""
+
+    @staticmethod
+    def _contracted(p, x, v):
+        return np.einsum("...ij,...j->...i", p.hessian(x), v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 3.0]),
+    )
+    def test_triple_well_fused_kernel_is_bitwise_exact(self, k, seed, scale):
+        tw = TripleWell()
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-scale, scale, size=(k, 2)) + 0.5
+        v = tw.gradient(x) if seed % 2 else rng.normal(size=(k, 2))
+        np.testing.assert_array_equal(tw.hessian_vector(x, v), self._contracted(tw, x, v))
+        np.testing.assert_array_equal(tw.hessian_vector(x[0], v[0]), self._contracted(tw, x[0], v[0]))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            DoubleWell1D(),
+            Quadratic(3),
+            CustomPotential(2, TripleWell().value, TripleWell().gradient),
+        ],
+        ids=["double-well-1d", "quadratic", "custom"],
+    )
+    def test_default_contracts_the_hessian(self, p, rng):
+        x = rng.uniform(-1.0, 1.0, size=(6, p.dim))
+        v = rng.normal(size=(6, p.dim))
+        np.testing.assert_array_equal(p.hessian_vector(x, v), self._contracted(p, x, v))
+        np.testing.assert_array_equal(p.hessian_vector(x[0], v[0]), self._contracted(p, x[0], v[0]))
