@@ -17,7 +17,6 @@ from .critical import (
 from .flow import FlowConfig, FlowTrace, NonFiniteObjectiveError, continuation_minimize, minimize
 from .functionals import (
     FunctionalReport,
-    eval_G,
     eval_I,
     eval_objective,
     grad_objective,
@@ -46,7 +45,6 @@ from .potentials import (
     Quadratic,
     TripleWell,
     check_derivatives,
-    eval_all,
     get_potential,
 )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .functionals import eval_objective, grad_objective
+from .functionals import _check, eval_objective, grad_objective
 from .paths import DiscretePath
 from .potentials import PotentialModel
 
@@ -25,24 +25,25 @@ class NonFiniteObjectiveError(RuntimeError):
     """The objective became non-finite during the flow."""
 
 
+# a rejected trial multiplies the step by SHRINK, an accepted one by GROW, up
+# to TAU_MAX
+SHRINK = 0.5
+GROW = 1.2
+TAU_MAX = 1e3
+
+
 @dataclass
 class FlowConfig:
     objective: str = "I"  # "I" or "J"
     eps: float = 1e-3
     tau0: float = 1e-3
-    shrink: float = 0.5
-    grow: float = 1.2
-    tau_max: float = 1e3
     grad_tol: float = 1e-8  # L2 norm of the discrete gradient density
     max_iter: int = 20_000
 
     def __post_init__(self):
-        if self.objective not in ("I", "J"):
-            raise ValueError("objective must be 'I' or 'J'")
-        if self.eps <= 0 or self.tau0 <= 0:
-            raise ValueError("eps and tau0 must be positive")
-        if not (0.0 < self.shrink < 1.0 < self.grow):
-            raise ValueError("need 0 < shrink < 1 < grow")
+        _check(self.eps, self.objective)
+        if self.tau0 <= 0:
+            raise ValueError("tau0 must be positive")
 
 
 @dataclass
@@ -105,10 +106,7 @@ def minimize(
     if start.M < 3:
         raise ValueError("need at least 3 intervals")
     h = start.h
-    m = start.M - 1  # interior nodes
     kappa = cfg.eps / h
-
-    x_int = start.interior.copy()
     x0, x1 = start.left, start.right
     path = start
     # grad V at the nodes of the current path, from its objective evaluation;
@@ -117,6 +115,9 @@ def minimize(
     if not np.isfinite(obj):
         raise NonFiniteObjectiveError("objective non-finite at the starting path")
 
+    # upper banded form of the SPD tridiagonal matrix I + tau*kappa*(second
+    # differences); ab[0, 0] lies outside the matrix and stays zero
+    ab = np.zeros((2, start.M - 1))
     trace = FlowTrace()
     tau = cfg.tau0
     it = 0
@@ -130,35 +131,31 @@ def minimize(
             break
 
         # explicit part of the gradient: everything but the second differences
-        nonstiff = g - kappa * (2.0 * x_int - np.vstack([x0, x_int[:-1]]) - np.vstack([x_int[1:], x1]))
-        accepted = False
+        x = path.nodes
+        x_int = x[1:-1]
+        nonstiff = g - kappa * (2.0 * x_int - x[:-2] - x[2:])
         while True:
             rhs = x_int - tau * nonstiff
             rhs[0] += tau * kappa * x0
             rhs[-1] += tau * kappa * x1
-            ab = np.zeros((2, m))
             ab[0, 1:] = -tau * kappa
             ab[1, :] = 1.0 + 2.0 * tau * kappa
-            x_new = solveh_banded(ab, rhs)
-            cand = path.with_interior(x_new)
+            cand = path.with_interior(solveh_banded(ab, rhs))
             obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective, with_grad_v=True)
             if not np.isfinite(obj_new):
                 raise NonFiniteObjectiveError(
                     f"objective non-finite at iteration {it} (tau={tau:.3g})"
                 )
-            if obj_new <= obj:
-                trace.record(it, obj_new, tau, gnorm, True)
-                path, x_int, obj, grad_v = cand, x_new, obj_new, grad_v_new
-                tau = min(tau * cfg.grow, cfg.tau_max)
-                accepted = True
+            ok = obj_new <= obj
+            trace.record(it, obj_new, tau, gnorm, ok)
+            if ok:
                 break
-            trace.record(it, obj_new, tau, gnorm, False)
-            tau *= cfg.shrink
+            tau *= SHRINK
             if tau < 1e-15:
-                break
-        if not accepted:
-            trace.stop_reason = "stepsize underflow: no decreasing step found"
-            break
+                trace.stop_reason = "stepsize underflow: no decreasing step found"
+                return path, trace
+        path, obj, grad_v = cand, obj_new, grad_v_new
+        tau = min(tau * GROW, TAU_MAX)
     else:
         trace.stop_reason = "max iterations reached"
     return path, trace

@@ -41,26 +41,22 @@ class FunctionalReport:
         }
 
 
-def eval_G(p: PotentialModel, x, eps: float) -> float:
-    """Path potential: 0.5 |grad V|^2 - eps * Lap V."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = np.asarray(x, dtype=float)
-    g = p.gradient(x)
-    return float(0.5 * np.sum(g * g, axis=-1) - eps * p.laplacian(x))
-
-
 def _trapezoid_weights(n_nodes: int) -> np.ndarray:
     w = np.ones(n_nodes)
     w[0] = w[-1] = 0.5
     return w
 
 
+def _check(eps: float, objective: str = "I") -> None:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if objective not in ("I", "J"):
+        raise ValueError("objective must be 'I' or 'J'")
+
+
 def _terms(p: PotentialModel, path: DiscretePath, eps: float, laplacian: bool) -> tuple:
     """The kinetic, trapezoid-force and Laplacian terms of the action (the
     last 0.0 unless ``laplacian``), and grad V at every node."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     x = path.nodes
     h = path.h
     dx = np.diff(x, axis=0)
@@ -74,6 +70,7 @@ def _terms(p: PotentialModel, path: DiscretePath, eps: float, laplacian: bool) -
 
 def eval_I(p: PotentialModel, path: DiscretePath, eps: float) -> FunctionalReport:
     """Evaluate the action at temperature eps on a discrete path."""
+    _check(eps)
     kinetic, force, lap, _ = _terms(p, path, eps, laplacian=True)
     j_eps = kinetic + force
     return FunctionalReport(
@@ -102,10 +99,7 @@ def grad_objective(
     ``eval_objective(..., with_grad_v=True)`` returns) and is not computed
     again.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if objective not in ("I", "J"):
-        raise ValueError("objective must be 'I' or 'J'")
+    _check(eps, objective)
     x = path.nodes
     h = path.h
     xi = x[1:-1]
@@ -128,6 +122,7 @@ def eval_objective(
     """Scalar objective matching grad_objective, bitwise equal to the
     matching field of ``eval_I``; objective "J" skips the Laplacian.  With
     ``with_grad_v`` it returns ``(value, grad V at every node)``."""
+    _check(eps, objective)
     kinetic, force, lap, g = _terms(p, path, eps, laplacian=objective == "I")
     value = kinetic + force - lap
     return (value, g) if with_grad_v else value

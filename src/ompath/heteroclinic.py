@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .critical import CriticalPoint, CriticalPointSet
 from .flow import FlowConfig, minimize
-from .functionals import eval_I
+from .functionals import _terms, eval_objective
 from .paths import DiscretePath
 from .potentials import PotentialModel
 
@@ -65,37 +65,41 @@ class HeteroclinicOrbit:
         )
 
 
-def _orbit_residuals(p: PotentialModel, path: DiscretePath):
-    """(energy, zero-energy, gradient-flow, Euler-Lagrange) sup residuals and
-    the gradient kind the path follows better, forward (-grad V) or backward.
+def _orbit_record(p: PotentialModel, path: DiscretePath) -> tuple[dict, str]:
+    """The fields of an orbit record that follow from its path, from one
+    evaluation of grad V at the nodes, and the gradient kind the path follows
+    better, forward (-grad V) or backward.
 
-    All maxima are over interior nodes; one-sided differences at the ends are
-    excluded as discretization artifacts.
+    The fields are the unit-temperature action ``j_value``, the energy,
+    zero-energy, gradient-flow and Euler-Lagrange sup residuals, and the
+    ``endpoint_warning``.  The residual maxima are over interior nodes with
+    centered differences; one-sided differences at the ends are excluded as
+    discretization artifacts.
     """
+    j_value, g_nodes = eval_objective(p, path, 1.0, "J", with_grad_v=True)
     x = path.nodes
     h = path.h
     v = (x[2:] - x[:-2]) / (2.0 * h)  # centered velocities at interior nodes
     xi = x[1:-1]
-    g = p.gradient(xi)
+    g = g_nodes[1:-1]
     sp2 = np.sum(v * v, axis=-1)
     gn2 = np.sum(g * g, axis=-1)
-    energy = float(np.max(np.abs(0.5 * sp2 - 0.5 * gn2)))
-    zero_energy = float(np.max(np.abs(np.sqrt(sp2) - np.sqrt(gn2))))
     fwd = float(np.max(np.linalg.norm(v + g, axis=-1)))
     bwd = float(np.max(np.linalg.norm(v - g, axis=-1)))
-    grad_kind = "gradient-forward" if fwd <= bwd else "gradient-backward"
     acc = (x[2:] - 2.0 * xi + x[:-2]) / h**2
-    el = float(np.max(np.linalg.norm(acc - p.hessian_vector(xi, g), axis=-1)))
-    return energy, zero_energy, min(fwd, bwd), el, grad_kind
-
-
-def _endpoint_warning(p: PotentialModel, path: DiscretePath) -> bool:
-    """Whether either boundary value sits off a zero of grad V, i.e. whether
-    the truncation error of the orbit's action is suspect."""
-    gn = np.linalg.norm(p.gradient(path.nodes[[0, -1]]), axis=-1)
     # |grad V| ~ |eig| * dist near a nondegenerate critical point; 1e-3 on the
-    # gradient corresponds to the 1e-4 endpoint-distance contract for O(1) spectra
-    return bool(np.max(gn) > 1e-3)
+    # gradient at either end corresponds to the 1e-4 endpoint-distance
+    # contract for O(1) spectra, beyond which the truncated action is suspect
+    ends = np.linalg.norm(g_nodes[[0, -1]], axis=-1)
+    fields = {
+        "j_value": j_value,
+        "energy_residual": float(np.max(np.abs(0.5 * sp2 - 0.5 * gn2))),
+        "zero_energy_residual": float(np.max(np.abs(np.sqrt(sp2) - np.sqrt(gn2)))),
+        "gradient_residual": min(fwd, bwd),
+        "el_residual": float(np.max(np.linalg.norm(acc - p.hessian_vector(xi, g), axis=-1))),
+        "endpoint_warning": bool(np.max(ends) > 1e-3),
+    }
+    return fields, "gradient-forward" if fwd <= bwd else "gradient-backward"
 
 
 def gradient_connection(
@@ -105,23 +109,20 @@ def gradient_connection(
     sign: int,
     cps: CriticalPointSet,
     n_nodes: int = 2000,
-    offset: float = 1e-6,
-    capture_tol: float = 1e-6,
-    escape_radius: float = 10.0,
-    max_arclength: float = 100.0,
-    t_max: float = 2000.0,
 ) -> HeteroclinicOrbit:
     """Shoot the descending gradient flow off a saddle's unstable manifold.
 
-    Integrates xdot = -grad V from source + offset*sign*eig_dir until the
-    trajectory comes within ``capture_tol`` of another critical point of the
-    set, then resamples to a uniform-step path centered on [-T, T].
+    Integrates xdot = -grad V from source + 1e-6*sign*eig_dir until the
+    trajectory comes within 1e-6 of another critical point of the set, then
+    resamples to a uniform-step path centered on [-T, T].  The shot fails
+    beyond distance 10 from the centre of the critical points, beyond time
+    2000, or when the resampled path is longer than 100.
     """
     if source.index < 1:
         raise ValueError("source must be a saddle (index >= 1)")
     eig_dir = np.asarray(eig_dir, dtype=float)
     eig_dir = eig_dir / np.linalg.norm(eig_dir)
-    x0 = source.location + offset * float(sign) * eig_dir
+    x0 = source.location + 1e-6 * float(sign) * eig_dir
     center = np.mean([c.location for c in cps], axis=0)
 
     def rhs(t, y):
@@ -133,14 +134,14 @@ def gradient_connection(
         loc = c.location
 
         def hit(t, y, loc=loc):
-            return np.linalg.norm(y - loc) - capture_tol
+            return np.linalg.norm(y - loc) - 1e-6
 
         hit.terminal = True
         hit.direction = -1
         events.append(hit)
 
     def escaped(t, y):
-        return np.linalg.norm(y - center) - escape_radius
+        return np.linalg.norm(y - center) - 10.0
 
     escaped.terminal = True
     escaped.direction = 1
@@ -148,7 +149,7 @@ def gradient_connection(
 
     sol = solve_ivp(
         rhs,
-        (0.0, t_max),
+        (0.0, 2000.0),
         x0,
         method="RK45",
         rtol=1e-10,
@@ -170,27 +171,22 @@ def gradient_connection(
     ts = np.linspace(0.0, t_end, n_nodes + 1)
     nodes = sol.sol(ts).T
     arclength = float(np.sum(np.linalg.norm(np.diff(nodes, axis=0), axis=-1)))
-    if arclength > max_arclength:
+    if arclength > 100.0:
         raise NotConvergedError("trajectory exceeded the arclength budget")
     T = t_end / 2.0
     path = DiscretePath(nodes, a=-T, b=T)
 
-    energy, zero_energy, grad_res, el, _ = _orbit_residuals(p, path)
+    fields, _ = _orbit_record(p, path)
     return HeteroclinicOrbit(
         source=source,
         target=target,
         path=path,
         kind="gradient-forward",
-        j_value=eval_I(p, path, 1.0).j_eps,
-        energy_residual=energy,
-        zero_energy_residual=zero_energy,
-        gradient_residual=grad_res,
-        el_residual=el,
         endpoint_distances=(
             float(np.linalg.norm(nodes[0] - source.location)),
             float(np.linalg.norm(nodes[-1] - target.location)),
         ),
-        endpoint_warning=_endpoint_warning(p, path),
+        **fields,
     )
 
 
@@ -201,18 +197,14 @@ def hamiltonian_connection(
     T: float,
     M: int,
     start: DiscretePath,
-    el_tol: float = 1e-2,
-    energy_tol: float = 1e-3,
-    grad_kind_tol: float = 1e-3,
-    grad_tol: float = 1e-7,
-    max_iter: int = 60_000,
 ) -> HeteroclinicOrbit:
     """Connect two critical points by minimizing the truncated action.
 
     The unit-temperature action over [-T, T] is descended over interior
-    nodes; the result is validated against the second-order stationarity
-    system and energy conservation at level zero, and downgraded to a
-    gradient kind when the first-order residual also passes.
+    nodes to ``grad_tol`` 1e-7 within 60,000 iterations.  The result must
+    satisfy the second-order stationarity system to 1e-2 and conserve energy
+    at level zero to 1e-3, and is downgraded to a gradient kind when the
+    first-order residual is also at most 1e-3.
     """
     if a is b or np.allclose(a.location, b.location):
         raise ValueError("endpoints must be distinct critical points")
@@ -224,13 +216,12 @@ def hamiltonian_connection(
     ):
         raise ValueError("start endpoints must sit on the given critical points")
 
-    cfg = FlowConfig(
-        objective="J", eps=1.0, tau0=1e-2, grad_tol=grad_tol, max_iter=max_iter
-    )
+    cfg = FlowConfig(objective="J", eps=1.0, tau0=1e-2, grad_tol=1e-7, max_iter=60_000)
     path, trace = minimize(p, start, cfg)
 
-    energy, zero_energy, grad_res, el, grad_kind = _orbit_residuals(p, path)
-    if el > el_tol or energy > energy_tol:
+    fields, grad_kind = _orbit_record(p, path)
+    el, energy = fields["el_residual"], fields["energy_residual"]
+    if el > 1e-2 or energy > 1e-3:
         raise NotConvergedError(
             "saddle connection failed residual checks",
             {
@@ -241,18 +232,9 @@ def hamiltonian_connection(
                 "final_objective": trace.final_objective,
             },
         )
+    kind = grad_kind if fields["gradient_residual"] <= 1e-3 else "hamiltonian"
     return HeteroclinicOrbit(
-        source=a,
-        target=b,
-        path=path,
-        kind=grad_kind if grad_res <= grad_kind_tol else "hamiltonian",
-        j_value=eval_I(p, path, 1.0).j_eps,
-        energy_residual=energy,
-        zero_energy_residual=zero_energy,
-        gradient_residual=grad_res,
-        el_residual=el,
-        endpoint_distances=(0.0, 0.0),
-        endpoint_warning=_endpoint_warning(p, path),
+        source=a, target=b, path=path, kind=kind, endpoint_distances=(0.0, 0.0), **fields
     )
 
 
@@ -273,24 +255,21 @@ def hamiltonian_connection_adaptive(
     a: CriticalPoint,
     b: CriticalPoint,
     M: int = 4000,
-    T0: float = 6.0,
     waypoints=None,
-    j_change_tol: float = 1e-4,
-    max_doublings: int = 5,
-    **kwargs,
 ) -> HeteroclinicOrbit:
-    """Double the truncation interval until the connection cost stabilizes."""
+    """Double the truncation interval, from [-6, 6] and at most five times,
+    until the connection cost changes by less than 1e-4."""
     wp = (
         [a.location] + [np.asarray(w, float) for w in (waypoints or [])] + [b.location]
     )
-    T = T0
+    T = 6.0
     start = DiscretePath.from_waypoints(wp, M, a=-T, b=T)
-    orbit = hamiltonian_connection(p, a, b, T, M, start, **kwargs)
-    for _ in range(max_doublings):
+    orbit = hamiltonian_connection(p, a, b, T, M, start)
+    for _ in range(5):
         T *= 2.0
         start = _pad_and_resample(orbit.path, T, M)
-        new = hamiltonian_connection(p, a, b, T, M, start, **kwargs)
-        if abs(new.j_value - orbit.j_value) < j_change_tol:
+        new = hamiltonian_connection(p, a, b, T, M, start)
+        if abs(new.j_value - orbit.j_value) < 1e-4:
             return new
         orbit = new
     return orbit
@@ -349,9 +328,7 @@ def build_transition_graph(
     p: PotentialModel,
     cps: CriticalPointSet,
     hamiltonian_pairs=(),
-    n_nodes: int = 2000,
     ham_M: int = 4000,
-    **ham_kwargs,
 ) -> TransitionGraph:
     """Assemble connection costs from all saddle gradient shots.
 
@@ -369,9 +346,7 @@ def build_transition_graph(
         for mode in np.flatnonzero(eigval < 0.0):
             for sign in (+1, -1):
                 try:
-                    orbit = gradient_connection(
-                        p, c, eigvec[:, mode], sign, cps, n_nodes=n_nodes
-                    )
+                    orbit = gradient_connection(p, c, eigvec[:, mode], sign, cps)
                 except (EscapeError, NotConvergedError):
                     continue
                 j_idx, _ = cps.nearest(orbit.target.location)
@@ -389,9 +364,7 @@ def build_transition_graph(
         for side in (+1, -1):
             wp = [mid + 0.4 * side * perp] if np.any(perp) else None
             try:
-                orbit = hamiltonian_connection_adaptive(
-                    p, a, b, M=ham_M, waypoints=wp, **ham_kwargs
-                )
+                orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
             except (NotConvergedError, ValueError):
                 continue
             graph.edges.append(GraphEdge(i, j, orbit.j_value, orbit.kind))
@@ -423,7 +396,7 @@ def verify_orbit(p: PotentialModel, orbit: HeteroclinicOrbit) -> OrbitVerificati
     """Check the conserved-energy level, the action identity and, for gradient
     kinds, the endpoint sum rule."""
     # the unit-temperature force term is half the grad-squared integral
-    grad_sq_integral = 2.0 * eval_I(p, orbit.path, 1.0).force
+    grad_sq_integral = 2.0 * _terms(p, orbit.path, 1.0, laplacian=False)[1]
     scale = max(abs(orbit.j_value), 1e-12)
     identity_gap = abs(orbit.j_value - grad_sq_integral) / scale
     sum_rule = None

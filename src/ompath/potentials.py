@@ -24,6 +24,13 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _central_differences(f, x: np.ndarray) -> np.ndarray:
+    """Central differences of f at the single point x with step
+    1e-5*(1+|x|); row j is the derivative along axis j."""
+    h = 1e-5 * (1.0 + np.linalg.norm(x))
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(x.shape[0])])
+
+
 class PotentialModel:
     """Base class: a smooth potential on R^N.
 
@@ -45,17 +52,12 @@ class PotentialModel:
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = _check_finite(x)
-        single = x.ndim == 1
         pts = np.atleast_2d(x)
         out = np.empty((pts.shape[0], self.dim, self.dim))
         for k, p in enumerate(pts):
-            h = 1e-5 * (1.0 + np.linalg.norm(p))
-            for j in range(self.dim):
-                e = np.zeros(self.dim)
-                e[j] = h
-                out[k, :, j] = (self.gradient(p + e) - self.gradient(p - e)) / (2 * h)
-            out[k] = 0.5 * (out[k] + out[k].T)
-        return out[0] if single else out
+            d = _central_differences(self.gradient, p)
+            out[k] = 0.5 * (d + d.T)
+        return out[0] if x.ndim == 1 else out
 
     def hessian_vector(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hessian times v at each point; override to skip the full Hessian."""
@@ -67,16 +69,11 @@ class PotentialModel:
 
     def grad_laplacian(self, x: np.ndarray) -> np.ndarray:
         x = _check_finite(x)
-        single = x.ndim == 1
         pts = np.atleast_2d(x)
         out = np.empty_like(pts)
         for k, p in enumerate(pts):
-            h = 1e-5 * (1.0 + np.linalg.norm(p))
-            for j in range(self.dim):
-                e = np.zeros(self.dim)
-                e[j] = h
-                out[k, j] = (self.laplacian(p + e) - self.laplacian(p - e)) / (2 * h)
-        return out[0] if single else out
+            out[k] = _central_differences(self.laplacian, p)
+        return out[0] if x.ndim == 1 else out
 
 
 class TripleWell(PotentialModel):
@@ -116,28 +113,12 @@ class TripleWell(PotentialModel):
             + gw * (u * v)[..., None]
         )
 
-    def hessian(self, x):
-        x = _check_finite(x)
-        u, v, w, gu, gv, gw = self._factors(x)
-        eye = np.eye(2)
-        s = u * v + u * w + v * w
-
-        def sym(a, b):
-            return a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
-
-        return (
-            2.0 * s[..., None, None] * eye
-            + sym(gu, gv) * w[..., None, None]
-            + sym(gu, gw) * v[..., None, None]
-            + sym(gv, gw) * u[..., None, None]
-        )
-
-    def hessian_vector(self, x, v):
-        # the three Hessian entries, each summed in the order hessian() sums
-        # them, so the result equals contracting hessian(x) (the zero that
-        # hessian() adds off the diagonal can change only the sign of a zero)
-        x = _check_finite(x)
-        fu, fv, fw, gu, gv, gw = self._factors(x)
+    @staticmethod
+    def _hessian_entries(x):
+        # H = 2(uv+uw+vw) I + sym(gu,gv) w + sym(gu,gw) v + sym(gv,gw) u, with
+        # sym(a,b) = a b^T + b a^T (each factor's Hessian is 2I); returns the
+        # entries h00, h01, h11, each summed in that order
+        fu, fv, fw, gu, gv, gw = TripleWell._factors(x)
         s = fu * fv + fu * fw + fv * fw
 
         def terms(i, j):
@@ -150,10 +131,25 @@ class TripleWell(PotentialModel):
         h00 = 2.0 * s + t00[0] + t00[1] + t00[2]
         h01 = t01[0] + t01[1] + t01[2]
         h11 = 2.0 * s + t11[0] + t11[1] + t11[2]
+        return h00, h01, h11
+
+    def hessian(self, x):
+        x = _check_finite(x)
+        h00, h01, h11 = self._hessian_entries(x)
+        # + 0.0 turns a -0.0 off the diagonal into the +0.0 that the 2sI term
+        # of the formula leaves there
+        h01 = h01 + 0.0
+        return np.stack([h00, h01, h01, h11], axis=-1).reshape(x.shape[:-1] + (2, 2))
+
+    def hessian_vector(self, x, v):
+        x = _check_finite(x)
+        h00, h01, h11 = self._hessian_entries(x)
         v0, v1 = v[..., 0], v[..., 1]
         return np.stack([h00 * v0 + h01 * v1, h01 * v0 + h11 * v1], axis=-1)
 
     def laplacian(self, x):
+        # its own formula: h00 + h11 from _hessian_entries sums in another
+        # order and would move I_eps in the last bit
         x = _check_finite(x)
         u, v, w, gu, gv, gw = self._factors(x)
         dot = lambda a, b: np.sum(a * b, axis=-1)
@@ -256,12 +252,6 @@ class CustomPotential(PotentialModel):
         return np.array([self._gradient_fn(p) for p in x], dtype=float)
 
 
-def eval_all(p: PotentialModel, x) -> tuple:
-    """Return (V, grad, hess, lap) at one point; lap is trace(hess) by construction."""
-    x = _check_finite(x)
-    return p.value(x), p.gradient(x), p.hessian(x), p.laplacian(x)
-
-
 @dataclass
 class DerivativeReport:
     """Max relative errors of analytic derivatives vs central finite differences."""
@@ -286,14 +276,8 @@ def check_derivatives(p: PotentialModel, probes) -> DerivativeReport:
         raise ValueError("need at least one probe point")
     ge, he, le = 0.0, 0.0, 0.0
     for x in probes:
-        h = 1e-5 * (1.0 + np.linalg.norm(x))
-        g_fd = np.empty(p.dim)
-        h_fd = np.empty((p.dim, p.dim))
-        for j in range(p.dim):
-            e = np.zeros(p.dim)
-            e[j] = h
-            g_fd[j] = (p.value(x + e) - p.value(x - e)) / (2 * h)
-            h_fd[:, j] = (p.gradient(x + e) - p.gradient(x - e)) / (2 * h)
+        g_fd = _central_differences(p.value, x)
+        h_fd = _central_differences(p.gradient, x)
         h_fd = 0.5 * (h_fd + h_fd.T)
         g, hs, lp = p.gradient(x), p.hessian(x), p.laplacian(x)
         ge = max(ge, np.max(np.abs(g - g_fd)) / (1.0 + np.max(np.abs(g))))

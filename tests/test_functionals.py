@@ -11,30 +11,43 @@ from ompath import (
     DoubleWell1D,
     Quadratic,
     TripleWell,
-    eval_G,
     eval_I,
     eval_objective,
     grad_objective,
 )
-from ompath.heteroclinic import _endpoint_warning
+from ompath.heteroclinic import _orbit_record
+
+
+def _endpoint_warning(p, path):
+    return _orbit_record(p, path)[0]["endpoint_warning"]
+
+
+def _rest_at(x):
+    """The path that rests at x for unit time."""
+    return DiscretePath(np.tile(x, (3, 1)))
 
 
 class TestPathPotential:
+    """On a path resting at x for unit time, eps * I_eps is the path
+    potential G = 0.5 |grad V|^2 - eps * Lap V at x."""
+
     def test_at_critical_points_minus_eps_laplacian(self, tw):
         # grad V = 0 there, so G reduces to -eps * Lap V
         eps = 1e-3
-        assert eval_G(tw, np.array([0.0, 0.0]), eps) == pytest.approx(-4.0 * eps)
-        assert eval_G(tw, np.array([1.0, 0.0]), eps) == pytest.approx(-8.0 * eps)
+        assert eps * eval_I(tw, _rest_at([0.0, 0.0]), eps).i_eps == pytest.approx(-4.0 * eps)
+        assert eps * eval_I(tw, _rest_at([1.0, 0.0]), eps).i_eps == pytest.approx(-8.0 * eps)
 
     def test_generic_point(self, tw):
         x = np.array([0.3, 0.2])
         eps = 0.01
         g = tw.gradient(x)
-        assert eval_G(tw, x, eps) == pytest.approx(0.5 * g @ g - eps * tw.laplacian(x))
+        assert eps * eval_I(tw, _rest_at(x), eps).i_eps == pytest.approx(
+            0.5 * g @ g - eps * tw.laplacian(x)
+        )
 
     def test_requires_positive_eps(self, tw):
         with pytest.raises(ValueError):
-            eval_G(tw, np.array([0.0, 0.0]), 0.0)
+            eval_I(tw, _rest_at([0.0, 0.0]), 0.0)
 
 
 class TestQuadratureOracle:
@@ -167,8 +180,9 @@ class TestGradientOracle:
 
     def test_objective_validation(self, tw):
         path = DiscretePath.from_waypoints([[0.0, 0.0], [1.0, 0.0]], 6)
-        with pytest.raises(ValueError):
-            grad_objective(tw, path, 0.1, "K")
+        for fn in (eval_objective, grad_objective):
+            with pytest.raises(ValueError, match="objective must be 'I' or 'J'"):
+                fn(tw, path, 0.1, "K")
         with pytest.raises(ValueError):
             grad_objective(tw, path, -0.1, "I")
         with pytest.raises(ValueError):

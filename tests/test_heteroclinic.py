@@ -10,6 +10,7 @@ from ompath import (
     DiscretePath,
     EscapeError,
     TransitionGraph,
+    TripleWell,
     classify_point,
     CriticalPointSet,
     eval_I,
@@ -18,6 +19,7 @@ from ompath import (
     hamiltonian_connection_adaptive,
     verify_orbit,
 )
+from ompath.heteroclinic import _orbit_record
 
 TWO27 = 2.0 / 27.0
 
@@ -70,7 +72,70 @@ class TestGradientOrbits:
         top = classify_point(hill, np.array([0.0, 0.0]))
         cps = CriticalPointSet([top])
         with pytest.raises(EscapeError):
-            gradient_connection(hill, top, np.array([1.0, 0.0]), 1, cps, escape_radius=5.0)
+            gradient_connection(hill, top, np.array([1.0, 0.0]), 1, cps)
+
+
+class LoggingTripleWell(TripleWell):
+    """Delegates every kernel to a TripleWell and logs (kernel, points) per call."""
+
+    def __init__(self):
+        self.inner = TripleWell()
+        self.log = []
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def _logged(self, name, x, *rest):
+        self.log.append((name, len(x)))
+        return getattr(self.inner, name)(x, *rest)
+
+    def gradient(self, x):
+        return self._logged("gradient", x)
+
+    def hessian(self, x):
+        return self._logged("hessian", x)
+
+    def hessian_vector(self, x, v):
+        return self._logged("hessian_vector", x, v)
+
+    def laplacian(self, x):
+        return self._logged("laplacian", x)
+
+    def grad_laplacian(self, x):
+        return self._logged("grad_laplacian", x)
+
+
+class TestOrbitRecord:
+    def test_one_pass_same_numbers(self, tw, names_tw):
+        # one grad V over all nodes serves the action, the residuals and the
+        # endpoint warning; no Laplacian; numbers as the separate formulas give
+        s1, s2 = names_tw["S1"].location, names_tw["S2"].location
+        path = DiscretePath.from_waypoints([s1, [0.6, 0.6], s2], 200, a=-6.0, b=6.0)
+        p = LoggingTripleWell()
+        fields, _ = _orbit_record(p, path)
+        assert p.log == [("gradient", 201), ("hessian_vector", 199)]
+
+        x, h = path.nodes, path.h
+        v = (x[2:] - x[:-2]) / (2.0 * h)
+        xi = x[1:-1]
+        g = tw.gradient(xi)
+        sp2 = np.sum(v * v, axis=-1)
+        gn2 = np.sum(g * g, axis=-1)
+        acc = (x[2:] - 2.0 * xi + x[:-2]) / h**2
+        ends = np.linalg.norm(tw.gradient(x[[0, -1]]), axis=-1)
+        assert fields == {
+            "j_value": eval_I(tw, path, 1.0).j_eps,
+            "energy_residual": float(np.max(np.abs(0.5 * sp2 - 0.5 * gn2))),
+            "zero_energy_residual": float(np.max(np.abs(np.sqrt(sp2) - np.sqrt(gn2)))),
+            "gradient_residual": min(
+                float(np.max(np.linalg.norm(v + g, axis=-1))),
+                float(np.max(np.linalg.norm(v - g, axis=-1))),
+            ),
+            "el_residual": float(
+                np.max(np.linalg.norm(acc - tw.hessian_vector(xi, g), axis=-1))
+            ),
+            "endpoint_warning": bool(np.max(ends) > 1e-3),
+        }
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from ompath import (
     Quadratic,
     TripleWell,
     check_derivatives,
-    eval_all,
     get_potential,
 )
 
@@ -109,12 +108,11 @@ class TestEdgesAndPlumbing:
         with pytest.raises(DomainError):
             tw.gradient(np.array([np.inf, 0.0]))
 
-    def test_eval_all_consistent(self, tw):
+    def test_point_derivatives_consistent(self, tw):
         x = np.array([0.3, 0.4])
-        v, g, h, lap = eval_all(tw, x)
-        assert v == tw.value(x)
-        np.testing.assert_array_equal(g, tw.gradient(x))
-        assert np.isclose(lap, np.trace(h))
+        assert tw.value(x) == tw.value(x[None])[0]
+        np.testing.assert_array_equal(tw.gradient(x), tw.gradient(x[None])[0])
+        assert np.isclose(tw.laplacian(x), np.trace(tw.hessian(x)))
 
     def test_custom_potential_fd_fallbacks(self, tw, rng):
         cp = CustomPotential(2, lambda x: tw.value(x), lambda x: tw.gradient(x))
@@ -132,6 +130,55 @@ class TestEdgesAndPlumbing:
     def test_check_derivatives_needs_probes(self, tw):
         with pytest.raises(ValueError):
             check_derivatives(tw, np.empty((0, 2)))
+
+
+def _product_rule_hessian(x):
+    """The triple well's Hessian 2sI + sym(gu,gv) w + sym(gu,gw) v + sym(gv,gw) u,
+    s = uv + uw + vw, summed as a whole (K, 2, 2) tensor."""
+    x1, x2 = x[..., 0], x[..., 1]
+    u = x1**2 + x2**2
+    v = (x1 - 1.0) ** 2 + x2**2
+    w = x1**2 + (x2 - 1.0) ** 2
+    gu = 2.0 * np.stack([x1, x2], axis=-1)
+    gv = 2.0 * np.stack([x1 - 1.0, x2], axis=-1)
+    gw = 2.0 * np.stack([x1, x2 - 1.0], axis=-1)
+    s = u * v + u * w + v * w
+
+    def sym(a, b):
+        return a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
+
+    return (
+        2.0 * s[..., None, None] * np.eye(2)
+        + sym(gu, gv) * w[..., None, None]
+        + sym(gu, gw) * v[..., None, None]
+        + sym(gv, gw) * u[..., None, None]
+    )
+
+
+class TestHessianFormula:
+    """The Hessian, stacked from its three entries, equals the product-rule
+    tensor byte for byte, signed zeros included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 3.0]),
+    )
+    def test_matches_product_rule_bytes(self, k, seed, scale):
+        tw = TripleWell()
+        x = np.random.default_rng(seed).uniform(-scale, scale, size=(k, 2)) + 0.5
+        assert tw.hessian(x).tobytes() == _product_rule_hessian(x).tobytes()
+        assert tw.hessian(x[0]).tobytes() == _product_rule_hessian(x[0]).tobytes()
+
+    def test_signed_zero_coordinates(self, tw):
+        pts = np.array(
+            [[a, b] for a in (0.0, -0.0) for b in (0.0, -0.0)]
+            + [[1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [-0.0, 1.0]]
+        )
+        assert tw.hessian(pts).tobytes() == _product_rule_hessian(pts).tobytes()
+        for x in pts:
+            assert tw.hessian(x).tobytes() == _product_rule_hessian(x).tobytes()
 
 
 class TestHessianVector:
