@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.sparse.csgraph import shortest_path
 
 from .critical import CriticalPoint, CriticalPointSet
 from .flow import FlowConfig, minimize
@@ -118,6 +116,8 @@ def gradient_connection(
     beyond distance 10 from the centre of the critical points, beyond time
     2000, or when the resampled path is longer than 100.
     """
+    from scipy.integrate import solve_ivp  # here, so that the flow alone never loads it
+
     if source.index < 1:
         raise ValueError("source must be a saddle (index >= 1)")
     eig_dir = np.asarray(eig_dir, dtype=float)
@@ -291,15 +291,21 @@ class TransitionGraph:
     """Connection costs between critical points and the induced transition energy.
 
     ``phi[i, j]`` is the shortest-path distance over direct-connection weights;
-    missing connections stay infinite.
+    missing connections stay infinite.  ``failures`` records each connection
+    that was attempted and dropped: ``from`` and ``mode``/``sign`` for a
+    gradient shot, ``from``/``to`` and ``side`` for a saddle-saddle pair, then
+    the ``error`` class name and its ``message``.
     """
 
     cps: CriticalPointSet
     edges: list[GraphEdge] = field(default_factory=list)
     orbits: list[HeteroclinicOrbit] = field(default_factory=list)
     phi: np.ndarray | None = None
+    failures: list[dict] = field(default_factory=list)
 
     def recompute_phi(self) -> np.ndarray:
+        from scipy.sparse.csgraph import shortest_path  # here, as solve_ivp above
+
         n = len(self.cps)
         w = np.full((n, n), np.inf)
         np.fill_diagonal(w, 0.0)
@@ -321,7 +327,12 @@ class TransitionGraph:
             "nodes": [c.to_dict() for c in self.cps],
             "edges": [e.to_dict() for e in self.edges],
             "phi": [[None if not np.isfinite(v) else v for v in row] for row in self.phi],
+            "failures": self.failures,
         }
+
+
+def _failure(err: Exception) -> dict:
+    return {"error": type(err).__name__, "message": str(err)}
 
 
 def build_transition_graph(
@@ -335,7 +346,8 @@ def build_transition_graph(
     Every unstable mode of every saddle is shot in both signs.  Pairs listed
     in ``hamiltonian_pairs`` (as index pairs into cps) additionally get a
     direct saddle-saddle connection attempted in both homotopy classes (arcs
-    on either side of the segment midpoint).
+    on either side of the segment midpoint).  A shot or pair that fails is
+    recorded in ``graph.failures`` and leaves no edge.
     """
     graph = TransitionGraph(cps=cps)
     for i, c in enumerate(cps):
@@ -347,7 +359,10 @@ def build_transition_graph(
             for sign in (+1, -1):
                 try:
                     orbit = gradient_connection(p, c, eigvec[:, mode], sign, cps)
-                except (EscapeError, NotConvergedError):
+                except (EscapeError, NotConvergedError) as err:
+                    graph.failures.append(
+                        {"from": i, "mode": int(mode), "sign": sign, **_failure(err)}
+                    )
                     continue
                 j_idx, _ = cps.nearest(orbit.target.location)
                 graph.edges.append(GraphEdge(i, j_idx, orbit.j_value, orbit.kind))
@@ -365,7 +380,8 @@ def build_transition_graph(
             wp = [mid + 0.4 * side * perp] if np.any(perp) else None
             try:
                 orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
-            except (NotConvergedError, ValueError):
+            except (NotConvergedError, ValueError) as err:
+                graph.failures.append({"from": i, "to": j, "side": side, **_failure(err)})
                 continue
             graph.edges.append(GraphEdge(i, j, orbit.j_value, orbit.kind))
             graph.orbits.append(orbit)

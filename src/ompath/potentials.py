@@ -76,6 +76,10 @@ class PotentialModel:
         return out[0] if x.ndim == 1 else out
 
 
+_E1 = np.array([1.0, 0.0])
+_E2 = np.array([0.0, 1.0])
+
+
 class TripleWell(PotentialModel):
     """Product-of-three-quadratics potential on R^2.
 
@@ -90,14 +94,16 @@ class TripleWell(PotentialModel):
 
     @staticmethod
     def _factors(x):
+        # column-major, so that each coordinate is contiguous and a per-point
+        # factor broadcasts along it (on row-major (K, 2) arrays NumPy loops two
+        # elements at a time); x2 - 0.0 keeps a -0.0, so each factor gradient
+        # is bitwise the stacked 2(x1 - c1, x2 - c2)
+        x = np.asfortranarray(x)
         x1, x2 = x[..., 0], x[..., 1]
         u = x1**2 + x2**2
         v = (x1 - 1.0) ** 2 + x2**2
         w = x1**2 + (x2 - 1.0) ** 2
-        gu = 2.0 * np.stack([x1, x2], axis=-1)
-        gv = 2.0 * np.stack([x1 - 1.0, x2], axis=-1)
-        gw = 2.0 * np.stack([x1, x2 - 1.0], axis=-1)
-        return u, v, w, gu, gv, gw
+        return u, v, w, 2.0 * x, 2.0 * (x - _E1), 2.0 * (x - _E2)
 
     def value(self, x):
         x = _check_finite(x)
@@ -139,13 +145,20 @@ class TripleWell(PotentialModel):
         # + 0.0 turns a -0.0 off the diagonal into the +0.0 that the 2sI term
         # of the formula leaves there
         h01 = h01 + 0.0
-        return np.stack([h00, h01, h01, h11], axis=-1).reshape(x.shape[:-1] + (2, 2))
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = h00, h01, h01, h11
+        return out
 
     def hessian_vector(self, x, v):
         x = _check_finite(x)
         h00, h01, h11 = self._hessian_entries(x)
         v0, v1 = v[..., 0], v[..., 1]
-        return np.stack([h00 * v0 + h01 * v1, h01 * v0 + h11 * v1], axis=-1)
+        # row-major like the stacked result it replaces, so that the flow's
+        # gradient and its norm keep their summation order
+        out = np.empty(x.shape)
+        out[..., 0] = h00 * v0 + h01 * v1
+        out[..., 1] = h01 * v0 + h11 * v1
+        return out
 
     def laplacian(self, x):
         # its own formula: h00 + h11 from _hessian_entries sums in another

@@ -1,6 +1,7 @@
 """Heteroclinic connections and the transition-energy graph."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from ompath import (
     CustomPotential,
     DiscretePath,
+    DoubleWell1D,
     EscapeError,
     TransitionGraph,
     TripleWell,
+    build_transition_graph,
     classify_point,
     CriticalPointSet,
     eval_I,
@@ -231,12 +234,34 @@ class TestTransitionGraph:
         assert expected < 4 * TWO27
 
     def test_json_export(self, graph_full):
-        import json
-
         doc = json.loads(json.dumps(graph_full.to_dict()))
         assert len(doc["nodes"]) == len(graph_full.cps)
         assert len(doc["edges"]) == len(graph_full.edges)
         assert doc["phi"][0][0] == 0.0
+        assert doc["failures"] == graph_full.failures
+
+    def test_dropped_connections_are_recorded(self):
+        # the set omits the well at -1, so the shot that descends to it reaches
+        # no critical point of the set; a pair of one point is no pair at all
+        dw = DoubleWell1D()
+        cps = CriticalPointSet([classify_point(dw, np.array([x])) for x in (0.0, 1.0)])
+        graph = build_transition_graph(dw, cps, hamiltonian_pairs=[(1, 1)])
+        assert [(e.i, e.j) for e in graph.edges] == [(0, 1)]
+        shot, *pairs = graph.failures
+        assert shot == {
+            "from": 0,
+            "mode": 0,
+            "sign": -1,
+            "error": "NotConvergedError",
+            "message": "gradient shot reached neither a critical point nor the escape radius",
+        }
+        assert pairs == [
+            {"from": 1, "to": 1, "side": side, "error": "ValueError",
+             "message": "endpoints must be distinct critical points"}
+            for side in (1, -1)
+        ]
+        doc = json.loads(json.dumps(graph.to_dict()))
+        assert doc["failures"] == graph.failures
 
     def test_lazy_phi(self, graph_full):
         g = TransitionGraph(cps=graph_full.cps, edges=list(graph_full.edges))

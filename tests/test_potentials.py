@@ -132,9 +132,9 @@ class TestEdgesAndPlumbing:
             check_derivatives(tw, np.empty((0, 2)))
 
 
-def _product_rule_hessian(x):
-    """The triple well's Hessian 2sI + sym(gu,gv) w + sym(gu,gw) v + sym(gv,gw) u,
-    s = uv + uw + vw, summed as a whole (K, 2, 2) tensor."""
+def _stacked_factors(x):
+    """The triple well's factors with their gradients stacked column by column,
+    the formulation the kernels used before they built them by arithmetic."""
     x1, x2 = x[..., 0], x[..., 1]
     u = x1**2 + x2**2
     v = (x1 - 1.0) ** 2 + x2**2
@@ -142,6 +142,13 @@ def _product_rule_hessian(x):
     gu = 2.0 * np.stack([x1, x2], axis=-1)
     gv = 2.0 * np.stack([x1 - 1.0, x2], axis=-1)
     gw = 2.0 * np.stack([x1, x2 - 1.0], axis=-1)
+    return u, v, w, gu, gv, gw
+
+
+def _product_rule_hessian(x):
+    """The triple well's Hessian 2sI + sym(gu,gv) w + sym(gu,gw) v + sym(gv,gw) u,
+    s = uv + uw + vw, summed as a whole (K, 2, 2) tensor."""
+    u, v, w, gu, gv, gw = _stacked_factors(x)
     s = u * v + u * w + v * w
 
     def sym(a, b):
@@ -155,8 +162,87 @@ def _product_rule_hessian(x):
     )
 
 
+def _stacked_kernels(x, vec):
+    """Every TripleWell kernel written out on the stacked factors, summed in
+    the kernels' order; ``hessian_vector`` is taken along ``vec``."""
+    u, v, w, gu, gv, gw = _stacked_factors(x)
+    s = u * v + u * w + v * w
+
+    def terms(i, j):
+        return [
+            (a[..., i] * b[..., j] + b[..., i] * a[..., j]) * c
+            for a, b, c in ((gu, gv, w), (gu, gw, v), (gv, gw, u))
+        ]
+
+    t00, t01, t11 = terms(0, 0), terms(0, 1), terms(1, 1)
+    h00 = 2.0 * s + t00[0] + t00[1] + t00[2]
+    h01 = t01[0] + t01[1] + t01[2]
+    h11 = 2.0 * s + t11[0] + t11[1] + t11[2]
+    v0, v1 = vec[..., 0], vec[..., 1]
+    dot = lambda a, b: np.sum(a * b, axis=-1)
+    dotc = lambda a, b: dot(a, b)[..., None]
+    uu, vv, ww = u[..., None], v[..., None], w[..., None]
+    return {
+        "value": u * v * w,
+        "gradient": gu * (v * w)[..., None] + gv * (u * w)[..., None] + gw * (u * v)[..., None],
+        "hessian": _product_rule_hessian(x),
+        "hessian_vector": np.stack([h00 * v0 + h01 * v1, h01 * v0 + h11 * v1], axis=-1),
+        "laplacian": 4.0 * s + 2.0 * (dot(gu, gv) * w + dot(gu, gw) * v + dot(gv, gw) * u),
+        "grad_laplacian": 4.0 * (gu * vv + uu * gv + gu * ww + uu * gw + gv * ww + vv * gw)
+        + 2.0 * (
+            2.0 * (gu + gv) * ww + dotc(gu, gv) * gw
+            + 2.0 * (gu + gw) * vv + dotc(gu, gw) * gv
+            + 2.0 * (gv + gw) * uu + dotc(gv, gw) * gu
+        ),
+    }
+
+
+# every signed-zero variant of the three wells
+SIGNED_ZERO_WELLS = np.array(
+    [[a, b] for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    + [[1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [-0.0, 1.0]]
+)
+
+
+class TestStackFreeKernels:
+    """Every TripleWell kernel equals its formula on the stacked factors byte
+    for byte, signed zeros included."""
+
+    @staticmethod
+    def _assert_bitwise(tw, x, vec):
+        ref = _stacked_kernels(x, vec)
+        for name, want in ref.items():
+            args = (x, vec) if name == "hessian_vector" else (x,)
+            got = np.asarray(getattr(tw, name)(*args))
+            assert got.shape == np.shape(want), name
+            assert got.tobytes() == np.asarray(want).tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 3.0]),
+    )
+    def test_batches_and_single_points(self, k, seed, scale):
+        tw = TripleWell()
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-scale, scale, size=(k, 2)) + 0.5
+        vec = tw.gradient(x) if seed % 2 else rng.normal(size=(k, 2))
+        self._assert_bitwise(tw, x, vec)
+        # the flow hands in column-major nodes (the banded solve returns them)
+        self._assert_bitwise(tw, np.asfortranarray(x), np.asfortranarray(vec))
+        self._assert_bitwise(tw, x[0], vec[0])
+
+    def test_signed_zero_coordinates(self, tw):
+        pts = SIGNED_ZERO_WELLS
+        vecs = np.array([[1.0, -0.0], [-0.0, 1.0]] * 4)
+        self._assert_bitwise(tw, pts, vecs)
+        for x, vec in zip(pts, vecs):
+            self._assert_bitwise(tw, x, vec)
+
+
 class TestHessianFormula:
-    """The Hessian, stacked from its three entries, equals the product-rule
+    """The Hessian, filled from its three entries, equals the product-rule
     tensor byte for byte, signed zeros included."""
 
     @settings(max_examples=60, deadline=None)
@@ -172,10 +258,7 @@ class TestHessianFormula:
         assert tw.hessian(x[0]).tobytes() == _product_rule_hessian(x[0]).tobytes()
 
     def test_signed_zero_coordinates(self, tw):
-        pts = np.array(
-            [[a, b] for a in (0.0, -0.0) for b in (0.0, -0.0)]
-            + [[1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [-0.0, 1.0]]
-        )
+        pts = SIGNED_ZERO_WELLS
         assert tw.hessian(pts).tobytes() == _product_rule_hessian(pts).tobytes()
         for x in pts:
             assert tw.hessian(x).tobytes() == _product_rule_hessian(x).tobytes()
