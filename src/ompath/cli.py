@@ -217,7 +217,10 @@ def cmd_graph(args) -> int:
     pairs = []
     for spec in args.hamiltonian.split(";") if args.hamiltonian else []:
         x, y = spec.split(":")
-        pairs.append(tuple(_critical_index(cps, t, p, "--hamiltonian end") for t in (x, y)))
+        pair = tuple(_critical_index(cps, t, p, "--hamiltonian end") for t in (x, y))
+        if pair[0] == pair[1]:
+            raise ValueError(f"--hamiltonian pair {spec!r} names one point twice")
+        pairs.append(pair)
     graph = build_transition_graph(p, cps, hamiltonian_pairs=pairs, ham_M=args.nodes)
     print(write_json(args.out, "transition_graph.json", graph.to_dict()))
     return 0

@@ -94,8 +94,10 @@ class FlowTrace:
 
 
 def _grad_norm(g: np.ndarray, h: float) -> float:
-    # L2 norm of the gradient density g/h: sqrt(h * sum |g/h|^2)
-    return float(np.linalg.norm(g) / np.sqrt(h))
+    # L2 norm of the gradient density g/h: sqrt(h * sum |g/h|^2), summed in
+    # row-major order whatever the layout of g, so the same values give the
+    # same norm
+    return float(np.linalg.norm(g.ravel()) / np.sqrt(h))
 
 
 def minimize(

@@ -1,10 +1,11 @@
 """Heteroclinic connections between critical points and the transition graph.
 
-Gradient connections are shot from saddle unstable manifolds with an adaptive
-Runge-Kutta integrator; saddle-saddle connections are found by minimizing the
-unit-temperature action on a truncated interval.  Connection costs assemble
-into a weighted graph whose shortest-path distances give the transition
-energy between any two critical points.
+Gradient connections are shot from saddle unstable manifolds, all shots of a
+graph at once, with a batched adaptive Dormand-Prince 5(4) integrator;
+saddle-saddle connections are found by minimizing the unit-temperature action
+on a truncated interval.  Connection costs assemble into a weighted graph
+whose shortest-path distances give the transition energy between any two
+critical points.
 """
 
 from __future__ import annotations
@@ -100,80 +101,246 @@ def _orbit_record(p: PotentialModel, path: DiscretePath) -> tuple[dict, str]:
     return fields, "gradient-forward" if fwd <= bwd else "gradient-backward"
 
 
-def gradient_connection(
-    p: PotentialModel,
-    source: CriticalPoint,
-    eig_dir: np.ndarray,
-    sign: int,
-    cps: CriticalPointSet,
-    n_nodes: int = 2000,
-) -> HeteroclinicOrbit:
-    """Shoot the descending gradient flow off a saddle's unstable manifold.
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): the stage coefficients, the fifth-order weights and the error
+# weights (fifth minus fourth order, the last stage being the next step's
+# first).  Each of _DP_Q's rows weighs the stages into the coefficient of
+# x, x^2, x^3, x^4 in Shampine's quartic dense output (Math. Comp. 46, 1986).
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_Q = (
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (
+        -8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
+        -1754552775 / 470086768, 127303824393 / 49829197408,
+        -282668133 / 205662961, 40617522 / 29380423,
+    ),
+    (
+        8663915743 / 2820520608, 0.0, -68118460800 / 10900136933,
+        14199869525 / 1410260304, -318862633887 / 49829197408,
+        2019193451 / 616988883, -110615467 / 29380423,
+    ),
+    (
+        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+        -10690763975 / 1880347072, 701980252875 / 199316789632,
+        -1453857185 / 822651844, 69997945 / 29380423,
+    ),
+)
+# tolerances and time limit of every shot, and the step-size controller of
+# Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4)
+RTOL, ATOL, T_MAX = 1e-10, 1e-13, 2000.0
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+# a shot ends within CAPTURE of another critical point, or fails beyond
+# ESCAPE of the critical points' centre
+CAPTURE, ESCAPE = 1e-6, 10.0
+_ROOT_TOL = 4.0 * np.finfo(float).eps
 
-    Integrates xdot = -grad V from source + 1e-6*sign*eig_dir until the
-    trajectory comes within 1e-6 of another critical point of the set, then
-    resamples to a uniform-step path centered on [-T, T].  The shot fails
-    beyond distance 10 from the centre of the critical points, beyond time
-    2000, or when the resampled path is longer than 100.
+
+def _weigh(coefs, stages):
+    """sum_s coefs[s] * stages[s] over the nonzero coefficients, added left to
+    right.  Everything is elementwise, so a row's result does not depend on
+    the other rows of the batch."""
+    out = None
+    for c, k in zip(coefs, stages):
+        if c:
+            out = c * k if out is None else out + c * k
+    return out
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, the squares added in column order."""
+    s = d[..., 0] * d[..., 0]
+    for j in range(1, d.shape[-1]):
+        s = s + d[..., j] * d[..., j]
+    return np.sqrt(s)
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    return _norm(x) / np.sqrt(x.shape[-1])
+
+
+def _levels(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Event levels of the rows of y, (K, C+1), each >= 0 once its event is
+    reached: CAPTURE minus the distance to each of the C critical points,
+    then the distance to the centre (the last row of pts) minus ESCAPE."""
+    dist = _norm(y[:, None, :] - pts)
+    dist[:, :-1] = CAPTURE - dist[:, :-1]
+    dist[:, -1] -= ESCAPE
+    return dist
+
+
+def _dense(y_old, q, h, x):
+    """Shampine's quartic at fractions x of the steps of length h from y_old:
+    y_old + h (q1 x + q2 x^2 + q3 x^3 + q4 x^4), one step per row."""
+    x = x[:, None]
+    power = x
+    acc = q[0] * power
+    for qj in q[1:]:
+        power = power * x
+        acc = acc + qj * power
+    return y_old + h[:, None] * acc
+
+
+def _event_time(level, lo: float, hi: float) -> float:
+    """A time in [lo, hi] at which ``level`` turns >= 0, given that it is at
+    hi, bisected to a bracket of 4 ulp."""
+    while hi - lo > _ROOT_TOL * (1.0 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if level(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@dataclass
+class _Shot:
+    """Where one shot ended: ``event`` is the column of _levels it reached
+    (-1 for none, at T_MAX or on a step-size underflow) at time ``t``, at
+    ``y`` if no event; ``steps`` holds its accepted steps' start times,
+    lengths, start points and dense-output coefficients."""
+
+    event: int = -1
+    t: float = 0.0
+    y: np.ndarray | None = None
+    steps: tuple = ()
+
+
+def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.ndarray) -> list:
+    """Integrate xdot = -grad V from every row of y0 at once, each row with its
+    own adaptive Dormand-Prince 5(4) step, until it reaches one of the events
+    ``watch`` marks for it (columns of _levels) or time T_MAX.
+
+    Each stage makes one gradient call for all rows still running.  A row's
+    numbers do not depend on the others: every operation is elementwise.
     """
-    from scipy.integrate import solve_ivp  # here, so that the flow alone never loads it
+    K = y0.shape[0]
+    rows = np.arange(K)
+    t = np.zeros(K)
+    y = y0.copy()
+    f = -p.gradient(y0)
+    # initial step of Hairer, Norsett & Wanner (Sec. II.4)
+    scale = ATOL + np.abs(y0) * RTOL
+    d0, d1 = _rms(y0 / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), T_MAX)
+        d2 = _rms((-p.gradient(y0 + h0[:, None] * f) - f) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** 0.2,
+        )
+    h_abs = np.minimum(np.minimum(100.0 * h0, h1), T_MAX)
+    rejected = np.zeros(K, dtype=bool)
+    running = np.ones(K, dtype=bool)
+    level = _levels(y0, pts)
+    shots = [_Shot() for _ in range(K)]
+    log = []  # (rows, t_old, h, y_old, *stages) of the steps each round accepted
 
-    if source.index < 1:
-        raise ValueError("source must be a saddle (index >= 1)")
-    eig_dir = np.asarray(eig_dir, dtype=float)
-    eig_dir = eig_dir / np.linalg.norm(eig_dir)
-    x0 = source.location + 1e-6 * float(sign) * eig_dir
-    center = np.mean([c.location for c in cps], axis=0)
+    while running.any():
+        idx = rows[running]
+        ti = t[idx]
+        min_step = 10.0 * (np.nextafter(ti, np.inf) - ti)
+        stuck = rejected[idx] & (h_abs[idx] < min_step)
+        if stuck.any():
+            running[idx[stuck]] = False
+            continue
+        t_new = np.minimum(ti + np.maximum(h_abs[idx], min_step), T_MAX)
+        h = t_new - ti
+        hc = h[:, None]
+        yi = y[idx]
+        k = [f[idx]]
+        for a in _DP_A:
+            k.append(-p.gradient(yi + _weigh(a, k) * hc))
+        y_new = yi + hc * _weigh(_DP_B, k)
+        k.append(-p.gradient(y_new))
+        scale = ATOL + np.maximum(np.abs(yi), np.abs(y_new)) * RTOL
+        err = _rms(_weigh(_DP_E, k) * hc / scale)
 
-    def rhs(t, y):
-        return -p.gradient(y)
+        ok = err < 1.0
+        # the floor only keeps 0**-0.2 finite: every error below 6e-6 grows
+        # the step by MAX_FACTOR, and a NaN error still shrinks it
+        factor = SAFETY * np.maximum(err, 1e-10) ** -0.2
+        grow = np.where(rejected[idx], np.minimum(1.0, factor), np.minimum(MAX_FACTOR, factor))
+        h_abs[idx] = h * np.where(ok, grow, np.fmax(MIN_FACTOR, factor))
+        rejected[idx] = ~ok
+        if not ok.all():
+            if not ok.any():
+                continue
+            idx, ti, t_new, h, yi, y_new = idx[ok], ti[ok], t_new[ok], h[ok], yi[ok], y_new[ok]
+            k = [s[ok] for s in k]
 
-    events = []
-    others = [c for c in cps if c is not source]
-    for c in others:
-        loc = c.location
+        log.append((idx, ti, h, yi, *k))
+        t[idx], y[idx], f[idx] = t_new, y_new, k[-1]
+        new_level = _levels(y_new, pts)
+        crossed = (level[idx] <= 0.0) & (new_level >= 0.0) & watch[idx]
+        level[idx] = new_level
+        running[idx[t_new >= T_MAX]] = False
+        for r in np.flatnonzero(crossed.any(axis=1)):
+            # the earliest of the events this step crossed, on its dense output
+            q = [_weigh(c, [s[r : r + 1] for s in k]) for c in _DP_Q]
+            y_old, t_old, step = yi[r : r + 1], ti[r], h[r : r + 1]
 
-        def hit(t, y, loc=loc):
-            return np.linalg.norm(y - loc) - 1e-6
+            def at(col, te):
+                x = np.array([(te - t_old) / step[0]])
+                return _levels(_dense(y_old, q, step, x), pts)[0, col]
 
-        hit.terminal = True
-        hit.direction = -1
-        events.append(hit)
+            shot = shots[idx[r]]
+            shot.t, shot.event = min(
+                (_event_time(lambda te: at(col, te), t_old, t_new[r]), col)
+                for col in np.flatnonzero(crossed[r])
+            )
+            running[idx[r]] = False
 
-    def escaped(t, y):
-        return np.linalg.norm(y - center) - 10.0
+    for r, shot in enumerate(shots):
+        if shot.event < 0:
+            shot.t, shot.y = float(t[r]), y[r]
+    if log:
+        # each shot's accepted steps in order, with their dense-output coefficients
+        owner, *cols = (np.concatenate(c) for c in zip(*log))
+        order = np.argsort(owner, kind="stable")
+        t_old, h, y_old, *stages = (c[order] for c in cols)
+        q = [_weigh(c, stages) for c in _DP_Q]
+        bounds = np.searchsorted(owner[order], np.arange(K + 1))
+        for r, shot in enumerate(shots):
+            sl = slice(bounds[r], bounds[r + 1])
+            shot.steps = (t_old[sl], h[sl], y_old[sl], [qj[sl] for qj in q])
+    return shots
 
-    escaped.terminal = True
-    escaped.direction = 1
-    events.append(escaped)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, 2000.0),
-        x0,
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-13,
-        events=events,
-        dense_output=True,
-    )
-    if len(sol.t_events[-1]) > 0:
+def _resample(shot: _Shot, n_nodes: int) -> np.ndarray:
+    """The shot's dense output at n_nodes + 1 uniform times on [0, shot.t]; a
+    time on a step boundary takes the earlier step."""
+    t_old, h, y_old, q = shot.steps
+    ts = np.linspace(0.0, shot.t, n_nodes + 1)
+    seg = np.searchsorted(t_old[1:], ts, side="left")
+    return _dense(y_old[seg], [qj[seg] for qj in q], h[seg], (ts - t_old[seg]) / h[seg])
+
+
+def _shot_orbit(
+    p: PotentialModel, source: CriticalPoint, cps: CriticalPointSet, shot: _Shot, n_nodes: int
+) -> HeteroclinicOrbit:
+    """The orbit of a finished shot, or the EscapeError/NotConvergedError it ended in."""
+    if shot.event == len(cps):
         raise EscapeError("trajectory left the search region")
-    hits = [i for i, te in enumerate(sol.t_events[:-1]) if len(te) > 0]
-    if not hits:
+    if shot.event < 0:
         raise NotConvergedError(
             "gradient shot reached neither a critical point nor the escape radius",
-            {"t_final": sol.t[-1], "x_final": sol.y[:, -1].tolist()},
+            {"t_final": shot.t, "x_final": shot.y.tolist()},
         )
-    target = others[hits[0]]
-    t_end = float(sol.t_events[hits[0]][0])
-
-    ts = np.linspace(0.0, t_end, n_nodes + 1)
-    nodes = sol.sol(ts).T
+    target = cps[shot.event]
+    nodes = _resample(shot, n_nodes)
     arclength = float(np.sum(np.linalg.norm(np.diff(nodes, axis=0), axis=-1)))
     if arclength > 100.0:
         raise NotConvergedError("trajectory exceeded the arclength budget")
-    T = t_end / 2.0
+    T = shot.t / 2.0
     path = DiscretePath(nodes, a=-T, b=T)
 
     fields, _ = _orbit_record(p, path)
@@ -188,6 +355,56 @@ def gradient_connection(
         ),
         **fields,
     )
+
+
+def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int = 2000) -> list:
+    """Shoot the descending gradient flow off saddle unstable manifolds.
+
+    Each shot ``(source, eig_dir, sign)`` integrates xdot = -grad V from
+    source + 1e-6*sign*eig_dir (eig_dir normalised) until the trajectory
+    comes within 1e-6 of another critical point of the set, then resamples it
+    to a uniform-step path centered on [-T, T].  It fails with EscapeError
+    beyond distance 10 from the centre of the critical points, and with
+    NotConvergedError beyond time 2000 or when the resampled path is longer
+    than 100.  All shots are integrated together, and each gives the same
+    numbers as it would alone.  Returns one entry per shot: its orbit, or the
+    error that dropped it.
+    """
+    for source, _, _ in shots:
+        if source.index < 1:
+            raise ValueError("source must be a saddle (index >= 1)")
+    if not shots:
+        return []
+    locs = [c.location for c in cps]
+    pts = np.vstack(locs + [np.mean(locs, axis=0)])
+    starts, watch = [], []
+    for source, eig_dir, sign in shots:
+        eig_dir = np.asarray(eig_dir, dtype=float)
+        eig_dir = eig_dir / np.linalg.norm(eig_dir)
+        starts.append(source.location + 1e-6 * float(sign) * eig_dir)
+        watch.append([c is not source for c in cps] + [True])
+    out = []
+    for (source, _, _), shot in zip(shots, _integrate(p, np.array(starts), pts, np.array(watch))):
+        try:
+            out.append(_shot_orbit(p, source, cps, shot, n_nodes))
+        except (EscapeError, NotConvergedError) as err:
+            out.append(err)
+    return out
+
+
+def gradient_connection(
+    p: PotentialModel,
+    source: CriticalPoint,
+    eig_dir: np.ndarray,
+    sign: int,
+    cps: CriticalPointSet,
+    n_nodes: int = 2000,
+) -> HeteroclinicOrbit:
+    """One shot of ``gradient_shots``; raises the error that drops it."""
+    (orbit,) = gradient_shots(p, cps, [(source, eig_dir, sign)], n_nodes)
+    if isinstance(orbit, Exception):
+        raise orbit
+    return orbit
 
 
 def hamiltonian_connection(
@@ -304,7 +521,8 @@ class TransitionGraph:
     failures: list[dict] = field(default_factory=list)
 
     def recompute_phi(self) -> np.ndarray:
-        from scipy.sparse.csgraph import shortest_path  # here, as solve_ivp above
+        # imported on first use, so that importing ompath leaves scipy.sparse unloaded
+        from scipy.sparse.csgraph import shortest_path
 
         n = len(self.cps)
         w = np.full((n, n), np.inf)
@@ -346,10 +564,25 @@ def build_transition_graph(
     Every unstable mode of every saddle is shot in both signs.  Pairs listed
     in ``hamiltonian_pairs`` (as index pairs into cps) additionally get a
     direct saddle-saddle connection attempted in both homotopy classes (arcs
-    on either side of the segment midpoint).  A shot or pair that fails is
-    recorded in ``graph.failures`` and leaves no edge.
+    on either side of the segment midpoint).  All shots run as one batch
+    (``gradient_shots``).  A shot or pair that fails is recorded in
+    ``graph.failures`` and leaves no edge.  In two dimensions a pair that
+    names one point twice raises ValueError before any shot runs.
     """
+    # a pair of one point has no chord to bend the start around
+    pairs = []
+    for i, j in hamiltonian_pairs:
+        chord = cps[j].location - cps[i].location
+        perp = np.zeros_like(chord)
+        if p.dim == 2:
+            if not np.any(chord):
+                raise ValueError(f"saddle pair ({i}, {j}) names one point twice")
+            perp = np.array([-chord[1], chord[0]])
+            perp /= np.linalg.norm(perp)
+        pairs.append((i, j, perp))
+
     graph = TransitionGraph(cps=cps)
+    keys, shots = [], []
     for i, c in enumerate(cps):
         if c.index < 1:
             continue
@@ -357,25 +590,19 @@ def build_transition_graph(
         eigval, eigvec = np.linalg.eigh(H)
         for mode in np.flatnonzero(eigval < 0.0):
             for sign in (+1, -1):
-                try:
-                    orbit = gradient_connection(p, c, eigvec[:, mode], sign, cps)
-                except (EscapeError, NotConvergedError) as err:
-                    graph.failures.append(
-                        {"from": i, "mode": int(mode), "sign": sign, **_failure(err)}
-                    )
-                    continue
-                j_idx, _ = cps.nearest(orbit.target.location)
-                graph.edges.append(GraphEdge(i, j_idx, orbit.j_value, orbit.kind))
-                graph.orbits.append(orbit)
+                keys.append({"from": i, "mode": int(mode), "sign": sign})
+                shots.append((c, eigvec[:, mode], sign))
+    for key, orbit in zip(keys, gradient_shots(p, cps, shots)):
+        if isinstance(orbit, Exception):
+            graph.failures.append({**key, **_failure(orbit)})
+            continue
+        j_idx, _ = cps.nearest(orbit.target.location)
+        graph.edges.append(GraphEdge(key["from"], j_idx, orbit.j_value, orbit.kind))
+        graph.orbits.append(orbit)
 
-    for i, j in hamiltonian_pairs:
+    for i, j, perp in pairs:
         a, b = cps[i], cps[j]
         mid = 0.5 * (a.location + b.location)
-        chord = b.location - a.location
-        perp = np.zeros_like(chord)
-        if p.dim == 2:
-            perp = np.array([-chord[1], chord[0]])
-            perp /= np.linalg.norm(perp)
         for side in (+1, -1):
             wp = [mid + 0.4 * side * perp] if np.any(perp) else None
             try:

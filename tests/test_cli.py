@@ -2,10 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ompath
 from ompath.cli import build_parser, main, parse_args
 
 
@@ -128,6 +132,21 @@ class TestGraphAndGamma:
         argv = ["graph", "--hamiltonian", "0.3,0.3:S2", "--nodes", "200", "--out", str(tmp_path)]
         assert run(argv) == 2
         assert "not a critical point" in capsys.readouterr().err
+        assert not (tmp_path / "transition_graph.json").exists()
+
+    def test_graph_pair_of_one_point_is_usage_error(self, tmp_path):
+        # rejected before any shot or flow runs: exit 2, nothing written and
+        # no warning even when warnings are errors
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ompath.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["graph", "--hamiltonian", "S1:S1", "--nodes", "200", "--out", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ompath.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: --hamiltonian pair 'S1:S1' names one point twice\n"
         assert not (tmp_path / "transition_graph.json").exists()
 
     def test_gamma_route_value(self, tmp_path):

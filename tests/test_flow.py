@@ -180,6 +180,27 @@ class TestWorkPerStep:
         assert out.nodes.tobytes() == plain.nodes.tobytes()
 
 
+class ColumnMajorTripleWell(TripleWell):
+    """TripleWell whose H·v comes back column-major: same values, other layout."""
+
+    def hessian_vector(self, x, v):
+        return np.asfortranarray(super().hessian_vector(x, v))
+
+
+class TestGradNormLayout:
+    def test_column_major_kernel_gives_the_same_norms(self, names_tw):
+        # the recorded gradient norm sums in one order whatever the memory
+        # layout the potential hands back
+        s1, s2 = names_tw["S1"].location, names_tw["S2"].location
+        path = DiscretePath.from_waypoints([s1, [0.5, 0.5], s2], 4000)
+        cfg = FlowConfig(objective="J", eps=1e-3, max_iter=200)
+        out, trace = minimize(TripleWell(), path, cfg)
+        out_f, trace_f = minimize(ColumnMajorTripleWell(), path, cfg)
+        assert trace_f.grad_norms.tobytes() == trace.grad_norms.tobytes()
+        assert trace_f.objectives.tobytes() == trace.objectives.tobytes()
+        assert out_f.nodes.tobytes() == out.nodes.tobytes()
+
+
 class TestContinuation:
     def test_schedule_validation(self, tw):
         path = DiscretePath.from_waypoints([[0.0, 0.0], [1.0, 0.0]], 10)

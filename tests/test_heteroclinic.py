@@ -78,6 +78,71 @@ class TestGradientOrbits:
             gradient_connection(hill, top, np.array([1.0, 0.0]), 1, cps)
 
 
+def _dw_graph():
+    dw = DoubleWell1D()
+    cps = CriticalPointSet([classify_point(dw, np.array([x])) for x in (0.0, 1.0, -1.0)])
+    return dw, cps, build_transition_graph(dw, cps)
+
+
+def _shot_args(p, orbit):
+    """(eig_dir, sign) that reproduce a graph shot: its first step leaves the
+    saddle along sign * eig_dir."""
+    eigval, eigvec = np.linalg.eigh(p.hessian(orbit.source.location))
+    eig_dir = eigvec[:, int(np.argmin(eigval))]
+    step = orbit.path.nodes[1] - orbit.path.nodes[0]
+    return eig_dir, 1 if step @ eig_dir > 0 else -1
+
+
+def _solve_ivp_shot(p, source, eig_dir, sign, cps, n_nodes=2000):
+    """Reference shot with scipy's RK45: the capture target, the capture time
+    and the resampled nodes."""
+    from scipy.integrate import solve_ivp
+
+    x0 = source.location + 1e-6 * float(sign) * eig_dir / np.linalg.norm(eig_dir)
+    others = [c for c in cps if c is not source]
+    events = []
+    for c in others:
+        def hit(t, y, loc=c.location):
+            return np.linalg.norm(y - loc) - 1e-6
+
+        hit.terminal, hit.direction = True, -1
+        events.append(hit)
+    sol = solve_ivp(lambda t, y: -p.gradient(y), (0.0, 2000.0), x0, method="RK45",
+                    rtol=1e-10, atol=1e-13, events=events, dense_output=True)
+    (k,) = [i for i, te in enumerate(sol.t_events) if len(te)]
+    t_end = float(sol.t_events[k][0])
+    return others[k], t_end, sol.sol(np.linspace(0.0, t_end, n_nodes + 1)).T
+
+
+class TestBatchedShots:
+    @pytest.mark.parametrize("landscape", ["triple-well", "double-well-1d"])
+    def test_shot_alone_equals_shot_in_batch(self, landscape, tw, cps_tw, graph_tw):
+        p, cps, graph = (tw, cps_tw, graph_tw) if landscape == "triple-well" else _dw_graph()
+        orbits = _gradient_orbits(graph)
+        assert len(orbits) == (4 if landscape == "triple-well" else 2)
+        for o in orbits:
+            alone = gradient_connection(p, o.source, *_shot_args(p, o), cps)
+            assert alone.target is o.target
+            assert alone.path.nodes.tobytes() == o.path.nodes.tobytes()
+            assert (alone.path.a, alone.path.b) == (o.path.a, o.path.b)
+            assert alone.j_value == o.j_value
+            assert alone.el_residual == o.el_residual
+
+    @pytest.mark.parametrize("landscape", ["triple-well", "double-well-1d"])
+    def test_matches_solve_ivp(self, landscape, tw, cps_tw, graph_tw):
+        # the same RK45 pair, controller and events; the stage sums and the
+        # event roots differ from scipy's in the last bits
+        p, cps, graph = (tw, cps_tw, graph_tw) if landscape == "triple-well" else _dw_graph()
+        for o in _gradient_orbits(graph):
+            target, t_end, nodes = _solve_ivp_shot(p, o.source, *_shot_args(p, o), cps)
+            assert target is o.target
+            assert abs(2.0 * o.path.b - t_end) <= 1e-6 * t_end
+            assert np.max(np.abs(o.path.nodes - nodes)) <= 1e-8
+            ref = DiscretePath(nodes, a=-t_end / 2.0, b=t_end / 2.0)
+            ref_j = _orbit_record(p, ref)[0]["j_value"]
+            assert abs(o.j_value - ref_j) <= 1e-12 * ref_j
+
+
 class LoggingTripleWell(TripleWell):
     """Delegates every kernel to a TripleWell and logs (kernel, points) per call."""
 
@@ -262,6 +327,14 @@ class TestTransitionGraph:
         ]
         doc = json.loads(json.dumps(graph.to_dict()))
         assert doc["failures"] == graph.failures
+
+    def test_pair_of_one_point_raises_before_any_shot(self, cps_tw, names_tw):
+        # in two dimensions such a pair has no chord to bend the start around
+        i, _ = cps_tw.nearest(names_tw["S1"].location)
+        p = LoggingTripleWell()
+        with pytest.raises(ValueError, match="names one point twice"):
+            build_transition_graph(p, cps_tw, hamiltonian_pairs=[(i, i)])
+        assert p.log == []
 
     def test_lazy_phi(self, graph_full):
         g = TransitionGraph(cps=graph_full.cps, edges=list(graph_full.edges))

@@ -1,4 +1,5 @@
-"""Importing the package loads neither the ODE solver nor the graph routines."""
+"""Importing the package loads no ODE solver, optimizer or graph routines, and
+building a transition graph loads only the graph routines."""
 
 import json
 import os
@@ -12,16 +13,20 @@ import json, sys
 import numpy as np
 import ompath, ompath.experiments, ompath.cli
 
-heavy = sorted(m for m in ("scipy.integrate", "scipy.sparse", "scipy.optimize") if m in sys.modules)
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+heavy = sorted(m for m in HEAVY if m in sys.modules)
 p = ompath.DoubleWell1D()
 cps = ompath.CriticalPointSet([ompath.classify_point(p, np.array([x])) for x in (0.0, 1.0, -1.0)])
 # two gradient shots off the barrier, then Phi over their edges
 graph = ompath.build_transition_graph(p, cps)
+# four shots and a saddle-saddle pair on the triple well
+tw_graph = ompath.experiments.triple_well_graph(ompath.TripleWell(), ham_M=400)
 print(json.dumps({
     "heavy_after_import": heavy,
     "edges": len(graph.edges),
     "phi_wells": float(graph.phi[1, 2]),
-    "loaded_on_use": [m for m in ("scipy.integrate", "scipy.sparse") if m in sys.modules],
+    "tw_edges": len(tw_graph.edges),
+    "loaded_after_graphs": [m for m in HEAVY if m in sys.modules],
 }))
 """
 
@@ -36,7 +41,9 @@ def test_import_leaves_ode_and_graph_modules_unloaded():
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout.strip().splitlines()[-1])
     assert out["heavy_after_import"] == []
-    # gradient_connection and recompute_phi import what they need when called
     assert out["edges"] == 2
     assert abs(out["phi_wells"] - 0.5) < 1e-5
-    assert out["loaded_on_use"] == ["scipy.integrate", "scipy.sparse"]
+    assert out["tw_edges"] == 6
+    # the shots need no scipy.integrate and the flows no scipy.optimize;
+    # recompute_phi imports scipy.sparse when it is called
+    assert out["loaded_after_graphs"] == ["scipy.sparse"]
