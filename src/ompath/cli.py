@@ -18,9 +18,13 @@ import numpy as np
 
 from .critical import NoCriticalPointsError, check_admissibility, find_critical_points
 from .experiments import (
+    DEFAULT_BOX,
     DEFAULT_EPS,
+    DEFAULT_GRID,
+    DEFAULT_MAX_ITER,
     DEFAULT_NODES,
     ExperimentConfig,
+    critical_index,
     resolve_point,
     run_figure,
     run_minimization,
@@ -102,8 +106,8 @@ def _add_common(sp, potential: bool = True):
 
 
 def _add_box(sp):
-    sp.add_argument("--box", default="-0.5,1.5")
-    sp.add_argument("--grid", type=int, default=40)
+    sp.add_argument("--box", default=",".join(map(str, DEFAULT_BOX[0])))
+    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
 
 
 def _parse_box(text: str, dim: int):
@@ -113,14 +117,6 @@ def _parse_box(text: str, dim: int):
     if len(vals) == 2 * dim:
         return [(vals[2 * i], vals[2 * i + 1]) for i in range(dim)]
     raise ValueError("box must be 'lo,hi' or per-axis 'lo1,hi1,lo2,hi2,...'")
-
-
-def _critical_index(cps, token: str, p, what: str) -> int:
-    """Index of the critical point that ``token`` names, to within 1e-6."""
-    i, d = cps.nearest(resolve_point(token, p))
-    if d > 1e-6:
-        raise ValueError(f"{what} {token!r} is not a critical point (nearest is {d:.2g} away)")
-    return i
 
 
 def cmd_critical_points(args) -> int:
@@ -181,10 +177,10 @@ def cmd_heteroclinic(args) -> int:
     p = get_potential(args.potential)
     box = _parse_box(args.box, p.dim)
     cps = find_critical_points(p, box, args.grid)
-    src = cps[_critical_index(cps, args.start, p, "--from")]
+    src = cps[critical_index(cps, args.start, p)]
     os.makedirs(args.out, exist_ok=True)
     if args.hamiltonian:
-        dst = cps[_critical_index(cps, args.end, p, "--to")]
+        dst = cps[critical_index(cps, args.end, p)]
         wp = [resolve_point(t, p) for t in args.waypoints.split(";")] if args.waypoints else None
         orbit = hamiltonian_connection_adaptive(p, src, dst, M=args.nodes, waypoints=wp)
     else:
@@ -217,7 +213,7 @@ def cmd_graph(args) -> int:
     pairs = []
     for spec in args.hamiltonian.split(";") if args.hamiltonian else []:
         x, y = spec.split(":")
-        pair = tuple(_critical_index(cps, t, p, "--hamiltonian end") for t in (x, y))
+        pair = tuple(critical_index(cps, t, p) for t in (x, y))
         if pair[0] == pair[1]:
             raise ValueError(f"--hamiltonian pair {spec!r} names one point twice")
         pairs.append(pair)
@@ -230,7 +226,7 @@ def cmd_gamma(args) -> int:
     p = TripleWell()
     graph = triple_well_graph(p, ham_M=args.nodes)
     tokens = args.route.split(",")
-    seq = [graph.cps[_critical_index(graph.cps, tok, p, "route entry")] for tok in tokens]
+    seq = [graph.cps[critical_index(graph.cps, tok, p)] for tok in tokens]
     bv = optimize_support(graph, seq[0], seq[-1], seq)
     report = eval_I0(graph, bv)
     target = write_json(
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--waypoints", default="", help="semicolon-separated intermediate points")
     sp.add_argument("--objective", choices=["I", "J"], default="I")
     sp.add_argument("--continuation", default="", help="comma-separated decreasing eps schedule")
-    sp.add_argument("--maxiter", type=int, default=30_000)
+    sp.add_argument("--maxiter", type=int, default=DEFAULT_MAX_ITER)
     sp.add_argument("--jitter", type=float, default=0.0)
     sp.set_defaults(func=cmd_minimize)
 
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("number", help="figure number 1..9 or 'all'")
     sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    sp.add_argument("--maxiter", type=int, default=30_000)
+    sp.add_argument("--maxiter", type=int, default=DEFAULT_MAX_ITER)
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for 'all'")
     sp.set_defaults(func=cmd_figure)
 
@@ -326,7 +322,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return args.func(args)
-    except (ValueError, NoCriticalPointsError, EscapeError) as exc:
+    except (ValueError, NoCriticalPointsError, EscapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotConvergedError, NonFiniteObjectiveError) as exc:

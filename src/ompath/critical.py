@@ -78,9 +78,6 @@ class CriticalPointSet:
         i = int(np.argmin(d))
         return i, float(d[i])
 
-    def to_json(self) -> str:
-        return json.dumps([p.to_dict() for p in self.points], indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "CriticalPointSet":
         pts = []
@@ -112,7 +109,13 @@ def classify_point(p: PotentialModel, x) -> CriticalPoint:
     )
 
 
-def _newton_batch(p: PotentialModel, seeds, residual_tol, max_iter=100):
+# Newton stops once |grad V| <= RESIDUAL_TOL; points closer than MERGE_TOL are
+# one point
+RESIDUAL_TOL = 1e-10
+MERGE_TOL = 1e-6
+
+
+def _newton_batch(p: PotentialModel, seeds, max_iter=100):
     """Damped Newton on grad V = 0, run on all seeds at once.
 
     Armijo backtracking on |grad V|^2; pseudo-inverse Newton steps keep
@@ -124,7 +127,7 @@ def _newton_batch(p: PotentialModel, seeds, residual_tol, max_iter=100):
     phi = np.sum(g * g, axis=-1)
     alive = np.ones(len(x), dtype=bool)
     for _ in range(max_iter):
-        active = alive & (np.sqrt(phi) > residual_tol)
+        active = alive & (np.sqrt(phi) > RESIDUAL_TOL)
         if not np.any(active):
             break
         H = p.hessian(x[active])
@@ -149,21 +152,15 @@ def _newton_batch(p: PotentialModel, seeds, residual_tol, max_iter=100):
         alive[stalled] = False
         moved = idx[done]
         x[moved], g[moved], phi[moved] = xa[done], ga[done], pa[done]
-    converged = alive & (np.sqrt(phi) <= residual_tol)
+    converged = alive & (np.sqrt(phi) <= RESIDUAL_TOL)
     return x, converged
 
 
-def find_critical_points(
-    p: PotentialModel,
-    box,
-    grid_per_axis: int,
-    residual_tol: float = 1e-10,
-    merge_tol: float = 1e-6,
-) -> CriticalPointSet:
+def find_critical_points(p: PotentialModel, box, grid_per_axis: int) -> CriticalPointSet:
     """Locate critical points of V inside an axis-aligned box.
 
     ``box`` is a sequence of (lo, hi) per axis.  Newton runs from every grid
-    seed; diverged seeds are dropped, duplicates within ``merge_tol`` are
+    seed; diverged seeds are dropped, duplicates within MERGE_TOL are
     merged, points outside the box are discarded.
     """
     box = np.asarray(box, dtype=float)
@@ -177,14 +174,14 @@ def find_critical_points(
     axes = [np.linspace(lo, hi, grid_per_axis) for lo, hi in box]
     seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.dim)
 
-    xs, converged = _newton_batch(p, seeds, residual_tol)
+    xs, converged = _newton_batch(p, seeds)
     found: list[np.ndarray] = []
     for x, ok in zip(xs, converged):
         if not ok:
             continue
         if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
             continue
-        if any(np.linalg.norm(x - y) <= merge_tol for y in found):
+        if any(np.linalg.norm(x - y) <= MERGE_TOL for y in found):
             continue
         found.append(x)
 
@@ -210,35 +207,36 @@ class AdmissibilityReport:
     admissible: bool
 
 
-def check_admissibility(
-    p: PotentialModel,
-    cps: CriticalPointSet,
-    R: float,
-    n_sphere: int = 10_000,
-    eig_tol: float = 1e-8,
-    coercivity_tol: float = 1e-3,
-    seed: int = 0,
-) -> AdmissibilityReport:
+# each sphere is sampled at N_SPHERE points (random ones, from SPHERE_SEED,
+# beyond two dimensions); admissible means every |Hessian eigenvalue| >=
+# EIG_TOL and the sampled inf |grad V| > COERCIVITY_TOL
+N_SPHERE = 10_000
+SPHERE_SEED = 0
+EIG_TOL = 1e-8
+COERCIVITY_TOL = 1e-3
+
+
+def check_admissibility(p: PotentialModel, cps: CriticalPointSet, R: float) -> AdmissibilityReport:
     """Report on nondegeneracy and sampled weak coercivity."""
     if len(cps) == 0:
         raise ValueError("critical point set must be nonempty")
     min_eig = min(float(np.min(np.abs(c.eigenvalues))) for c in cps)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SPHERE_SEED)
     inf_grad = np.inf
     for radius in (R, 1.5 * R, 2.0 * R, 4.0 * R):
         if p.dim == 1:
             pts = np.array([[-radius], [radius]])
         elif p.dim == 2:
-            th = np.linspace(0.0, 2.0 * np.pi, n_sphere, endpoint=False)
+            th = np.linspace(0.0, 2.0 * np.pi, N_SPHERE, endpoint=False)
             pts = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
         else:
-            u = rng.standard_normal((n_sphere, p.dim))
+            u = rng.standard_normal((N_SPHERE, p.dim))
             pts = radius * u / np.linalg.norm(u, axis=1, keepdims=True)
         gn = np.linalg.norm(p.gradient(pts), axis=-1)
         inf_grad = min(inf_grad, float(np.min(gn)))
 
-    admissible = min_eig >= eig_tol and inf_grad > coercivity_tol
+    admissible = min_eig >= EIG_TOL and inf_grad > COERCIVITY_TOL
     return AdmissibilityReport(
         min_abs_eigenvalue=min_eig,
         coercivity_inf=inf_grad,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalPoint, CriticalPointSet, classify_point, find_critical_points
+from .critical import CriticalPointSet, find_critical_points
 from .flow import FlowConfig, FlowTrace, continuation_minimize, minimize
 from .functionals import FunctionalReport, eval_I
 from .gamma import compare_with_eps, eval_I0, optimize_support, support_score
@@ -36,25 +36,24 @@ TRIPLE_WELL_NAMED = {
     "S2": ((2.0 - _SQ2) / 6.0, (2.0 + _SQ2) / 6.0),
 }
 
-DEFAULT_BOX = ((-0.5, 1.5), (-0.5, 1.5))
+# the triple well's search box and seed grid per axis
+DEFAULT_BOX = ((-0.5, 1.5),) * 2
+DEFAULT_GRID = 40
 DEFAULT_EPS = 1e-3
 DEFAULT_NODES = 4000
+DEFAULT_MAX_ITER = 30_000
 # Annealing schedule for the full-action experiments whose direct flow at the
 # target temperature stalls in a wide-interface transient: each stage warm
 # starts the next, sharpening the transition layers progressively.
 DEFAULT_CONTINUATION = (0.1, 0.03, 0.01, 3e-3)
 
 
-def named_points(p: PotentialModel) -> dict[str, CriticalPoint]:
-    """Named critical points for the built-in potentials."""
+def named_points(p: PotentialModel) -> dict[str, np.ndarray]:
+    """Coordinates of the named critical points of the built-in potentials."""
     if isinstance(p, TripleWell):
-        return {k: classify_point(p, np.array(v)) for k, v in TRIPLE_WELL_NAMED.items()}
+        return {k: np.array(v) for k, v in TRIPLE_WELL_NAMED.items()}
     if p.dim == 1:
-        return {
-            "Mminus": classify_point(p, np.array([-1.0])),
-            "S": classify_point(p, np.array([0.0])),
-            "Mplus": classify_point(p, np.array([1.0])),
-        }
+        return {"Mminus": np.array([-1.0]), "S": np.array([0.0]), "Mplus": np.array([1.0])}
     return {}
 
 
@@ -62,7 +61,7 @@ def resolve_point(token: str, p: PotentialModel) -> np.ndarray:
     """A named critical point or a comma-separated coordinate tuple."""
     names = named_points(p)
     if token in names:
-        return names[token].location
+        return names[token]
     try:
         x = np.array([float(v) for v in token.split(",")], dtype=float)
     except ValueError:
@@ -72,6 +71,15 @@ def resolve_point(token: str, p: PotentialModel) -> np.ndarray:
     return x
 
 
+def critical_index(cps: CriticalPointSet, token: str, p: PotentialModel) -> int:
+    """Index of the critical point of ``cps`` that ``token`` names, by name or
+    coordinates (see resolve_point); it must lie within 1e-6 of them."""
+    i, d = cps.nearest(resolve_point(token, p))
+    if d > 1e-6:
+        raise ValueError(f"{token!r} is not a critical point (nearest is {d:.2g} away)")
+    return i
+
+
 def run_minimization(
     p: PotentialModel,
     waypoints,
@@ -79,7 +87,7 @@ def run_minimization(
     eps: float,
     objective: str,
     grad_tol: float = 1e-6,
-    max_iter: int = 30_000,
+    max_iter: int = DEFAULT_MAX_ITER,
     eps_schedule=None,
     jitter: float = 0.0,
     seed: int = 0,
@@ -105,7 +113,7 @@ class ExperimentConfig:
     eps: float = DEFAULT_EPS
     nodes: int = DEFAULT_NODES
     out: str = "."
-    max_iter: int = 30_000
+    max_iter: int = DEFAULT_MAX_ITER
 
 
 def write_json(outdir, name, payload) -> str:
@@ -121,11 +129,9 @@ def write_json(outdir, name, payload) -> str:
 def triple_well_graph(p, cps: CriticalPointSet | None = None, ham_M: int = 4000) -> TransitionGraph:
     """Transition graph of the triple well with the direct saddle-saddle edge."""
     if cps is None:
-        cps = find_critical_points(p, DEFAULT_BOX, 40)
-    names = named_points(p)
-    i1, _ = cps.nearest(names["S1"].location)
-    i2, _ = cps.nearest(names["S2"].location)
-    return build_transition_graph(p, cps, hamiltonian_pairs=[(i1, i2)], ham_M=ham_M)
+        cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
+    pair = (critical_index(cps, "S1", p), critical_index(cps, "S2", p))
+    return build_transition_graph(p, cps, hamiltonian_pairs=[pair], ham_M=ham_M)
 
 
 def continuation_schedule(eps: float) -> list[float]:
@@ -155,7 +161,7 @@ def _minimize_to_files(p, tag, waypoints, cfg: ExperimentConfig, objective, eps_
 # Waypoint routes used by the figure experiments.  The "via" routes thread
 # the middle well; the "avoid" routes stay away from the origin.
 def figure_routes(p) -> dict:
-    n = {k: v.location for k, v in named_points(p).items()}
+    n = named_points(p)
     return {
         "M1_M2_via_M0": [n["M1"], n["S1"], n["M0"], n["S2"], n["M2"]],
         "M1_M2_avoid": [n["M1"], n["S1"], n["S2"], n["M2"]],
@@ -176,7 +182,7 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
     summary: dict = {"figure": n, "potential": "triple-well", "eps": cfg.eps, "nodes": cfg.nodes}
 
     if n == 1:
-        xs = np.linspace(-0.5, 1.5, 201)
+        xs = np.linspace(*DEFAULT_BOX[0], 201)
         grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
         vals = p.value(grid)
         os.makedirs(cfg.out, exist_ok=True)
@@ -184,31 +190,27 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
             f.write("x1,x2,V\n")
             for (x1, x2), v in zip(grid, vals):
                 f.write(f"{x1:.12g},{x2:.12g},{v:.17g}\n")
-        cps = find_critical_points(p, DEFAULT_BOX, 40)
+        cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
         summary["critical_points"] = [c.to_dict() for c in cps]
         write_json(cfg.out, "critical_points.json", summary["critical_points"])
         summary["saddle_contour_level"] = float(2.0 / 27.0)
 
     elif n == 2:
-        cps = find_critical_points(p, DEFAULT_BOX, 40)
+        cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
         os.makedirs(cfg.out, exist_ok=True)
         orbits = {}
         for sname in ("S1", "S2"):
-            s_idx, _ = cps.nearest(names[sname].location)
-            saddle = cps[s_idx]
+            saddle = cps[critical_index(cps, sname, p)]
             eigval, eigvec = np.linalg.eigh(p.hessian(saddle.location))
             mode = int(np.argmin(eigval))
             for sign in (+1, -1):
                 orbit = gradient_connection(p, saddle, eigvec[:, mode], sign, cps)
-                t_idx, _ = cps.nearest(orbit.target.location)
-                tname = next(
-                    k for k, v in names.items() if np.allclose(v.location, cps[t_idx].location, atol=1e-6)
-                )
+                target = orbit.target.location
+                tname = next(k for k, v in names.items() if np.allclose(v, target, atol=1e-6))
                 tag = f"gradient_{sname}_{tname}"
                 orbit.path.write_csv(os.path.join(cfg.out, f"{tag}.csv"))
                 orbits[tag] = {"J": orbit.j_value, "kind": orbit.kind}
-        i1, _ = cps.nearest(names["S1"].location)
-        i2, _ = cps.nearest(names["S2"].location)
+        i1, i2 = critical_index(cps, "S1", p), critical_index(cps, "S2", p)
         mid = 0.5 * (cps[i1].location + cps[i2].location)
         ham = hamiltonian_connection_adaptive(
             p, cps[i1], cps[i2], M=cfg.nodes, waypoints=[mid + np.array([0.28, 0.28])]
@@ -239,12 +241,12 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
         objective = "J" if n == 6 else "I"
         tag = f"{objective}_S1_S2_via_M0"
         path, report, record = _minimize_to_files(p, tag, routes["S1_S2_via_M0"], cfg, objective)
-        record["fraction_near_M0"] = support_score(path, [names["M0"].location])
+        record["fraction_near_M0"] = support_score(path, [names["M0"]])
         summary["minimizers"] = {tag: record}
         if n == 7:
-            cps = find_critical_points(p, DEFAULT_BOX, 40)
+            cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
             graph = build_transition_graph(p, cps)
-            seq = [cps[cps.nearest(names[k].location)[0]] for k in ("S1", "M0", "S2")]
+            seq = [cps[critical_index(cps, k, p)] for k in ("S1", "M0", "S2")]
             bv = optimize_support(graph, seq[0], seq[-1], seq)
             predicted = eval_I0(graph, bv)
             cmp = compare_with_eps((path, report), predicted, cfg.eps, support=bv)
@@ -253,7 +255,7 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
     elif n == 8:
         tag = "J_M1_M2_via_all"
         path, report, record = _minimize_to_files(p, tag, routes["M1_M2_via_M0"], cfg, "J")
-        record["fraction_near_support"] = support_score(path, [v.location for v in names.values()])
+        record["fraction_near_support"] = support_score(path, list(names.values()))
         summary["minimizers"] = {tag: record}
 
     elif n == 9:
@@ -264,7 +266,7 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
         path, report, record = _minimize_to_files(
             p, tag, routes["M1_M2_avoid"], cfg, "I", eps_schedule=continuation_schedule(cfg.eps)
         )
-        dwell = [names["M1"].location, names["M2"].location]
+        dwell = [names["M1"], names["M2"]]
         record["fraction_near_M1_M2"] = support_score(path, dwell)
         record["transition_fraction"] = 1.0 - record["fraction_near_M1_M2"]
         summary["minimizers"] = {tag: record}
@@ -273,7 +275,7 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
         cand_names = [order, ("M1", "S1", "S2", "M2")]
         best = None
         for seq_names in cand_names:
-            seq = [graph.cps[graph.cps.nearest(names[k].location)[0]] for k in seq_names]
+            seq = [graph.cps[critical_index(graph.cps, k, p)] for k in seq_names]
             bv = optimize_support(graph, seq[0], seq[-1], seq)
             rep0 = eval_I0(graph, bv)
             if best is None or rep0.i0 < best[1].i0:

@@ -169,13 +169,16 @@ def continuation_minimize(
     cfg: FlowConfig,
     eps_schedule,
 ) -> tuple[DiscretePath, FlowTrace]:
-    """Run minimize at each temperature of a decreasing schedule, warm-starting
-    each stage from the previous solution.  Returns the last stage's trace."""
+    """Run minimize at each temperature of a decreasing schedule that ends at
+    cfg.eps, warm-starting each stage from the previous solution.  Returns the
+    last stage's trace."""
     eps_schedule = list(eps_schedule)
     if not eps_schedule:
         raise ValueError("eps_schedule must be nonempty")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps_schedule must be strictly decreasing")
+    if eps_schedule[-1] != cfg.eps:
+        raise ValueError(f"eps_schedule must end at eps {cfg.eps!r}, not {eps_schedule[-1]!r}")
     path = start
     trace = None
     for e in eps_schedule:

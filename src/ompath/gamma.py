@@ -97,17 +97,22 @@ def eval_I0(graph: TransitionGraph, path: BVStepPath) -> GammaReport:
     return GammaReport(jump_cost=jump, laplacian_integral=lap)
 
 
+# the non-winning dwells of optimize_support, before normalisation
+CLUSTER_GAP = 1e-6
+# a path node counts as on the support within this distance of it
+CAPTURE_DISTANCE = 0.05
+
+
 def optimize_support(
     graph: TransitionGraph,
     x_minus: CriticalPoint,
     x_plus: CriticalPoint,
     sequence: list[CriticalPoint],
-    cluster_gap: float = 1e-6,
 ) -> BVStepPath:
     """Best jump times for a fixed visit sequence.
 
     All dwell time goes to the visited point(s) of maximal Laplacian (split
-    equally on ties); the remaining jumps cluster with ``cluster_gap`` spacing
+    equally on ties); the remaining jumps cluster with CLUSTER_GAP spacing
     to keep the times strictly ordered.
     """
     if not np.allclose(sequence[0].location, x_minus.location) or not np.allclose(
@@ -120,10 +125,10 @@ def optimize_support(
     laps = np.array([v.laplacian for v in sequence])
     winners = np.isclose(laps, laps.max())
     n_win = int(np.sum(winners))
-    slack = cluster_gap * len(sequence)
+    slack = CLUSTER_GAP * len(sequence)
     share = (1.0 - 2.0 * slack) / n_win
 
-    durations = np.where(winners, share, cluster_gap)
+    durations = np.where(winners, share, CLUSTER_GAP)
     # normalize the tiny non-winner dwells into the available slack
     durations = durations / durations.sum()
     jump_times = list(np.cumsum(durations)[:-1])
@@ -137,9 +142,8 @@ class EpsComparison:
     i_eps: float
     i0: float
     discrepancy: float
-    support_score: float  # fraction of nodes within the capture distance of the support
+    support_score: float  # fraction of nodes within CAPTURE_DISTANCE of the support
     eps: float
-    capture_distance: float = 0.05
 
     def to_dict(self) -> dict:
         return {
@@ -148,15 +152,15 @@ class EpsComparison:
             "discrepancy": self.discrepancy,
             "support_score": self.support_score,
             "eps": self.eps,
-            "capture_distance": self.capture_distance,
+            "capture_distance": CAPTURE_DISTANCE,
         }
 
 
-def support_score(path: DiscretePath, locations, capture_distance: float = 0.05) -> float:
-    """Fraction of path nodes within ``capture_distance`` of any of the locations."""
+def support_score(path: DiscretePath, locations) -> float:
+    """Fraction of path nodes within CAPTURE_DISTANCE of any of the locations."""
     locs = np.atleast_2d(np.asarray(locations, dtype=float))
     d = np.min(np.linalg.norm(path.nodes[:, None, :] - locs[None, :, :], axis=-1), axis=1)
-    return float(np.mean(d <= capture_distance))
+    return float(np.mean(d <= CAPTURE_DISTANCE))
 
 
 def compare_with_eps(
@@ -164,18 +168,16 @@ def compare_with_eps(
     predicted: GammaReport,
     eps: float,
     support: BVStepPath | None = None,
-    capture_distance: float = 0.05,
 ) -> EpsComparison:
     """Report |I_eps - I0| and how much of the path sits on the predicted support."""
     path, report = minimized
     score = np.nan
     if support is not None:
-        score = support_score(path, support.support_locations(), capture_distance)
+        score = support_score(path, support.support_locations())
     return EpsComparison(
         i_eps=report.i_eps,
         i0=predicted.i0,
         discrepancy=abs(report.i_eps - predicted.i0),
         support_score=score,
         eps=eps,
-        capture_distance=capture_distance,
     )

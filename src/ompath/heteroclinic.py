@@ -17,7 +17,7 @@ import numpy as np
 from .critical import CriticalPoint, CriticalPointSet
 from .flow import FlowConfig, minimize
 from .functionals import _terms, eval_objective
-from .paths import DiscretePath
+from .paths import DiscretePath, interpolate
 from .potentials import PotentialModel
 
 
@@ -408,25 +408,18 @@ def gradient_connection(
 
 
 def hamiltonian_connection(
-    p: PotentialModel,
-    a: CriticalPoint,
-    b: CriticalPoint,
-    T: float,
-    M: int,
-    start: DiscretePath,
+    p: PotentialModel, a: CriticalPoint, b: CriticalPoint, start: DiscretePath
 ) -> HeteroclinicOrbit:
     """Connect two critical points by minimizing the truncated action.
 
-    The unit-temperature action over [-T, T] is descended over interior
-    nodes to ``grad_tol`` 1e-7 within 60,000 iterations.  The result must
-    satisfy the second-order stationarity system to 1e-2 and conserve energy
-    at level zero to 1e-3, and is downgraded to a gradient kind when the
-    first-order residual is also at most 1e-3.
+    The unit-temperature action over the interval and mesh of ``start`` is
+    descended over interior nodes to ``grad_tol`` 1e-7 within 60,000
+    iterations.  The result must satisfy the second-order stationarity system
+    to 1e-2 and conserve energy at level zero to 1e-3, and is downgraded to a
+    gradient kind when the first-order residual is also at most 1e-3.
     """
     if a is b or np.allclose(a.location, b.location):
         raise ValueError("endpoints must be distinct critical points")
-    if start.M != M or not np.isclose(start.a, -T) or not np.isclose(start.b, T):
-        raise ValueError("start must span [-T, T] with M intervals")
     if not (
         np.allclose(start.left, a.location, atol=1e-8)
         and np.allclose(start.right, b.location, atol=1e-8)
@@ -455,18 +448,6 @@ def hamiltonian_connection(
     )
 
 
-def _pad_and_resample(path: DiscretePath, T_new: float, M: int) -> DiscretePath:
-    """Extend a path to [-T_new, T_new] by constant endpoint dwell, resampled."""
-    t_old = path.times
-    ts = np.linspace(-T_new, T_new, M + 1)
-    nodes = np.empty((M + 1, path.dim))
-    for j in range(path.dim):
-        nodes[:, j] = np.interp(ts, t_old, path.nodes[:, j])
-    nodes[0] = path.left
-    nodes[-1] = path.right
-    return DiscretePath(nodes, a=-T_new, b=T_new)
-
-
 def hamiltonian_connection_adaptive(
     p: PotentialModel,
     a: CriticalPoint,
@@ -475,17 +456,18 @@ def hamiltonian_connection_adaptive(
     waypoints=None,
 ) -> HeteroclinicOrbit:
     """Double the truncation interval, from [-6, 6] and at most five times,
-    until the connection cost changes by less than 1e-4."""
+    until the connection cost changes by less than 1e-4.  Each doubling starts
+    from the last orbit, extended by constant dwell at its ends."""
     wp = (
         [a.location] + [np.asarray(w, float) for w in (waypoints or [])] + [b.location]
     )
     T = 6.0
     start = DiscretePath.from_waypoints(wp, M, a=-T, b=T)
-    orbit = hamiltonian_connection(p, a, b, T, M, start)
+    orbit = hamiltonian_connection(p, a, b, start)
     for _ in range(5):
         T *= 2.0
-        start = _pad_and_resample(orbit.path, T, M)
-        new = hamiltonian_connection(p, a, b, T, M, start)
+        nodes = interpolate(np.linspace(-T, T, M + 1), orbit.path.times, orbit.path.nodes)
+        new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T))
         if abs(new.j_value - orbit.j_value) < 1e-4:
             return new
         orbit = new

@@ -9,6 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def interpolate(ts, knots, values) -> np.ndarray:
+    """The piecewise-linear interpolant of the rows of ``values``, given at the
+    increasing ``knots``, at the times ``ts``; it is constant beyond either end
+    and takes the end rows bitwise there."""
+    return np.stack([np.interp(ts, knots, values[:, j]) for j in range(values.shape[1])], axis=-1)
+
+
 @dataclass(frozen=True)
 class DiscretePath:
     """A path sampled at M+1 uniform times on [a, b]; endpoints are fixed data.
@@ -71,19 +78,13 @@ class DiscretePath:
     def reversed(self) -> "DiscretePath":
         return DiscretePath(self.nodes[::-1].copy(), self.a, self.b)
 
-    def velocities(self) -> np.ndarray:
-        """Centered differences at the nodes (one-sided at the ends)."""
-        return np.gradient(self.nodes, self.h, axis=0)
-
     @classmethod
     def from_waypoints(cls, waypoints, M: int, a: float = 0.0, b: float = 1.0):
         """Piecewise-linear interpolation through waypoints at equal time spacing."""
         wp = np.atleast_2d(np.asarray(waypoints, dtype=float))
         if wp.shape[0] < 2:
             raise ValueError("need at least two waypoints")
-        s = np.linspace(0.0, 1.0, M + 1)
-        knots = np.linspace(0.0, 1.0, wp.shape[0])
-        nodes = np.stack([np.interp(s, knots, wp[:, j]) for j in range(wp.shape[1])], axis=-1)
+        nodes = interpolate(np.linspace(0.0, 1.0, M + 1), np.linspace(0.0, 1.0, wp.shape[0]), wp)
         return cls(nodes, a, b)
 
     def to_csv(self) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ompath import TripleWell, build_transition_graph, find_critical_points
-from ompath.experiments import DEFAULT_BOX, named_points
+from ompath.experiments import DEFAULT_BOX, DEFAULT_GRID, named_points
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +14,7 @@ def tw():
 
 @pytest.fixture(scope="session")
 def cps_tw(tw):
-    return find_critical_points(tw, DEFAULT_BOX, 40)
+    return find_critical_points(tw, DEFAULT_BOX, DEFAULT_GRID)
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +31,8 @@ def graph_tw(tw, cps_tw):
 @pytest.fixture(scope="session")
 def graph_full(tw, cps_tw, names_tw):
     """Transition graph including the direct saddle-saddle connection."""
-    i1, _ = cps_tw.nearest(names_tw["S1"].location)
-    i2, _ = cps_tw.nearest(names_tw["S2"].location)
+    i1, _ = cps_tw.nearest(names_tw["S1"])
+    i2, _ = cps_tw.nearest(names_tw["S2"])
     return build_transition_graph(tw, cps_tw, hamiltonian_pairs=[(i1, i2)], ham_M=2000)
 
 

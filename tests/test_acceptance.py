@@ -29,6 +29,7 @@ from ompath import (
 )
 from ompath.experiments import (
     DEFAULT_BOX,
+    DEFAULT_GRID,
     continuation_schedule,
     figure_routes,
     run_minimization,
@@ -52,14 +53,9 @@ def _report(n, text):
 
 
 @pytest.fixture(scope="module")
-def locs(names_tw):
-    return {k: v.location for k, v in names_tw.items()}
-
-
-@pytest.fixture(scope="module")
 def saddle_pair(tw, names_tw):
-    s1 = classify_point(tw, names_tw["S1"].location)
-    s2 = classify_point(tw, names_tw["S2"].location)
+    s1 = classify_point(tw, names_tw["S1"])
+    s2 = classify_point(tw, names_tw["S2"])
     mid = 0.5 * (s1.location + s2.location)
     wp = [mid + np.array([0.28, 0.28])]
     coarse = hamiltonian_connection_adaptive(tw, s1, s2, M=1000, waypoints=wp)
@@ -68,7 +64,7 @@ def saddle_pair(tw, names_tw):
 
 
 @pytest.fixture(scope="module")
-def fig3_runs(tw, locs):
+def fig3_runs(tw, names_tw):
     routes = figure_routes(tw)
     out = {}
     for tag, route in (("green", "M1_M2_via_M0"), ("blue", "M1_M2_avoid")):
@@ -79,8 +75,8 @@ def fig3_runs(tw, locs):
 
 
 @pytest.fixture(scope="module")
-def fig45_runs(tw, locs):
-    route = [locs["S1"], np.array([0.5, 0.5]), locs["S2"]]
+def fig45_runs(tw, names_tw):
+    route = [names_tw["S1"], np.array([0.5, 0.5]), names_tw["S2"]]
     out = {}
     for objective in ("J", "I"):
         _, trace, rep = run_minimization(tw, route, M, EPS, objective)
@@ -90,18 +86,18 @@ def fig45_runs(tw, locs):
 
 
 @pytest.fixture(scope="module")
-def fig7_run(tw, locs):
+def fig7_run(tw, names_tw):
     path, trace, rep = run_minimization(
-        tw, [locs["S1"], locs["M0"], locs["S2"]], M, EPS, "I"
+        tw, [names_tw["S1"], names_tw["M0"], names_tw["S2"]], M, EPS, "I"
     )
     return path, trace, rep
 
 
 @pytest.fixture(scope="module")
-def fig9_run(tw, locs):
+def fig9_run(tw, names_tw):
     path, trace, rep = run_minimization(
         tw,
-        [locs["M1"], locs["S1"], locs["S2"], locs["M2"]],
+        [names_tw["M1"], names_tw["S1"], names_tw["S2"], names_tw["M2"]],
         M,
         EPS,
         "I",
@@ -113,7 +109,7 @@ def fig9_run(tw, locs):
 
 def test_criterion_1_critical_point_recovery(tw):
     t0 = time.perf_counter()
-    cps = find_critical_points(tw, DEFAULT_BOX, 40)
+    cps = find_critical_points(tw, DEFAULT_BOX, DEFAULT_GRID)
     elapsed = time.perf_counter() - t0
     assert len(cps) == 5
     for s in SADDLES:
@@ -205,16 +201,16 @@ def test_criterion_5_figures45_equivalence(fig45_runs):
     )
 
 
-def test_criterion_6_figure7_concentration(tw, locs, fig7_run):
+def test_criterion_6_figure7_concentration(tw, names_tw, fig7_run):
     path, _, _ = fig7_run
-    frac = support_score(path, [locs["M0"]])
+    frac = support_score(path, [names_tw["M0"]])
     assert frac >= 0.80
     # the eps-free objective is indifferent to the dwell split: two different
     # allocations of dwell time land on the same value
     vals = []
     for wps in (
-        [locs["S1"], locs["M0"], locs["S2"]],
-        [locs["S1"], locs["M0"], locs["M0"], locs["M0"], locs["S2"]],
+        [names_tw["S1"], names_tw["M0"], names_tw["S2"]],
+        [names_tw["S1"], names_tw["M0"], names_tw["M0"], names_tw["M0"], names_tw["S2"]],
     ):
         _, trace, rep = run_minimization(tw, wps, M, EPS, "J")
         assert trace.converged
@@ -228,9 +224,9 @@ def test_criterion_6_figure7_concentration(tw, locs, fig7_run):
     )
 
 
-def test_criterion_7_figure9_concentration(locs, fig9_run):
+def test_criterion_7_figure9_concentration(names_tw, fig9_run):
     path, _, _ = fig9_run
-    dwell = [locs["M1"], locs["M2"]]
+    dwell = [names_tw["M1"], names_tw["M2"]]
     frac = support_score(path, dwell)
     trans = 1.0 - frac
     assert frac >= 0.80
@@ -244,7 +240,7 @@ def test_criterion_7_figure9_concentration(locs, fig9_run):
 
 def test_criterion_8_gamma_consistency(graph_full, names_tw, fig7_run, fig9_run):
     cps = graph_full.cps
-    idx = {k: cps.nearest(v.location)[0] for k, v in names_tw.items()}
+    idx = {k: cps.nearest(v)[0] for k, v in names_tw.items()}
 
     seq7 = [cps[idx[k]] for k in ("S1", "M0", "S2")]
     i0_7 = eval_I0(graph_full, optimize_support(graph_full, seq7[0], seq7[-1], seq7)).i0

@@ -31,6 +31,13 @@ class TestCriticalPoints:
         assert run(["critical-points", "--potential", "bogus", "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["critical-points", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_empty_box_is_usage_error(self, tmp_path):
         code = run(
             ["critical-points", "--potential", "triple-well", "--box", "5,6", "--out", str(tmp_path)]
@@ -75,6 +82,18 @@ class TestMinimize:
 
     def test_missing_endpoints_is_usage_error(self, tmp_path):
         assert run(["minimize", "--from", "S1", "--out", str(tmp_path)]) == 2
+
+    def test_continuation_must_end_at_eps(self, tmp_path, capsys):
+        argv = self.ARGS + ["--eps", "1e-3", "--continuation", "0.1,0.03", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert "must end at eps" in capsys.readouterr().err
+        assert not (tmp_path / "minimize_summary.json").exists()
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        argv = ["minimize", "--config", str(tmp_path / "missing.cfg"), "--from", "M1", "--to", "M2"]
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_nonfinite_start_exits_3_with_dump(self, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -12,6 +12,8 @@ from ompath import (
     classify_point,
     find_critical_points,
 )
+from ompath.experiments import TRIPLE_WELL_NAMED, critical_index, named_points, write_json
+from test_flow import CountingTripleWell
 
 SQ2 = np.sqrt(2.0)
 SADDLES = np.array(
@@ -111,9 +113,28 @@ class TestAdmissibility:
             check_admissibility(tw, CriticalPointSet([]), 3.0)
 
 
+class TestNamedPoints:
+    def test_coordinates_without_kernel_calls(self):
+        p = CountingTripleWell()
+        names = named_points(p)
+        assert all(n == 0 for n in p.calls.values())
+        assert list(names) == list(TRIPLE_WELL_NAMED)
+        for k, v in TRIPLE_WELL_NAMED.items():
+            assert names[k].tobytes() == np.array(v).tobytes()
+
+    def test_lookup_is_checked(self, tw, cps_tw):
+        m0 = critical_index(cps_tw, "M0", tw)
+        assert np.linalg.norm(cps_tw[m0].location) <= 1e-6
+        without_m0 = CriticalPointSet([c for i, c in enumerate(cps_tw) if i != m0])
+        with pytest.raises(ValueError, match="not a critical point"):
+            critical_index(without_m0, "M0", tw)
+
+
 class TestSerialization:
-    def test_json_roundtrip(self, cps_tw):
-        back = CriticalPointSet.from_json(cps_tw.to_json())
+    def test_json_roundtrip(self, cps_tw, tmp_path):
+        target = write_json(tmp_path, "critical_points.json", [c.to_dict() for c in cps_tw])
+        with open(target) as f:
+            back = CriticalPointSet.from_json(f.read())
         assert len(back) == len(cps_tw)
         for a, b in zip(cps_tw, back):
             np.testing.assert_array_equal(a.location, b.location)

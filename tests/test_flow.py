@@ -72,7 +72,7 @@ class TestConvergence:
     def test_swap_symmetry_preserved(self, tw, names_tw):
         # start symmetric under (x1,x2)-swap + time reversal; the flow is
         # equivariant, so the minimizer keeps the symmetry
-        s1, s2 = names_tw["S1"].location, names_tw["S2"].location
+        s1, s2 = names_tw["S1"], names_tw["S2"]
         path = DiscretePath.from_waypoints([s1, [0.5, 0.5], s2], 100)
         out, _ = minimize(tw, path, FlowConfig(objective="J", eps=1e-2, max_iter=500))
         mirrored = out.nodes[::-1, ::-1]
@@ -191,7 +191,7 @@ class TestGradNormLayout:
     def test_column_major_kernel_gives_the_same_norms(self, names_tw):
         # the recorded gradient norm sums in one order whatever the memory
         # layout the potential hands back
-        s1, s2 = names_tw["S1"].location, names_tw["S2"].location
+        s1, s2 = names_tw["S1"], names_tw["S2"]
         path = DiscretePath.from_waypoints([s1, [0.5, 0.5], s2], 4000)
         cfg = FlowConfig(objective="J", eps=1e-3, max_iter=200)
         out, trace = minimize(TripleWell(), path, cfg)
@@ -208,6 +208,8 @@ class TestContinuation:
             continuation_minimize(tw, path, FlowConfig(), [])
         with pytest.raises(ValueError):
             continuation_minimize(tw, path, FlowConfig(), [1e-3, 1e-2])
+        with pytest.raises(ValueError):  # ends above the target temperature
+            continuation_minimize(tw, path, FlowConfig(eps=1e-3), [0.1, 0.03])
 
     def test_matches_direct_flow_on_easy_problem(self):
         q = Quadratic(2)

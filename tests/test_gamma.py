@@ -19,7 +19,7 @@ TWO27 = 2.0 / 27.0
 
 
 def _named(graph, names, *keys):
-    return [graph.cps[graph.cps.nearest(names[k].location)[0]] for k in keys]
+    return [graph.cps[graph.cps.nearest(names[k])[0]] for k in keys]
 
 
 class TestBVStepPath:

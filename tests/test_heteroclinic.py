@@ -66,7 +66,7 @@ class TestGradientOrbits:
         assert rev.source is o.target and rev.target is o.source
 
     def test_source_must_be_saddle(self, tw, cps_tw, names_tw):
-        m0 = classify_point(tw, names_tw["M0"].location)
+        m0 = classify_point(tw, names_tw["M0"])
         with pytest.raises(ValueError):
             gradient_connection(tw, m0, np.array([1.0, 0.0]), 1, cps_tw)
 
@@ -177,7 +177,7 @@ class TestOrbitRecord:
     def test_one_pass_same_numbers(self, tw, names_tw):
         # one grad V over all nodes serves the action, the residuals and the
         # endpoint warning; no Laplacian; numbers as the separate formulas give
-        s1, s2 = names_tw["S1"].location, names_tw["S2"].location
+        s1, s2 = names_tw["S1"], names_tw["S2"]
         path = DiscretePath.from_waypoints([s1, [0.6, 0.6], s2], 200, a=-6.0, b=6.0)
         p = LoggingTripleWell()
         fields, _ = _orbit_record(p, path)
@@ -223,8 +223,8 @@ class TestHamiltonianConnection:
         assert 0.0 < saddle_orbit.j_value < 2 * TWO27
 
     def test_mesh_stability(self, tw, names_tw, saddle_orbit):
-        s1 = classify_point(tw, names_tw["S1"].location)
-        s2 = classify_point(tw, names_tw["S2"].location)
+        s1 = classify_point(tw, names_tw["S1"])
+        s2 = classify_point(tw, names_tw["S2"])
         mid = 0.5 * (s1.location + s2.location)
         coarse = hamiltonian_connection_adaptive(
             tw, s1, s2, M=1000, waypoints=[mid + np.array([0.28, 0.28])]
@@ -232,15 +232,9 @@ class TestHamiltonianConnection:
         assert abs(coarse.j_value - saddle_orbit.j_value) <= 1e-3
 
     def test_input_validation(self, tw, names_tw):
-        s1 = classify_point(tw, names_tw["S1"].location)
-        s2 = classify_point(tw, names_tw["S2"].location)
+        s1 = classify_point(tw, names_tw["S1"])
         with pytest.raises(ValueError):
-            hamiltonian_connection(
-                tw, s1, s1, 6.0, 100, DiscretePath(np.zeros((101, 2)), a=-6, b=6)
-            )
-        with pytest.raises(ValueError):  # wrong interval
-            start = DiscretePath.from_waypoints([s1.location, s2.location], 100, a=-1, b=1)
-            hamiltonian_connection(tw, s1, s2, 6.0, 100, start)
+            hamiltonian_connection(tw, s1, s1, DiscretePath(np.zeros((101, 2)), a=-6, b=6))
 
 
 class TestTransitionGraph:
@@ -284,7 +278,7 @@ class TestTransitionGraph:
 
     def test_expected_transition_energies(self, graph_full, names_tw):
         cps = graph_full.cps
-        idx = {k: cps.nearest(v.location)[0] for k, v in names_tw.items()}
+        idx = {k: cps.nearest(v)[0] for k, v in names_tw.items()}
         phi = graph_full.phi_between
         assert phi(idx["S1"], idx["M0"]) == pytest.approx(TWO27, abs=1e-3)
         assert phi(idx["M1"], idx["M0"]) == pytest.approx(2 * TWO27, abs=2e-3)
@@ -330,7 +324,7 @@ class TestTransitionGraph:
 
     def test_pair_of_one_point_raises_before_any_shot(self, cps_tw, names_tw):
         # in two dimensions such a pair has no chord to bend the start around
-        i, _ = cps_tw.nearest(names_tw["S1"].location)
+        i, _ = cps_tw.nearest(names_tw["S1"])
         p = LoggingTripleWell()
         with pytest.raises(ValueError, match="names one point twice"):
             build_transition_graph(p, cps_tw, hamiltonian_pairs=[(i, i)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ompath import DiscretePath
+from ompath.paths import interpolate
 
 
 def test_from_waypoints_basic():
@@ -81,6 +82,9 @@ def test_csv_header(tmp_path):
     assert len(lines) == 1 + 5
 
 
-def test_velocities_linear_path():
-    path = DiscretePath.from_waypoints([[0.0], [1.0]], 10)
-    np.testing.assert_allclose(path.velocities(), 1.0, atol=1e-12)
+def test_interpolate_holds_the_end_rows_beyond_the_knots():
+    # padding a path to a longer interval keeps its endpoints bitwise
+    values = np.random.default_rng(1).standard_normal((8, 2))
+    out = interpolate(np.linspace(-6.0, 6.0, 15), np.linspace(-3.0, 3.0, 8), values)
+    assert out[:4].tobytes() == np.repeat(values[:1], 4, axis=0).tobytes()
+    assert out[-4:].tobytes() == np.repeat(values[-1:], 4, axis=0).tobytes()
