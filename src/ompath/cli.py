@@ -19,10 +19,7 @@ import numpy as np
 from .critical import NoCriticalPointsError, check_admissibility, find_critical_points
 from .experiments import (
     DEFAULT_BOX,
-    DEFAULT_EPS,
     DEFAULT_GRID,
-    DEFAULT_MAX_ITER,
-    DEFAULT_NODES,
     ExperimentConfig,
     critical_index,
     resolve_point,
@@ -31,9 +28,10 @@ from .experiments import (
     triple_well_graph,
     write_json,
 )
-from .flow import NonFiniteObjectiveError
+from .flow import FlowConfig, NonFiniteObjectiveError
 from .gamma import eval_I0, optimize_support
 from .heteroclinic import (
+    DEFAULT_NODES,
     EscapeError,
     NotConvergedError,
     build_transition_graph,
@@ -271,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minimize", help="descend the action from a waypoint start")
     _add_common(sp)
     sp.add_argument("--seed", type=int, default=0, help="seed of the --jitter noise")
-    sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    sp.add_argument("--eps", type=float, default=FlowConfig.eps)
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     sp.add_argument("--from", dest="start", default="")
     sp.add_argument("--to", dest="end", default="")
     sp.add_argument("--waypoints", default="", help="semicolon-separated intermediate points")
     sp.add_argument("--objective", choices=["I", "J"], default="I")
     sp.add_argument("--continuation", default="", help="comma-separated decreasing eps schedule")
-    sp.add_argument("--maxiter", type=int, default=DEFAULT_MAX_ITER)
+    sp.add_argument("--maxiter", type=int, default=FlowConfig.max_iter)
     sp.add_argument("--jitter", type=float, default=0.0)
     sp.set_defaults(func=cmd_minimize)
 
@@ -309,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("figure", help="reproduce the data behind one triple-well figure (1..9)")
     _add_common(sp, potential=False)
     sp.add_argument("number", help="figure number 1..9 or 'all'")
-    sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    sp.add_argument("--eps", type=float, default=FlowConfig.eps)
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    sp.add_argument("--maxiter", type=int, default=DEFAULT_MAX_ITER)
+    sp.add_argument("--maxiter", type=int, default=FlowConfig.max_iter)
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for 'all'")
     sp.set_defaults(func=cmd_figure)
 

@@ -18,6 +18,7 @@ from .flow import FlowConfig, FlowTrace, continuation_minimize, minimize
 from .functionals import FunctionalReport, eval_I
 from .gamma import compare_with_eps, eval_I0, optimize_support, support_score
 from .heteroclinic import (
+    DEFAULT_NODES,
     TransitionGraph,
     build_transition_graph,
     gradient_connection,
@@ -39,9 +40,6 @@ TRIPLE_WELL_NAMED = {
 # the triple well's search box and seed grid per axis
 DEFAULT_BOX = ((-0.5, 1.5),) * 2
 DEFAULT_GRID = 40
-DEFAULT_EPS = 1e-3
-DEFAULT_NODES = 4000
-DEFAULT_MAX_ITER = 30_000
 # Annealing schedule for the full-action experiments whose direct flow at the
 # target temperature stalls in a wide-interface transient: each stage warm
 # starts the next, sharpening the transition layers progressively.
@@ -86,8 +84,8 @@ def run_minimization(
     M: int,
     eps: float,
     objective: str,
-    grad_tol: float = 1e-6,
-    max_iter: int = DEFAULT_MAX_ITER,
+    grad_tol: float = FlowConfig.grad_tol,
+    max_iter: int = FlowConfig.max_iter,
     eps_schedule=None,
     jitter: float = 0.0,
     seed: int = 0,
@@ -110,10 +108,10 @@ def run_minimization(
 class ExperimentConfig:
     """Resolved settings for one figure run."""
 
-    eps: float = DEFAULT_EPS
+    eps: float = FlowConfig.eps
     nodes: int = DEFAULT_NODES
     out: str = "."
-    max_iter: int = DEFAULT_MAX_ITER
+    max_iter: int = FlowConfig.max_iter
 
 
 def write_json(outdir, name, payload) -> str:
@@ -126,7 +124,7 @@ def write_json(outdir, name, payload) -> str:
     return target
 
 
-def triple_well_graph(p, cps: CriticalPointSet | None = None, ham_M: int = 4000) -> TransitionGraph:
+def triple_well_graph(p, cps: CriticalPointSet | None = None, ham_M: int = DEFAULT_NODES) -> TransitionGraph:
     """Transition graph of the triple well with the direct saddle-saddle edge."""
     if cps is None:
         cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
@@ -271,10 +269,8 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
         record["transition_fraction"] = 1.0 - record["fraction_near_M1_M2"]
         summary["minimizers"] = {tag: record}
         graph = triple_well_graph(p, ham_M=cfg.nodes)
-        order = ("M1", "S1", "M0", "S2", "M2")
-        cand_names = [order, ("M1", "S1", "S2", "M2")]
         best = None
-        for seq_names in cand_names:
+        for seq_names in (("M1", "S1", "M0", "S2", "M2"), ("M1", "S1", "S2", "M2")):
             seq = [graph.cps[critical_index(graph.cps, k, p)] for k in seq_names]
             bv = optimize_support(graph, seq[0], seq[-1], seq)
             rep0 = eval_I0(graph, bv)

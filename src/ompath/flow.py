@@ -34,11 +34,13 @@ TAU_MAX = 1e3
 
 @dataclass
 class FlowConfig:
+    """Settings of one flow; the defaults are those of every command and figure."""
+
     objective: str = "I"  # "I" or "J"
     eps: float = 1e-3
     tau0: float = 1e-3
-    grad_tol: float = 1e-8  # L2 norm of the discrete gradient density
-    max_iter: int = 20_000
+    grad_tol: float = 1e-6  # L2 norm of the discrete gradient density
+    max_iter: int = 30_000
 
     def __post_init__(self):
         _check(self.eps, self.objective)
@@ -127,6 +129,8 @@ def minimize(
         it += 1
         g = grad_objective(p, path, cfg.eps, cfg.objective, grad_v=grad_v[1:-1])
         gnorm = _grad_norm(g, h)
+        if not np.isfinite(gnorm):
+            raise NonFiniteObjectiveError(f"gradient non-finite at iteration {it}")
         if gnorm <= cfg.grad_tol:
             trace.converged = True
             trace.stop_reason = "gradient tolerance reached"
@@ -142,7 +146,8 @@ def minimize(
             rhs[-1] += tau * kappa * x1
             ab[0, 1:] = -tau * kappa
             ab[1, :] = 1.0 + 2.0 * tau * kappa
-            cand = path.with_interior(solveh_banded(ab, rhs))
+            # ab and rhs are rebuilt every trial, so LAPACK may work in place
+            cand = path.with_interior(solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True))
             obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective, with_grad_v=True)
             if not np.isfinite(obj_new):
                 raise NonFiniteObjectiveError(

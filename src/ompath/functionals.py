@@ -8,6 +8,7 @@ stiff part is a symmetric tridiagonal second-difference operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,9 +42,11 @@ class FunctionalReport:
         }
 
 
+@lru_cache(maxsize=8)
 def _trapezoid_weights(n_nodes: int) -> np.ndarray:
     w = np.ones(n_nodes)
     w[0] = w[-1] = 0.5
+    w.flags.writeable = False
     return w
 
 
@@ -59,11 +62,13 @@ def _terms(p: PotentialModel, path: DiscretePath, eps: float, laplacian: bool) -
     last 0.0 unless ``laplacian``), and grad V at every node."""
     x = path.nodes
     h = path.h
-    dx = np.diff(x, axis=0)
-    kinetic = (eps / (2.0 * h)) * float(np.sum(dx * dx))
+    dx = x[1:] - x[:-1]
+    kinetic = (eps / (2.0 * h)) * float((dx * dx).sum())
     g = p.gradient(x)
     w = _trapezoid_weights(x.shape[0])
-    force = (h / (2.0 * eps)) * float(np.sum(w * np.sum(g * g, axis=-1)))
+    # |g|^2 column by column, left to right: for N <= 2 np.sum(g * g, axis=-1)
+    sq = sum((g[..., j] * g[..., j] for j in range(1, g.shape[-1])), g[..., 0] * g[..., 0])
+    force = (h / (2.0 * eps)) * float((w * sq).sum())
     lap = h * float(np.sum(w * p.laplacian(x))) if laplacian else 0.0
     return kinetic, force, lap, g
 

@@ -140,6 +140,8 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 # a shot ends within CAPTURE of another critical point, or fails beyond
 # ESCAPE of the critical points' centre
 CAPTURE, ESCAPE = 1e-6, 10.0
+# intervals of a saddle-saddle connection, and of the paths the CLI minimises
+DEFAULT_NODES = 4000
 _ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
@@ -452,7 +454,7 @@ def hamiltonian_connection_adaptive(
     p: PotentialModel,
     a: CriticalPoint,
     b: CriticalPoint,
-    M: int = 4000,
+    M: int = DEFAULT_NODES,
     waypoints=None,
 ) -> HeteroclinicOrbit:
     """Double the truncation interval, from [-6, 6] and at most five times,
@@ -539,7 +541,7 @@ def build_transition_graph(
     p: PotentialModel,
     cps: CriticalPointSet,
     hamiltonian_pairs=(),
-    ham_M: int = 4000,
+    ham_M: int = DEFAULT_NODES,
 ) -> TransitionGraph:
     """Assemble connection costs from all saddle gradient shots.
 

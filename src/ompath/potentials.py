@@ -64,8 +64,7 @@ class PotentialModel:
         return np.einsum("...ij,...j->...i", self.hessian(x), v)
 
     def laplacian(self, x: np.ndarray) -> np.ndarray:
-        h = self.hessian(x)
-        return np.trace(h) if h.ndim == 2 else np.trace(h, axis1=-2, axis2=-1)
+        return np.trace(self.hessian(x), axis1=-2, axis2=-1)
 
     def grad_laplacian(self, x: np.ndarray) -> np.ndarray:
         x = _check_finite(x)
@@ -76,8 +75,11 @@ class PotentialModel:
         return out[0] if x.ndim == 1 else out
 
 
-_E1 = np.array([1.0, 0.0])
-_E2 = np.array([0.0, 1.0])
+def _pair(c0, c1, order: str) -> np.ndarray:
+    """The columns c0, c1 as one (..., 2) array in the given memory order."""
+    out = np.empty(np.shape(c0) + (2,), order=order)
+    out[..., 0], out[..., 1] = c0, c1
+    return out
 
 
 class TripleWell(PotentialModel):
@@ -93,50 +95,44 @@ class TripleWell(PotentialModel):
     dim = 2
 
     @staticmethod
-    def _factors(x):
-        # column-major, so that each coordinate is contiguous and a per-point
-        # factor broadcasts along it (on row-major (K, 2) arrays NumPy loops two
-        # elements at a time); x2 - 0.0 keeps a -0.0, so each factor gradient
-        # is bitwise the stacked 2(x1 - c1, x2 - c2)
+    def _columns(x):
+        # the factors u, v, w and the four distinct columns of their gradients,
+        # gu = (a, b), gv = (c, b), gw = (a, d): the stacked 2(x - e_i) bitwise, as
+        # x2 - 0.0 keeps a -0.0.  Column-major, so one op covers both coordinates.
         x = np.asfortranarray(x)
-        x1, x2 = x[..., 0], x[..., 1]
-        u = x1**2 + x2**2
-        v = (x1 - 1.0) ** 2 + x2**2
-        w = x1**2 + (x2 - 1.0) ** 2
-        return u, v, w, 2.0 * x, 2.0 * (x - _E1), 2.0 * (x - _E2)
+        sq, e = x * x, x - 1.0
+        # one point squares x - 1 by libm pow like the stacked form; it can round off e*e
+        esq = e * e if x.ndim > 1 else np.array([e[0] ** 2, e[1] ** 2])
+        g, ge = 2.0 * x, 2.0 * e
+        sq1, sq2 = sq[..., 0], sq[..., 1]
+        u = sq1 + sq2
+        v = esq[..., 0] + sq2
+        w = sq1 + esq[..., 1]
+        return u, v, w, g[..., 0], g[..., 1], ge[..., 0], ge[..., 1]
 
     def value(self, x):
         x = _check_finite(x)
-        u, v, w, *_ = self._factors(x)
+        u, v, w, *_ = self._columns(x)
         return u * v * w
 
     def gradient(self, x):
         x = _check_finite(x)
-        u, v, w, gu, gv, gw = self._factors(x)
-        return (
-            gu * (v * w)[..., None]
-            + gv * (u * w)[..., None]
-            + gw * (u * v)[..., None]
-        )
+        u, v, w, a, b, c, d = self._columns(x)
+        vw, uw, uv = v * w, u * w, u * v
+        return _pair(a * vw + c * uw + a * uv, b * vw + b * uw + d * uv, "F")
 
     @staticmethod
     def _hessian_entries(x):
-        # H = 2(uv+uw+vw) I + sym(gu,gv) w + sym(gu,gw) v + sym(gv,gw) u, with
-        # sym(a,b) = a b^T + b a^T (each factor's Hessian is 2I); returns the
-        # entries h00, h01, h11, each summed in that order
-        fu, fv, fw, gu, gv, gw = TripleWell._factors(x)
-        s = fu * fv + fu * fw + fv * fw
-
-        def terms(i, j):
-            return [
-                (a[..., i] * b[..., j] + b[..., i] * a[..., j]) * c
-                for a, b, c in ((gu, gv, fw), (gu, gw, fv), (gv, gw, fu))
-            ]
-
-        t00, t01, t11 = terms(0, 0), terms(0, 1), terms(1, 1)
-        h00 = 2.0 * s + t00[0] + t00[1] + t00[2]
-        h01 = t01[0] + t01[1] + t01[2]
-        h11 = 2.0 * s + t11[0] + t11[1] + t11[2]
+        # H = 2sI + sym(gu,gv) w + sym(gu,gw) v + sym(gv,gw) u, s = uv + uw + vw,
+        # sym(p,q) = p q^T + q p^T; h00, h01, h11 each summed in that order.  As
+        # p*q == q*p and t + t == 2t, a diagonal entry of sym is a doubled product.
+        u, v, w, a, b, c, d = TripleWell._columns(x)
+        s2 = 2.0 * (u * v + u * w + v * w)
+        ac2, bd2 = 2.0 * (a * c), 2.0 * (b * d)
+        ab = a * b
+        h00 = s2 + ac2 * w + 2.0 * (a * a) * v + ac2 * u
+        h01 = (ab + c * b) * w + (a * d + ab) * v + (c * d + ab) * u
+        h11 = s2 + 2.0 * (b * b) * w + bd2 * v + bd2 * u
         return h00, h01, h11
 
     def hessian(self, x):
@@ -155,35 +151,36 @@ class TripleWell(PotentialModel):
         v0, v1 = v[..., 0], v[..., 1]
         # row-major like the stacked result it replaces, so that the flow's
         # gradient and its norm keep their summation order
-        out = np.empty(x.shape)
-        out[..., 0] = h00 * v0 + h01 * v1
-        out[..., 1] = h01 * v0 + h11 * v1
-        return out
+        return _pair(h00 * v0 + h01 * v1, h01 * v0 + h11 * v1, "C")
+
+    @staticmethod
+    def _dots(a, b, c, d):  # gu.gv, gu.gw, gv.gw
+        ac, bd = a * c, b * d
+        return ac + b * b, a * a + bd, ac + bd
 
     def laplacian(self, x):
         # its own formula: h00 + h11 from _hessian_entries sums in another
         # order and would move I_eps in the last bit
         x = _check_finite(x)
-        u, v, w, gu, gv, gw = self._factors(x)
-        dot = lambda a, b: np.sum(a * b, axis=-1)
-        return 4.0 * (u * v + u * w + v * w) + 2.0 * (
-            dot(gu, gv) * w + dot(gu, gw) * v + dot(gv, gw) * u
-        )
+        u, v, w, a, b, c, d = self._columns(x)
+        duv, duw, dvw = self._dots(a, b, c, d)
+        return 4.0 * (u * v + u * w + v * w) + 2.0 * (duv * w + duw * v + dvw * u)
 
     def grad_laplacian(self, x):
+        # grad of 4(uv+uw+vw) plus grad of 2[(gu.gv)w + (gu.gw)v + (gv.gw)u];
+        # each factor Hessian is 2I
         x = _check_finite(x)
-        u, v, w, gu, gv, gw = self._factors(x)
-        dot = lambda a, b: np.sum(a * b, axis=-1)[..., None]
-        uu, vv, ww = u[..., None], v[..., None], w[..., None]
-        # grad of 4(uv+uw+vw):
-        out = 4.0 * (gu * vv + uu * gv + gu * ww + uu * gw + gv * ww + vv * gw)
-        # grad of 2[(gu.gv)w + (gu.gw)v + (gv.gw)u]; each factor Hessian is 2*I
-        out += 2.0 * (
-            2.0 * (gu + gv) * ww + dot(gu, gv) * gw
-            + 2.0 * (gu + gw) * vv + dot(gu, gw) * gv
-            + 2.0 * (gv + gw) * uu + dot(gv, gw) * gu
+        u, v, w, a, b, c, d = self._columns(x)
+        duv, duw, dvw = self._dots(a, b, c, d)
+        # 2(gu + gv), 2(gu + gw), 2(gv + gw) on the four columns; 2(a + a) is 4a
+        sac, sbd, bw = 2.0 * (a + c), 2.0 * (b + d), b * w
+        col0 = 4.0 * (a * v + u * c + a * w + u * a + c * w + v * a) + 2.0 * (
+            sac * w + duv * a + 4.0 * a * v + duw * c + sac * u + dvw * a
         )
-        return out
+        col1 = 4.0 * (b * v + u * b + bw + u * d + bw + v * d) + 2.0 * (
+            4.0 * b * w + duv * d + sbd * v + duw * b + sbd * u + dvw * b
+        )
+        return _pair(col0, col1, "F")
 
 
 class DoubleWell1D(PotentialModel):
@@ -227,10 +224,7 @@ class Quadratic(PotentialModel):
 
     def hessian(self, x):
         x = _check_finite(x)
-        eye = np.eye(self.dim)
-        if x.ndim == 1:
-            return eye.copy()
-        return np.broadcast_to(eye, (x.shape[0], self.dim, self.dim)).copy()
+        return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
 
     def laplacian(self, x):
         x = _check_finite(x)

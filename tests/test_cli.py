@@ -11,6 +11,7 @@ import pytest
 
 import ompath
 from ompath.cli import build_parser, main, parse_args
+from test_flow import NaNHessianTripleWell
 
 
 def run(argv):
@@ -113,6 +114,16 @@ class TestMinimize:
         assert code == 3
         doc = json.loads((tmp_path / "failure.json").read_text())
         assert "error" in doc
+
+    def test_nonfinite_gradient_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a NaN in the flow's gradient is a numerical failure (exit 3), not a
+        # usage error from the banded solve rejecting its input
+        monkeypatch.setattr(ompath.cli, "get_potential", lambda name: NaNHessianTripleWell())
+        argv = ["minimize", "--from", "M1", "--to", "M2", "--nodes", "40", "--out", str(tmp_path)]
+        assert run(argv) == 3
+        doc = json.loads((tmp_path / "failure.json").read_text())
+        assert doc["error"] == "gradient non-finite at iteration 4"
+        assert "error:" not in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

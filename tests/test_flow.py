@@ -1,5 +1,7 @@
 """Descent flow: monotonicity, pinning, convergence and the annealing driver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ompath import (
     eval_objective,
     minimize,
 )
+from ompath.experiments import figure_routes
 from ompath.flow import TAU_MAX
 
 
@@ -33,7 +36,7 @@ class TestMonotonicity:
         tw = TripleWell()
         rng = np.random.default_rng(seed)
         path = DiscretePath(rng.uniform(-0.3, 1.2, size=(13, 2)))
-        cfg = FlowConfig(objective=objective, eps=0.05, max_iter=60)
+        cfg = FlowConfig(objective=objective, eps=0.05, grad_tol=1e-8, max_iter=60)
         _, trace = minimize(tw, path, cfg)
         assert _diffs_nonincreasing(trace.accepted_objectives)
 
@@ -74,7 +77,8 @@ class TestConvergence:
         # equivariant, so the minimizer keeps the symmetry
         s1, s2 = names_tw["S1"], names_tw["S2"]
         path = DiscretePath.from_waypoints([s1, [0.5, 0.5], s2], 100)
-        out, _ = minimize(tw, path, FlowConfig(objective="J", eps=1e-2, max_iter=500))
+        cfg = FlowConfig(objective="J", eps=1e-2, grad_tol=1e-8, max_iter=500)
+        out, _ = minimize(tw, path, cfg)
         mirrored = out.nodes[::-1, ::-1]
         np.testing.assert_allclose(out.nodes, mirrored, atol=1e-9)
 
@@ -101,12 +105,35 @@ class TestConfigValidation:
             minimize(tw, path, FlowConfig())
 
 
+class NaNHessianTripleWell(TripleWell):
+    """TripleWell whose H·v holds a NaN from its 4th call on."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def hessian_vector(self, x, v):
+        self.calls += 1
+        out = super().hessian_vector(x, v)
+        if self.calls >= 4:
+            out[len(out) // 2, 0] = np.nan
+        return out
+
+
 class TestNonFinite:
     def test_overflowing_start_raises(self, tw):
         nodes = np.full((9, 2), 1e80)
         nodes[0] = nodes[-1] = 0.0
         with np.errstate(over="ignore"), pytest.raises(NonFiniteObjectiveError):
             minimize(tw, DiscretePath(nodes), FlowConfig(max_iter=5))
+
+    def test_nonfinite_gradient_raises(self):
+        # a NaN in the action gradient is a numerical failure, not a bad input
+        # to the banded solve
+        p = NaNHessianTripleWell()
+        path = DiscretePath.from_waypoints([[0.0, 0.0], [0.6, 0.6], [1.0, 0.0]], 40)
+        with pytest.raises(NonFiniteObjectiveError, match="gradient non-finite at iteration 4"):
+            minimize(p, path, FlowConfig(objective="J", eps=0.05, max_iter=50))
+        assert p.calls == 4
 
 
 class TestTrace:
@@ -193,7 +220,7 @@ class TestGradNormLayout:
         # layout the potential hands back
         s1, s2 = names_tw["S1"], names_tw["S2"]
         path = DiscretePath.from_waypoints([s1, [0.5, 0.5], s2], 4000)
-        cfg = FlowConfig(objective="J", eps=1e-3, max_iter=200)
+        cfg = FlowConfig(objective="J", eps=1e-3, grad_tol=1e-8, max_iter=200)
         out, trace = minimize(TripleWell(), path, cfg)
         out_f, trace_f = minimize(ColumnMajorTripleWell(), path, cfg)
         assert trace_f.grad_norms.tobytes() == trace.grad_norms.tobytes()
@@ -219,3 +246,31 @@ class TestContinuation:
         annealed, trace = continuation_minimize(q, path, cfg, [2.0, 1.0, 0.5])
         assert trace.converged
         np.testing.assert_allclose(annealed.nodes, direct.nodes, atol=1e-8)
+
+
+# SHA-1 of path.nodes.tobytes() and of trace.to_csv() after 200 iterations at
+# M = 400, eps 1e-3, grad_tol 1e-6, recorded with the stacked-factor kernels
+# (TripleWell._factors) that the four-column kernels replaced
+FLOW_GOLDEN = {
+    ("M1_M2_avoid", "J"): (
+        "8e378ad23c5fa2488c09a576841af4b0fe643ece",
+        "35fdc7fa5c877c00e4f162e5ee5fbfb3b82bae6e",
+    ),
+    ("S1_S2_via_M0", "I"): (
+        "5e443fa12865417236b6573b51640210006ac5ab",
+        "c3565e698fd87a91116eda7a6e58a0492a2c4142",
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("route, objective", sorted(FLOW_GOLDEN))
+    def test_short_flow_bytes_unchanged(self, tw, route, objective):
+        start = DiscretePath.from_waypoints(figure_routes(tw)[route], 400)
+        cfg = FlowConfig(objective=objective, eps=1e-3, grad_tol=1e-6, max_iter=200)
+        path, trace = minimize(tw, start, cfg)
+        got = (
+            hashlib.sha1(path.nodes.tobytes()).hexdigest(),
+            hashlib.sha1(trace.to_csv().encode()).hexdigest(),
+        )
+        assert got == FLOW_GOLDEN[route, objective]

@@ -299,3 +299,144 @@ class TestHessianVector:
         v = rng.normal(size=(6, p.dim))
         np.testing.assert_array_equal(p.hessian_vector(x, v), self._contracted(p, x, v))
         np.testing.assert_array_equal(p.hessian_vector(x[0], v[0]), self._contracted(p, x[0], v[0]))
+
+
+class StackedTripleWell:
+    """Frozen copy of the TripleWell kernels as they were written on the
+    stacked factor gradients 2x, 2(x - e1), 2(x - e2) (``_factors``): the
+    oracle of the four-column kernels, bits and memory layout alike."""
+
+    E1 = np.array([1.0, 0.0])
+    E2 = np.array([0.0, 1.0])
+
+    @staticmethod
+    def _factors(x):
+        x = np.asfortranarray(x)
+        x1, x2 = x[..., 0], x[..., 1]
+        u = x1**2 + x2**2
+        v = (x1 - 1.0) ** 2 + x2**2
+        w = x1**2 + (x2 - 1.0) ** 2
+        return u, v, w, 2.0 * x, 2.0 * (x - StackedTripleWell.E1), 2.0 * (x - StackedTripleWell.E2)
+
+    def value(self, x):
+        u, v, w, *_ = self._factors(np.asarray(x, dtype=float))
+        return u * v * w
+
+    def gradient(self, x):
+        u, v, w, gu, gv, gw = self._factors(np.asarray(x, dtype=float))
+        return gu * (v * w)[..., None] + gv * (u * w)[..., None] + gw * (u * v)[..., None]
+
+    def _hessian_entries(self, x):
+        fu, fv, fw, gu, gv, gw = self._factors(x)
+        s = fu * fv + fu * fw + fv * fw
+
+        def terms(i, j):
+            return [
+                (a[..., i] * b[..., j] + b[..., i] * a[..., j]) * c
+                for a, b, c in ((gu, gv, fw), (gu, gw, fv), (gv, gw, fu))
+            ]
+
+        t00, t01, t11 = terms(0, 0), terms(0, 1), terms(1, 1)
+        h00 = 2.0 * s + t00[0] + t00[1] + t00[2]
+        h01 = t01[0] + t01[1] + t01[2]
+        h11 = 2.0 * s + t11[0] + t11[1] + t11[2]
+        return h00, h01, h11
+
+    def hessian(self, x):
+        x = np.asarray(x, dtype=float)
+        h00, h01, h11 = self._hessian_entries(x)
+        h01 = h01 + 0.0
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = h00, h01, h01, h11
+        return out
+
+    def hessian_vector(self, x, v):
+        x = np.asarray(x, dtype=float)
+        h00, h01, h11 = self._hessian_entries(x)
+        v0, v1 = v[..., 0], v[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = h00 * v0 + h01 * v1
+        out[..., 1] = h01 * v0 + h11 * v1
+        return out
+
+    def laplacian(self, x):
+        u, v, w, gu, gv, gw = self._factors(np.asarray(x, dtype=float))
+        dot = lambda a, b: np.sum(a * b, axis=-1)
+        return 4.0 * (u * v + u * w + v * w) + 2.0 * (
+            dot(gu, gv) * w + dot(gu, gw) * v + dot(gv, gw) * u
+        )
+
+    def grad_laplacian(self, x):
+        u, v, w, gu, gv, gw = self._factors(np.asarray(x, dtype=float))
+        dot = lambda a, b: np.sum(a * b, axis=-1)[..., None]
+        uu, vv, ww = u[..., None], v[..., None], w[..., None]
+        out = 4.0 * (gu * vv + uu * gv + gu * ww + uu * gw + gv * ww + vv * gw)
+        out += 2.0 * (
+            2.0 * (gu + gv) * ww + dot(gu, gv) * gw
+            + 2.0 * (gu + gw) * vv + dot(gu, gw) * gv
+            + 2.0 * (gv + gw) * uu + dot(gv, gw) * gu
+        )
+        return out
+
+
+# the wells, with every sign of zero, and the saddles
+WELLS_AND_SADDLES = np.concatenate([SIGNED_ZERO_WELLS, [S1, S2, [-0.0, 0.5], [0.5, -0.0]]])
+# points whose x1 - 1, resp. x2 - 1, squares to another double under the
+# scalar power (libm pow) than under x * x, which moves every kernel's value
+POW_ROUNDING = np.array(
+    [[-0.36321022429113303, 0.7092031098112563], [-0.04261583242106903, 0.46563358261557153]]
+)
+
+
+def _layouts(x):
+    """x as C order, F order, and three non-contiguous views of it."""
+    c = np.ascontiguousarray(x)
+    f = np.asfortranarray(x)
+    wide = np.zeros((x.shape[0], 3))
+    wide[:, :2] = x
+    return {"C": c, "F": f, "C[1:-1]": c[1:-1], "F[1:-1]": f[1:-1], "wide[:, :2]": wide[:, :2]}
+
+
+class TestFourColumnKernels:
+    """Every TripleWell kernel equals the frozen stacked-factor kernels byte for
+    byte, in the same memory layout, whatever the layout of its input."""
+
+    KERNELS = ("value", "gradient", "hessian", "laplacian", "grad_laplacian")
+
+    @classmethod
+    def _assert_same(cls, x, vec):
+        tw, ref = TripleWell(), StackedTripleWell()
+        calls = [(name, (x,)) for name in cls.KERNELS] + [("hessian_vector", (x, vec))]
+        for name, args in calls:
+            got, want = getattr(tw, name)(*args), getattr(ref, name)(*args)
+            assert np.shape(got) == np.shape(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+            if np.ndim(want) > 0:
+                for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS"):
+                    assert got.flags[flag] == want.flags[flag], (name, flag)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batches_in_every_layout(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rng.uniform(-1.5, 2.5, size=(9, 2)), WELLS_AND_SADDLES, POW_ROUNDING])
+        rng.shuffle(x)
+        grad = TripleWell().gradient(x)
+        for label, xs in _layouts(x).items():
+            rows = slice(1, -1) if "[1:-1]" in label else slice(None)
+            for vec in (grad[rows], rng.normal(size=xs.shape), np.asfortranarray(grad[rows])):
+                self._assert_same(xs, vec)
+
+    def test_single_points(self):
+        rng = np.random.default_rng(5)
+        for x in np.concatenate([WELLS_AND_SADDLES, POW_ROUNDING, rng.uniform(-1.0, 2.0, size=(6, 2))]):
+            self._assert_same(x, rng.normal(size=2))
+            self._assert_same(x, np.array([-0.0, 1.0]))
+
+    def test_output_layouts(self):
+        x = np.random.default_rng(6).uniform(-1.0, 2.0, size=(7, 2))
+        tw = TripleWell()
+        for xs in _layouts(x).values():
+            assert tw.gradient(xs).flags["F_CONTIGUOUS"]
+            assert tw.grad_laplacian(xs).flags["F_CONTIGUOUS"]
+            assert tw.hessian_vector(xs, xs).flags["C_CONTIGUOUS"]
+            assert tw.hessian(xs).flags["C_CONTIGUOUS"]
