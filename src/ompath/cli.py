@@ -14,22 +14,20 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from .critical import NoCriticalPointsError, check_admissibility, find_critical_points
 from .experiments import (
     DEFAULT_BOX,
     DEFAULT_GRID,
-    ExperimentConfig,
     critical_index,
+    minimize_to_files,
     resolve_point,
+    route_limit,
     run_figure,
-    run_minimization,
     triple_well_graph,
     write_json,
+    write_text,
 )
 from .flow import FlowConfig, NonFiniteObjectiveError
-from .gamma import eval_I0, optimize_support
 from .heteroclinic import (
     DEFAULT_NODES,
     EscapeError,
@@ -37,6 +35,7 @@ from .heteroclinic import (
     build_transition_graph,
     gradient_connection,
     hamiltonian_connection_adaptive,
+    saddle_shots,
 )
 from .potentials import TripleWell, get_potential
 
@@ -108,19 +107,21 @@ def _add_box(sp):
     sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
 
 
-def _parse_box(text: str, dim: int):
-    vals = [float(v) for v in text.split(",")]
+def _critical_points(args):
+    """The potential and the critical points of the --box/--grid search."""
+    p = get_potential(args.potential)
+    vals = [float(v) for v in args.box.split(",")]
     if len(vals) == 2:
-        return [(vals[0], vals[1])] * dim
-    if len(vals) == 2 * dim:
-        return [(vals[2 * i], vals[2 * i + 1]) for i in range(dim)]
-    raise ValueError("box must be 'lo,hi' or per-axis 'lo1,hi1,lo2,hi2,...'")
+        box = [(vals[0], vals[1])] * p.dim
+    elif len(vals) == 2 * p.dim:
+        box = [(vals[2 * i], vals[2 * i + 1]) for i in range(p.dim)]
+    else:
+        raise ValueError("box must be 'lo,hi' or per-axis 'lo1,hi1,lo2,hi2,...'")
+    return p, find_critical_points(p, box, args.grid)
 
 
 def cmd_critical_points(args) -> int:
-    p = get_potential(args.potential)
-    box = _parse_box(args.box, p.dim)
-    cps = find_critical_points(p, box, args.grid)
+    p, cps = _critical_points(args)
     report = check_admissibility(p, cps, args.radius)
     target = write_json(args.out, "critical_points.json", [c.to_dict() for c in cps])
     write_json(args.out, "admissibility.json", dataclasses.asdict(report))
@@ -140,7 +141,9 @@ def cmd_minimize(args) -> int:
     if len(waypoints) < 2:
         raise ValueError("need --from and --to (plus optional --waypoints)")
     schedule = [float(v) for v in args.continuation.split(",")] if args.continuation else None
-    path, trace, report = run_minimization(
+    _, trace, report = minimize_to_files(
+        args.out,
+        "",
         p,
         waypoints,
         args.nodes,
@@ -151,9 +154,6 @@ def cmd_minimize(args) -> int:
         jitter=args.jitter,
         seed=args.seed,
     )
-    os.makedirs(args.out, exist_ok=True)
-    path.write_csv(os.path.join(args.out, "path.csv"))
-    trace.write_csv(os.path.join(args.out, "trace.csv"))
     target = write_json(
         args.out,
         "minimize_summary.json",
@@ -172,20 +172,17 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_heteroclinic(args) -> int:
-    p = get_potential(args.potential)
-    box = _parse_box(args.box, p.dim)
-    cps = find_critical_points(p, box, args.grid)
+    p, cps = _critical_points(args)
     src = cps[critical_index(cps, args.start, p)]
-    os.makedirs(args.out, exist_ok=True)
     if args.hamiltonian:
         dst = cps[critical_index(cps, args.end, p)]
         wp = [resolve_point(t, p) for t in args.waypoints.split(";")] if args.waypoints else None
         orbit = hamiltonian_connection_adaptive(p, src, dst, M=args.nodes, waypoints=wp)
     else:
-        eigval, eigvec = np.linalg.eigh(p.hessian(src.location))
-        mode = int(np.argmin(eigval))
-        orbit = gradient_connection(p, src, eigvec[:, mode], args.sign, cps, n_nodes=args.nodes)
-    orbit.path.write_csv(os.path.join(args.out, "orbit.csv"))
+        # the lowest unstable mode, in the chosen sign
+        shot = saddle_shots(p, src)[0 if args.sign == 1 else 1]
+        orbit = gradient_connection(p, *shot, cps, n_nodes=args.nodes)
+    write_text(args.out, "orbit.csv", orbit.path.to_csv())
     target = write_json(
         args.out,
         "orbit_summary.json",
@@ -205,13 +202,13 @@ def cmd_heteroclinic(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    p = get_potential(args.potential)
-    box = _parse_box(args.box, p.dim)
-    cps = find_critical_points(p, box, args.grid)
+    p, cps = _critical_points(args)
     pairs = []
     for spec in args.hamiltonian.split(";") if args.hamiltonian else []:
-        x, y = spec.split(":")
-        pair = tuple(critical_index(cps, t, p) for t in (x, y))
+        ends = spec.split(":")
+        if len(ends) != 2:
+            raise ValueError(f"--hamiltonian pair {spec!r} is not of the form X:Y")
+        pair = tuple(critical_index(cps, t, p) for t in ends)
         if pair[0] == pair[1]:
             raise ValueError(f"--hamiltonian pair {spec!r} names one point twice")
         pairs.append(pair)
@@ -222,11 +219,8 @@ def cmd_graph(args) -> int:
 
 def cmd_gamma(args) -> int:
     p = TripleWell()
-    graph = triple_well_graph(p, ham_M=args.nodes)
     tokens = args.route.split(",")
-    seq = [graph.cps[critical_index(graph.cps, tok, p)] for tok in tokens]
-    bv = optimize_support(graph, seq[0], seq[-1], seq)
-    report = eval_I0(graph, bv)
+    bv, report = route_limit(triple_well_graph(p, ham_M=args.nodes), tokens, p)
     target = write_json(
         args.out,
         "gamma_summary.json",
@@ -238,10 +232,9 @@ def cmd_gamma(args) -> int:
 
 def cmd_figure(args) -> int:
     numbers = list(range(1, 10)) if args.number == "all" else [int(args.number)]
-    jobs = []
-    for n in numbers:
-        out = os.path.join(args.out, f"figure{n}")
-        jobs.append((n, ExperimentConfig(eps=args.eps, nodes=args.nodes, out=out, max_iter=args.maxiter)))
+    jobs = [
+        (n, os.path.join(args.out, f"figure{n}"), args.eps, args.nodes, args.maxiter) for n in numbers
+    ]
     if len(jobs) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             for fut in [ex.submit(run_figure, *job) for job in jobs]:

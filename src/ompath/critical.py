@@ -7,7 +7,6 @@ exact analytic Hessian.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,22 +76,6 @@ class CriticalPointSet:
         d = [np.linalg.norm(p.location - x) for p in self.points]
         i = int(np.argmin(d))
         return i, float(d[i])
-
-    @classmethod
-    def from_json(cls, text: str) -> "CriticalPointSet":
-        pts = []
-        for d in json.loads(text):
-            pts.append(
-                CriticalPoint(
-                    location=np.array(d["location"], dtype=float),
-                    value=float(d["value"]),
-                    laplacian=float(d["laplacian"]),
-                    eigenvalues=np.array(d["eigenvalues"], dtype=float),
-                    index=int(d["index"]),
-                    residual=float(d["residual"]),
-                )
-            )
-        return cls(pts)
 
 
 def classify_point(p: PotentialModel, x) -> CriticalPoint:

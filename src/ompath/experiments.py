@@ -1,15 +1,15 @@
-"""Named configurations for the triple-well figure experiments.
+"""Named configurations for the triple-well figure experiments, the
+experiment steps the figures and the CLI share, and the one file writer.
 
 Each figure runner writes CSV traces/paths and a JSON summary into an output
 directory and returns the summary dict.  Plotting is left to whatever
-consumes the CSV files.
+consumes the CSV files.  Every file a run writes goes through ``write_text``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,9 @@ from .heteroclinic import (
     DEFAULT_NODES,
     TransitionGraph,
     build_transition_graph,
-    gradient_connection,
+    gradient_shots,
     hamiltonian_connection_adaptive,
+    saddle_shots,
 )
 from .paths import DiscretePath
 from .potentials import PotentialModel, TripleWell
@@ -90,7 +91,10 @@ def run_minimization(
     jitter: float = 0.0,
     seed: int = 0,
 ) -> tuple[DiscretePath, FlowTrace, FunctionalReport]:
-    """Minimize one objective from a piecewise-linear waypoint start."""
+    """Minimize one objective from a piecewise-linear waypoint start, whose
+    interior nodes move by ``jitter`` times standard normal noise from ``seed``."""
+    if not jitter >= 0.0:
+        raise ValueError(f"jitter must be >= 0, not {jitter!r}")
     start = DiscretePath.from_waypoints(waypoints, M)
     if jitter > 0.0:
         rng = np.random.default_rng(seed)
@@ -104,24 +108,29 @@ def run_minimization(
     return path, trace, eval_I(p, path, eps)
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved settings for one figure run."""
-
-    eps: float = FlowConfig.eps
-    nodes: int = DEFAULT_NODES
-    out: str = "."
-    max_iter: int = FlowConfig.max_iter
+def write_text(outdir, name, text: str) -> str:
+    """Write text to ``outdir/name``, creating outdir, with its line endings
+    as given, so csv rows keep their CRLF; returns the file path.  Every file
+    a run writes goes through here."""
+    os.makedirs(outdir, exist_ok=True)
+    target = os.path.join(outdir, name)
+    with open(target, "w", newline="") as f:
+        f.write(text)
+    return target
 
 
 def write_json(outdir, name, payload) -> str:
     """Write payload as indented JSON with a trailing newline; returns the file path."""
-    os.makedirs(outdir, exist_ok=True)
-    target = os.path.join(outdir, name)
-    with open(target, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    return target
+    return write_text(outdir, name, json.dumps(payload, indent=2) + "\n")
+
+
+def minimize_to_files(outdir, prefix: str, *args, **kwargs):
+    """run_minimization(*args, **kwargs), then write the path and the trace to
+    ``{prefix}path.csv`` and ``{prefix}trace.csv`` in outdir."""
+    path, trace, report = run_minimization(*args, **kwargs)
+    write_text(outdir, f"{prefix}path.csv", path.to_csv())
+    write_text(outdir, f"{prefix}trace.csv", trace.to_csv())
+    return path, trace, report
 
 
 def triple_well_graph(p, cps: CriticalPointSet | None = None, ham_M: int = DEFAULT_NODES) -> TransitionGraph:
@@ -132,28 +141,18 @@ def triple_well_graph(p, cps: CriticalPointSet | None = None, ham_M: int = DEFAU
     return build_transition_graph(p, cps, hamiltonian_pairs=[pair], ham_M=ham_M)
 
 
+def route_limit(graph: TransitionGraph, route, p: PotentialModel) -> tuple:
+    """The best step path (a BVStepPath) through a route of the graph's
+    critical points, each named or given by coordinates (see critical_index),
+    and its limit value (a GammaReport)."""
+    seq = [graph.cps[critical_index(graph.cps, tok, p)] for tok in route]
+    bv = optimize_support(graph, seq[0], seq[-1], seq)
+    return bv, eval_I0(graph, bv)
+
+
 def continuation_schedule(eps: float) -> list[float]:
     """The default annealing schedule ending at the target temperature."""
     return [e for e in DEFAULT_CONTINUATION if e > eps] + [eps]
-
-
-def _minimize_to_files(p, tag, waypoints, cfg: ExperimentConfig, objective, eps_schedule=None):
-    """Run one figure minimization, write its path and trace CSVs, and return
-    the path, its report and the summary record of the minimizer."""
-    path, trace, report = run_minimization(
-        p,
-        waypoints,
-        cfg.nodes,
-        cfg.eps,
-        objective,
-        max_iter=cfg.max_iter,
-        eps_schedule=eps_schedule,
-    )
-    os.makedirs(cfg.out, exist_ok=True)
-    path.write_csv(os.path.join(cfg.out, f"{tag}_path.csv"))
-    trace.write_csv(os.path.join(cfg.out, f"{tag}_trace.csv"))
-    record = {"J_eps": report.j_eps, "I_eps": report.i_eps, "converged": trace.converged}
-    return path, report, record
 
 
 # Waypoint routes used by the figure experiments.  The "via" routes thread
@@ -170,50 +169,61 @@ def figure_routes(p) -> dict:
     }
 
 
-def run_figure(n: int, cfg: ExperimentConfig) -> dict:
-    """Reproduce the data behind figure n (1..9) of the triple-well study."""
+def run_figure(
+    n: int,
+    out=".",
+    eps: float = FlowConfig.eps,
+    nodes: int = DEFAULT_NODES,
+    max_iter: int = FlowConfig.max_iter,
+) -> dict:
+    """Reproduce the data behind figure n (1..9) of the triple-well study in out."""
     if n not in range(1, 10):
         raise ValueError("figure number must be in 1..9")
     p = TripleWell()
     routes = figure_routes(p)
     names = named_points(p)
-    summary: dict = {"figure": n, "potential": "triple-well", "eps": cfg.eps, "nodes": cfg.nodes}
+    summary: dict = {"figure": n, "potential": "triple-well", "eps": eps, "nodes": nodes}
+
+    def flow(tag, route, objective, key=None, **kwargs):
+        # one figure minimization, its files named by tag and its summary
+        # record by key (tag if unset)
+        path, trace, report = minimize_to_files(
+            out, f"{tag}_", p, routes[route], nodes, eps, objective, max_iter=max_iter, **kwargs
+        )
+        record = {"J_eps": report.j_eps, "I_eps": report.i_eps, "converged": trace.converged}
+        summary.setdefault("minimizers", {})[key or tag] = record
+        return path, report, record
 
     if n == 1:
         xs = np.linspace(*DEFAULT_BOX[0], 201)
         grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        vals = p.value(grid)
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "potential_grid.csv"), "w") as f:
-            f.write("x1,x2,V\n")
-            for (x1, x2), v in zip(grid, vals):
-                f.write(f"{x1:.12g},{x2:.12g},{v:.17g}\n")
+        rows = (f"{x1:.12g},{x2:.12g},{v:.17g}\n" for (x1, x2), v in zip(grid, p.value(grid)))
+        write_text(out, "potential_grid.csv", "x1,x2,V\n" + "".join(rows))
         cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
         summary["critical_points"] = [c.to_dict() for c in cps]
-        write_json(cfg.out, "critical_points.json", summary["critical_points"])
+        write_json(out, "critical_points.json", summary["critical_points"])
         summary["saddle_contour_level"] = float(2.0 / 27.0)
 
     elif n == 2:
         cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
-        os.makedirs(cfg.out, exist_ok=True)
-        orbits = {}
-        for sname in ("S1", "S2"):
-            saddle = cps[critical_index(cps, sname, p)]
-            eigval, eigvec = np.linalg.eigh(p.hessian(saddle.location))
-            mode = int(np.argmin(eigval))
-            for sign in (+1, -1):
-                orbit = gradient_connection(p, saddle, eigvec[:, mode], sign, cps)
-                target = orbit.target.location
-                tname = next(k for k, v in names.items() if np.allclose(v, target, atol=1e-6))
-                tag = f"gradient_{sname}_{tname}"
-                orbit.path.write_csv(os.path.join(cfg.out, f"{tag}.csv"))
-                orbits[tag] = {"J": orbit.j_value, "kind": orbit.kind}
         i1, i2 = critical_index(cps, "S1", p), critical_index(cps, "S2", p)
+
+        def name(x):
+            return next(k for k, v in names.items() if np.allclose(v, x, atol=1e-6))
+
+        shots = saddle_shots(p, cps[i1]) + saddle_shots(p, cps[i2])
+        orbits = {}
+        for (saddle, _, _), orbit in zip(shots, gradient_shots(p, cps, shots)):
+            if isinstance(orbit, Exception):
+                raise orbit
+            tag = f"gradient_{name(saddle.location)}_{name(orbit.target.location)}"
+            write_text(out, f"{tag}.csv", orbit.path.to_csv())
+            orbits[tag] = {"J": orbit.j_value, "kind": orbit.kind}
         mid = 0.5 * (cps[i1].location + cps[i2].location)
         ham = hamiltonian_connection_adaptive(
-            p, cps[i1], cps[i2], M=cfg.nodes, waypoints=[mid + np.array([0.28, 0.28])]
+            p, cps[i1], cps[i2], M=nodes, waypoints=[mid + np.array([0.28, 0.28])]
         )
-        ham.path.write_csv(os.path.join(cfg.out, "hamiltonian_S1_S2.csv"))
+        write_text(out, "hamiltonian_S1_S2.csv", ham.path.to_csv())
         orbits["hamiltonian_S1_S2"] = {
             "J": ham.j_value,
             "kind": ham.kind,
@@ -223,66 +233,48 @@ def run_figure(n: int, cfg: ExperimentConfig) -> dict:
         summary["orbits"] = orbits
 
     elif n == 3:
-        res = {}
         for tag, route in (("green_via_M0", "M1_M2_via_M0"), ("blue_avoid_M0", "M1_M2_avoid")):
-            _, _, res[tag] = _minimize_to_files(p, tag, routes[route], cfg, "J")
-        summary["minimizers"] = res
+            flow(tag, route, "J")
 
     elif n in (4, 5):
         objective = "J" if n == 4 else "I"
-        res = {}
         for tag in ("S1_S2_avoid_a", "S1_S2_avoid_b", "S1_S2_avoid_c"):
-            _, _, res[tag] = _minimize_to_files(p, f"{objective}_{tag}", routes[tag], cfg, objective)
-        summary["minimizers"] = res
+            flow(f"{objective}_{tag}", tag, objective, key=tag)
 
     elif n in (6, 7):
         objective = "J" if n == 6 else "I"
-        tag = f"{objective}_S1_S2_via_M0"
-        path, report, record = _minimize_to_files(p, tag, routes["S1_S2_via_M0"], cfg, objective)
+        path, report, record = flow(f"{objective}_S1_S2_via_M0", "S1_S2_via_M0", objective)
         record["fraction_near_M0"] = support_score(path, [names["M0"]])
-        summary["minimizers"] = {tag: record}
         if n == 7:
-            cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
-            graph = build_transition_graph(p, cps)
-            seq = [cps[critical_index(cps, k, p)] for k in ("S1", "M0", "S2")]
-            bv = optimize_support(graph, seq[0], seq[-1], seq)
-            predicted = eval_I0(graph, bv)
-            cmp = compare_with_eps((path, report), predicted, cfg.eps, support=bv)
+            graph = build_transition_graph(p, find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID))
+            bv, predicted = route_limit(graph, ("S1", "M0", "S2"), p)
+            cmp = compare_with_eps((path, report), predicted, eps, support=bv)
             summary["gamma"] = {"predicted": predicted.to_dict(), "comparison": cmp.to_dict()}
 
     elif n == 8:
-        tag = "J_M1_M2_via_all"
-        path, report, record = _minimize_to_files(p, tag, routes["M1_M2_via_M0"], cfg, "J")
+        path, report, record = flow("J_M1_M2_via_all", "M1_M2_via_M0", "J")
         record["fraction_near_support"] = support_score(path, list(names.values()))
-        summary["minimizers"] = {tag: record}
 
     elif n == 9:
         # The full-action run starts away from the middle well (its minimizer
         # also stays away) and is annealed down to the target temperature; a
         # direct flow at eps = 1e-3 stalls in a wide-interface transient.
-        tag = "I_M1_M2_avoid"
-        path, report, record = _minimize_to_files(
-            p, tag, routes["M1_M2_avoid"], cfg, "I", eps_schedule=continuation_schedule(cfg.eps)
-        )
+        schedule = continuation_schedule(eps)
+        path, report, record = flow("I_M1_M2_avoid", "M1_M2_avoid", "I", eps_schedule=schedule)
         dwell = [names["M1"], names["M2"]]
         record["fraction_near_M1_M2"] = support_score(path, dwell)
         record["transition_fraction"] = 1.0 - record["fraction_near_M1_M2"]
-        summary["minimizers"] = {tag: record}
-        graph = triple_well_graph(p, ham_M=cfg.nodes)
-        best = None
-        for seq_names in (("M1", "S1", "M0", "S2", "M2"), ("M1", "S1", "S2", "M2")):
-            seq = [graph.cps[critical_index(graph.cps, k, p)] for k in seq_names]
-            bv = optimize_support(graph, seq[0], seq[-1], seq)
-            rep0 = eval_I0(graph, bv)
-            if best is None or rep0.i0 < best[1].i0:
-                best = (bv, rep0, list(seq_names))
-        bv, predicted, seq_names = best
-        cmp = compare_with_eps((path, report), predicted, cfg.eps, support=bv)
+        graph = triple_well_graph(p, ham_M=nodes)
+        # the candidate route of least I0, the first one on a tie
+        routes9 = (("M1", "S1", "M0", "S2", "M2"), ("M1", "S1", "S2", "M2"))
+        candidates = [(list(r), *route_limit(graph, r, p)) for r in routes9]
+        seq_names, bv, predicted = min(candidates, key=lambda c: c[2].i0)
+        cmp = compare_with_eps((path, report), predicted, eps, support=bv)
         summary["gamma"] = {
             "predicted_sequence": seq_names,
             "predicted": predicted.to_dict(),
             "comparison": cmp.to_dict(),
         }
 
-    write_json(cfg.out, f"figure{n}_summary.json", summary)
+    write_json(out, f"figure{n}_summary.json", summary)
     return summary

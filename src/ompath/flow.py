@@ -46,6 +46,10 @@ class FlowConfig:
         _check(self.eps, self.objective)
         if self.tau0 <= 0:
             raise ValueError("tau0 must be positive")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, not {self.max_iter!r}")
+        if not self.grad_tol >= 0:
+            raise ValueError(f"grad_tol must be >= 0, not {self.grad_tol!r}")
 
 
 @dataclass
@@ -89,10 +93,6 @@ class FlowTrace:
         ):
             w.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.6g}", f"{row[3]:.6g}", int(row[4])])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
 
 
 def _grad_norm(g: np.ndarray, h: float) -> float:

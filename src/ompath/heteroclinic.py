@@ -394,6 +394,16 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
     return out
 
 
+def saddle_shots(p: PotentialModel, c: CriticalPoint) -> list:
+    """The ``gradient_shots`` entries ``(c, eig_dir, sign)`` of every unstable
+    mode of the saddle c, in signs +1 and -1: entry 2m + k is the m-th lowest
+    Hessian eigenvector in sign (+1, -1)[k]."""
+    if c.index < 1:
+        raise ValueError("source must be a saddle (index >= 1)")
+    eigval, eigvec = np.linalg.eigh(p.hessian(c.location))
+    return [(c, eigvec[:, m], sign) for m in np.flatnonzero(eigval < 0.0) for sign in (+1, -1)]
+
+
 def gradient_connection(
     p: PotentialModel,
     source: CriticalPoint,
@@ -570,12 +580,9 @@ def build_transition_graph(
     for i, c in enumerate(cps):
         if c.index < 1:
             continue
-        H = p.hessian(c.location)
-        eigval, eigvec = np.linalg.eigh(H)
-        for mode in np.flatnonzero(eigval < 0.0):
-            for sign in (+1, -1):
-                keys.append({"from": i, "mode": int(mode), "sign": sign})
-                shots.append((c, eigvec[:, mode], sign))
+        for n, shot in enumerate(saddle_shots(p, c)):
+            keys.append({"from": i, "mode": n // 2, "sign": shot[2]})
+            shots.append(shot)
     for key, orbit in zip(keys, gradient_shots(p, cps, shots)):
         if isinstance(orbit, Exception):
             graph.failures.append({**key, **_failure(orbit)})

@@ -94,18 +94,3 @@ class DiscretePath:
         for t, x in zip(self.times, self.nodes):
             w.writerow([f"{t:.12g}"] + [f"{v:.17g}" for v in x])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DiscretePath":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[float(v) for v in r] for r in rows[1:]])
-        return cls(data[:, 1:], a=float(data[0, 0]), b=float(data[-1, 0]))
-
-    @classmethod
-    def read_csv(cls, path) -> "DiscretePath":
-        with open(path) as f:
-            return cls.from_csv(f.read())

@@ -101,8 +101,7 @@ class TripleWell(PotentialModel):
         # x2 - 0.0 keeps a -0.0.  Column-major, so one op covers both coordinates.
         x = np.asfortranarray(x)
         sq, e = x * x, x - 1.0
-        # one point squares x - 1 by libm pow like the stacked form; it can round off e*e
-        esq = e * e if x.ndim > 1 else np.array([e[0] ** 2, e[1] ** 2])
+        esq = e * e
         g, ge = 2.0 * x, 2.0 * e
         sq1, sq2 = sq[..., 0], sq[..., 1]
         u = sq1 + sq2

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, config handling."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,18 @@ class TestMinimize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--maxiter", "-5", "max_iter must be >= 0"), ("--jitter", "-0.5", "jitter must be >= 0")],
+        ids=["maxiter", "jitter"],
+    )
+    def test_negative_budget_or_jitter_is_usage_error(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["minimize", "--from", "M1", "--to", "M2", "--nodes", "50", flag, value]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_start_exits_3_with_dump(self, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(
@@ -146,6 +159,12 @@ class TestHeteroclinic:
         code = run(["heteroclinic", "--from", "0.4,0.4", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_from_a_minimum_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["heteroclinic", "--from", "M0", "--out", str(out)]) == 2
+        assert "must be a saddle" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGraphAndGamma:
     def test_graph_json(self, tmp_path):
@@ -178,6 +197,12 @@ class TestGraphAndGamma:
         assert done.returncode == 2
         assert done.stderr == "error: --hamiltonian pair 'S1:S1' names one point twice\n"
         assert not (tmp_path / "transition_graph.json").exists()
+
+    def test_graph_pair_without_colon_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["graph", "--hamiltonian", "S1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --hamiltonian pair 'S1' is not of the form X:Y\n"
+        assert not out.exists()
 
     def test_gamma_route_value(self, tmp_path):
         code = run(["gamma", "--route", "S1,M0,S2", "--nodes", "1000", "--out", str(tmp_path)])
@@ -226,6 +251,51 @@ class TestFigure:
             run(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# SHA-1 of every file each command writes, as recorded before the commands
+# and the figures shared one file writer and one set of experiment steps
+OUTPUT_GOLDEN = {
+    "figure-2": (
+        ["figure", "2", "--nodes", "200"],
+        {
+            "figure2/figure2_summary.json": "14c75cd1c562073f4676dee396e5d80b93e2197a",
+            "figure2/gradient_S1_M0.csv": "db0de2071c93c45d84b2befa7549c8bb583617fe",
+            "figure2/gradient_S1_M1.csv": "bdefa8fe3b09a9e072e3e862af9f47a18f699a8b",
+            "figure2/gradient_S2_M0.csv": "c15bd91ac9d1ea620479dc9c3774d6e1ecb7f0d6",
+            "figure2/gradient_S2_M2.csv": "3d0d2d67c4ccaf71e2fc1b905314e9f30b1257be",
+            "figure2/hamiltonian_S1_S2.csv": "63d2dc9a58168e2dcd7c923742c3311dacee7420",
+        },
+    ),
+    "heteroclinic": (
+        ["heteroclinic", "--from", "S1", "--sign", "-1", "--nodes", "300"],
+        {
+            "orbit.csv": "b82a614d2cd7558d25fa04dd1f3ccd71aafdb22a",
+            "orbit_summary.json": "9aa27ddac4d7557fc9d565c1c9ae14c87eeccc46",
+        },
+    ),
+    "minimize": (
+        ["minimize", "--from", "M1", "--to", "M2", "--nodes", "100", "--maxiter", "200"],
+        {
+            "minimize_summary.json": "f118077c862259543ec08cd14d290f207bd65fd3",
+            "path.csv": "ed71c5d3ec02de629ba79b72b702ad5166a85830",
+            "trace.csv": "03a91047ff52cea42b282312c7425ef9de9bd315",
+        },
+    ),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
+    def test_output_bytes_unchanged(self, name, tmp_path):
+        argv, want = OUTPUT_GOLDEN[name]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        got = {
+            str(f.relative_to(tmp_path)): hashlib.sha1(f.read_bytes()).hexdigest()
+            for f in tmp_path.rglob("*")
+            if f.is_file()
+        }
+        assert got == want
 
 
 class TestConfigFile:

@@ -18,7 +18,7 @@ from ompath import (
     eval_objective,
     minimize,
 )
-from ompath.experiments import figure_routes
+from ompath.experiments import figure_routes, run_minimization
 from ompath.flow import TAU_MAX
 
 
@@ -98,6 +98,20 @@ class TestConfigValidation:
             FlowConfig(eps=0.0)
         with pytest.raises(ValueError):
             FlowConfig(tau0=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_iter", -5), ("grad_tol", -1e-6), ("grad_tol", float("nan"))]
+    )
+    def test_negative_budget_or_tolerance(self, field, value):
+        # a negative budget would stop at once as "max iterations reached"
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            FlowConfig(**{field: value})
+
+    @pytest.mark.parametrize("jitter", [-0.5, float("nan")])
+    def test_negative_jitter(self, tw, names_tw, jitter):
+        # rejected, not run without jitter
+        with pytest.raises(ValueError, match="jitter must be >= 0"):
+            run_minimization(tw, [names_tw["M1"], names_tw["M2"]], 10, 0.1, "J", jitter=jitter)
 
     def test_too_few_intervals(self, tw):
         path = DiscretePath(np.zeros((3, 2)))  # M = 2

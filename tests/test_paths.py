@@ -1,9 +1,13 @@
 """Discrete path container: construction, immutability of endpoints, I/O."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from ompath import DiscretePath
+from ompath.experiments import write_text
 from ompath.paths import interpolate
 
 
@@ -68,16 +72,18 @@ def test_validation():
 def test_csv_roundtrip_exact():
     rng = np.random.default_rng(1)
     path = DiscretePath(rng.standard_normal((9, 3)), a=-1.5, b=2.5)
-    back = DiscretePath.from_csv(path.to_csv())
-    np.testing.assert_array_equal(back.nodes, path.nodes)  # %.17g is lossless
-    assert back.a == path.a and back.b == path.b
+    data = np.array(list(csv.reader(io.StringIO(path.to_csv())))[1:], dtype=float)
+    np.testing.assert_array_equal(data[:, 1:], path.nodes)  # %.17g is lossless
+    assert data[0, 0] == path.a and data[-1, 0] == path.b
 
 
 def test_csv_header(tmp_path):
     path = DiscretePath.from_waypoints([[0.0, 0.0], [1.0, 1.0]], 4)
-    f = tmp_path / "p.csv"
-    path.write_csv(f)
-    lines = f.read_text().splitlines()
+    target = write_text(tmp_path / "new", "p.csv", path.to_csv())
+    with open(target, "rb") as f:
+        data = f.read()
+    assert data == path.to_csv().encode()  # the csv module's \r\n kept
+    lines = data.decode().splitlines()
     assert lines[0] == "s,x1,x2"
     assert len(lines) == 1 + 5
 

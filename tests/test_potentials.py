@@ -78,6 +78,8 @@ class TestBatchBroadcasting:
     @pytest.mark.parametrize("p", [TripleWell(), DoubleWell1D(), Quadratic(2)])
     def test_batch_matches_single(self, p, rng):
         pts = rng.uniform(-1.5, 1.5, size=(7, p.dim))
+        # a point whose x1 - 1 squares to another double under libm pow than under x * x
+        pts = np.concatenate([pts, [[-0.36321022429113303, 0.7092031098112563][: p.dim]]])
         vals = p.value(pts)
         grads = p.gradient(pts)
         laps = p.laplacian(pts)
@@ -427,10 +429,18 @@ class TestFourColumnKernels:
                 self._assert_same(xs, vec)
 
     def test_single_points(self):
+        # a point equals its row of a one-point batch, whose bits the batch
+        # tests tie to the stacked kernels
         rng = np.random.default_rng(5)
+        tw = TripleWell()
         for x in np.concatenate([WELLS_AND_SADDLES, POW_ROUNDING, rng.uniform(-1.0, 2.0, size=(6, 2))]):
-            self._assert_same(x, rng.normal(size=2))
-            self._assert_same(x, np.array([-0.0, 1.0]))
+            for vec in (rng.normal(size=2), np.array([-0.0, 1.0])):
+                calls = [(name, (x,)) for name in self.KERNELS] + [("hessian_vector", (x, vec))]
+                for name, args in calls:
+                    got = getattr(tw, name)(*args)
+                    want = getattr(tw, name)(*(a[None] for a in args))[0]
+                    assert np.shape(got) == np.shape(want), name
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
     def test_output_layouts(self):
         x = np.random.default_rng(6).uniform(-1.0, 2.0, size=(7, 2))
