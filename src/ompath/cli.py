@@ -172,6 +172,15 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_heteroclinic(args) -> int:
+    # a gradient shot ends wherever it flows, and a saddle-saddle connection
+    # has no shooting sign: a flag the chosen kind would ignore is refused
+    if args.hamiltonian and args.sign is not None:
+        raise ValueError("--sign picks a gradient shot and does not apply with --hamiltonian")
+    if args.hamiltonian and not args.end:
+        raise ValueError("--hamiltonian needs --to, the other end of the connection")
+    for flag, value in (("--to", args.end), ("--waypoints", args.waypoints)):
+        if value and not args.hamiltonian:
+            raise ValueError(f"{flag} needs --hamiltonian: a gradient shot ends wherever it flows")
     p, cps = _critical_points(args)
     src = cps[critical_index(cps, args.start, p)]
     if args.hamiltonian:
@@ -179,8 +188,8 @@ def cmd_heteroclinic(args) -> int:
         wp = [resolve_point(t, p) for t in args.waypoints.split(";")] if args.waypoints else None
         orbit = hamiltonian_connection_adaptive(p, src, dst, M=args.nodes, waypoints=wp)
     else:
-        # the lowest unstable mode, in the chosen sign
-        shot = saddle_shots(p, src)[0 if args.sign == 1 else 1]
+        # the lowest unstable mode, in the chosen sign (+1 when unset)
+        shot = saddle_shots(p, src)[1 if args.sign == -1 else 0]
         orbit = gradient_connection(p, *shot, cps, n_nodes=args.nodes)
     write_text(args.out, "orbit.csv", orbit.path.to_csv())
     target = write_json(
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--from", dest="start", required=True)
     sp.add_argument("--to", dest="end", default="")
-    sp.add_argument("--sign", type=int, choices=[-1, 1], default=1)
+    sp.add_argument("--sign", type=int, choices=[-1, 1], default=None, help="gradient shot only; 1 when unset")
     sp.add_argument("--hamiltonian", action="store_true")
     sp.add_argument("--waypoints", default="")
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)

@@ -14,7 +14,6 @@ from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .functionals import _check, eval_objective, grad_objective
 from .paths import DiscretePath
@@ -95,10 +94,33 @@ class FlowTrace:
         return buf.getvalue()
 
 
+def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD tridiagonal system in upper banded form ``ab`` (2, n) for
+    the right-hand sides ``b`` (n, k); ``ab`` and ``b`` may be overwritten.
+
+    It hands LAPACK's dptsv the diagonal ``ab[1]`` and the superdiagonal
+    ``ab[0, 1:]``, the routine and the values ``scipy.linalg.solveh_banded``
+    passes for two bands, so the solution is bitwise the same.  A column-major
+    ``b`` is solved in place.  scipy.linalg is loaded at the first call.
+    """
+    from scipy.linalg.lapack import dptsv
+
+    _, _, x, info = dptsv(ab[1], ab[0, 1:], b, overwrite_d=True, overwrite_e=True, overwrite_b=True)
+    if info != 0:
+        raise NonFiniteObjectiveError(f"banded solve failed: LAPACK dptsv returned info {info}")
+    return x
+
+
 def _grad_norm(g: np.ndarray, h: float) -> float:
     # L2 norm of the gradient density g/h: sqrt(h * sum |g/h|^2), summed in
     # row-major order whatever the layout of g, so the same values give the
-    # same norm
+    # same norm.  A column-major g is laid out row-major a column at a time,
+    # which costs a quarter of the copy g.ravel() would make.
+    if not g.flags.c_contiguous:
+        rows = np.empty(g.shape)
+        for j in range(g.shape[1]):
+            rows[:, j] = g[:, j]
+        g = rows
     return float(np.linalg.norm(g.ravel()) / np.sqrt(h))
 
 
@@ -127,7 +149,12 @@ def minimize(
     it = 0
     while it < cfg.max_iter:
         it += 1
-        g = grad_objective(p, path, cfg.eps, cfg.objective, grad_v=grad_v[1:-1])
+        # the stiff part of the gradient, handed to grad_objective and then
+        # taken off its result again to leave the explicit part
+        x = path.nodes
+        x_int = x[1:-1]
+        kin = kappa * (2.0 * x_int - x[:-2] - x[2:])
+        g = grad_objective(p, path, cfg.eps, cfg.objective, grad_v=grad_v[1:-1], kin=kin)
         gnorm = _grad_norm(g, h)
         if not np.isfinite(gnorm):
             raise NonFiniteObjectiveError(f"gradient non-finite at iteration {it}")
@@ -136,10 +163,7 @@ def minimize(
             trace.stop_reason = "gradient tolerance reached"
             break
 
-        # explicit part of the gradient: everything but the second differences
-        x = path.nodes
-        x_int = x[1:-1]
-        nonstiff = g - kappa * (2.0 * x_int - x[:-2] - x[2:])
+        nonstiff = g - kin
         while True:
             rhs = x_int - tau * nonstiff
             rhs[0] += tau * kappa * x0
@@ -147,7 +171,7 @@ def minimize(
             ab[0, 1:] = -tau * kappa
             ab[1, :] = 1.0 + 2.0 * tau * kappa
             # ab and rhs are rebuilt every trial, so LAPACK may work in place
-            cand = path.with_interior(solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True))
+            cand = path.with_interior(solveh_banded(ab, rhs))
             obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective, with_grad_v=True)
             if not np.isfinite(obj_new):
                 raise NonFiniteObjectiveError(

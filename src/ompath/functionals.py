@@ -95,6 +95,7 @@ def grad_objective(
     objective: str = "I",
     *,
     grad_v: np.ndarray | None = None,
+    kin: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact gradient of the discrete objective w.r.t. the interior nodes.
 
@@ -102,17 +103,22 @@ def grad_objective(
     objective "J" drops it.  Shape (M-1, N).  ``grad_v``, if given, is
     grad V at the interior nodes (rows 1..M-1 of what
     ``eval_objective(..., with_grad_v=True)`` returns) and is not computed
-    again.
+    again; so is ``kin``, the kinetic part ``(eps/h) (2 x_i - x_{i-1} - x_{i+1})``.
+
+    The result is row-major, so a reduction in memory order over it (such as
+    ``np.linalg.norm``) sums as it always has; with ``kin`` handed in it takes
+    the layout of ``kin`` and the kernels, which saves the flow a transpose.
     """
     _check(eps, objective)
     x = path.nodes
     h = path.h
     xi = x[1:-1]
-    kin = (eps / h) * (2.0 * xi - x[:-2] - x[2:])
     g = p.gradient(xi) if grad_v is None else grad_v
     nonstiff = (h / eps) * p.hessian_vector(xi, g)
     if objective == "I":
         nonstiff = nonstiff - h * p.grad_laplacian(xi)
+    if kin is None:
+        return np.add((eps / h) * (2.0 * xi - x[:-2] - x[2:]), nonstiff, order="C")
     return kin + nonstiff
 
 

@@ -75,9 +75,9 @@ class PotentialModel:
         return out[0] if x.ndim == 1 else out
 
 
-def _pair(c0, c1, order: str) -> np.ndarray:
-    """The columns c0, c1 as one (..., 2) array in the given memory order."""
-    out = np.empty(np.shape(c0) + (2,), order=order)
+def _pair(c0, c1) -> np.ndarray:
+    """The columns c0, c1 as one column-major (..., 2) array."""
+    out = np.empty(np.shape(c0) + (2,), order="F")
     out[..., 0], out[..., 1] = c0, c1
     return out
 
@@ -118,7 +118,7 @@ class TripleWell(PotentialModel):
         x = _check_finite(x)
         u, v, w, a, b, c, d = self._columns(x)
         vw, uw, uv = v * w, u * w, u * v
-        return _pair(a * vw + c * uw + a * uv, b * vw + b * uw + d * uv, "F")
+        return _pair(a * vw + c * uw + a * uv, b * vw + b * uw + d * uv)
 
     @staticmethod
     def _hessian_entries(x):
@@ -148,9 +148,7 @@ class TripleWell(PotentialModel):
         x = _check_finite(x)
         h00, h01, h11 = self._hessian_entries(x)
         v0, v1 = v[..., 0], v[..., 1]
-        # row-major like the stacked result it replaces, so that the flow's
-        # gradient and its norm keep their summation order
-        return _pair(h00 * v0 + h01 * v1, h01 * v0 + h11 * v1, "C")
+        return _pair(h00 * v0 + h01 * v1, h01 * v0 + h11 * v1)
 
     @staticmethod
     def _dots(a, b, c, d):  # gu.gv, gu.gw, gv.gw
@@ -179,7 +177,7 @@ class TripleWell(PotentialModel):
         col1 = 4.0 * (b * v + u * b + bw + u * d + bw + v * d) + 2.0 * (
             4.0 * b * w + duv * d + sbd * v + duw * b + sbd * u + dvw * b
         )
-        return _pair(col0, col1, "F")
+        return _pair(col0, col1)
 
 
 class DoubleWell1D(PotentialModel):

@@ -165,6 +165,31 @@ class TestHeteroclinic:
         assert "must be a saddle" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--to", "M1"], "--to needs --hamiltonian"),
+            (["--waypoints", "0.5,0.5"], "--waypoints needs --hamiltonian"),
+            (["--sign", "1", "--to", "S2", "--hamiltonian"], "--sign picks a gradient shot"),
+            (["--sign", "-1", "--to", "S2", "--hamiltonian"], "--sign picks a gradient shot"),
+            (["--hamiltonian"], "--hamiltonian needs --to"),
+        ],
+    )
+    def test_ignored_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        # refused before any search, shot or flow, with one error line
+        out = tmp_path / "out"
+        assert run(["heteroclinic", "--from", "S1", *flags, "--nodes", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unset_sign_is_plus_one(self, tmp_path):
+        argv = ["heteroclinic", "--from", "S1", "--nodes", "300"]
+        assert run([*argv, "--out", str(tmp_path / "unset")]) == 0
+        assert run([*argv, "--sign", "1", "--out", str(tmp_path / "plus")]) == 0
+        for name in ("orbit.csv", "orbit_summary.json"):
+            assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "plus" / name).read_bytes()
+
 
 class TestGraphAndGamma:
     def test_graph_json(self, tmp_path):
@@ -368,13 +393,14 @@ _REQUIRED = {"heteroclinic": ["--from", "S1"], "gamma": ["--route", "S1,M0,S2"],
 
 
 def _defaulted_flags():
-    """(command, action) for every flag that has a default, in every subcommand."""
+    """(command, action) for every flag that has a default or a set of
+    choices (``heteroclinic --sign`` is unset by default), in every subcommand."""
     ap = build_parser()
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     for command, sp in sub.choices.items():
         for action in sp._actions:
             named = action.option_strings and action.dest not in ("help", "config")
-            if named and action.default is not None:
+            if named and (action.default is not None or action.choices):
                 yield command, action
 
 

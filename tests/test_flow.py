@@ -1,6 +1,8 @@
 """Descent flow: monotonicity, pinning, convergence and the annealing driver."""
 
+import dataclasses
 import hashlib
+from array import array
 
 import numpy as np
 import pytest
@@ -16,10 +18,11 @@ from ompath import (
     TripleWell,
     continuation_minimize,
     eval_objective,
+    grad_objective,
     minimize,
 )
 from ompath.experiments import figure_routes, run_minimization
-from ompath.flow import TAU_MAX
+from ompath.flow import GROW, SHRINK, TAU_MAX, solveh_banded
 
 
 def _diffs_nonincreasing(values):
@@ -221,11 +224,12 @@ class TestWorkPerStep:
         assert out.nodes.tobytes() == plain.nodes.tobytes()
 
 
-class ColumnMajorTripleWell(TripleWell):
-    """TripleWell whose H·v comes back column-major: same values, other layout."""
+class RowMajorTripleWell(TripleWell):
+    """TripleWell whose H·v comes back row-major, as it did before every (K, 2)
+    kernel result went column-major: same values, other layout."""
 
     def hessian_vector(self, x, v):
-        return np.asfortranarray(super().hessian_vector(x, v))
+        return np.ascontiguousarray(super().hessian_vector(x, v))
 
 
 class TestGradNormLayout:
@@ -235,8 +239,8 @@ class TestGradNormLayout:
         s1, s2 = names_tw["S1"], names_tw["S2"]
         path = DiscretePath.from_waypoints([s1, [0.5, 0.5], s2], 4000)
         cfg = FlowConfig(objective="J", eps=1e-3, grad_tol=1e-8, max_iter=200)
-        out, trace = minimize(TripleWell(), path, cfg)
-        out_f, trace_f = minimize(ColumnMajorTripleWell(), path, cfg)
+        out, trace = minimize(RowMajorTripleWell(), path, cfg)
+        out_f, trace_f = minimize(TripleWell(), path, cfg)
         assert trace_f.grad_norms.tobytes() == trace.grad_norms.tobytes()
         assert trace_f.objectives.tobytes() == trace.objectives.tobytes()
         assert out_f.nodes.tobytes() == out.nodes.tobytes()
@@ -288,3 +292,104 @@ class TestGolden:
             hashlib.sha1(trace.to_csv().encode()).hexdigest(),
         )
         assert got == FLOW_GOLDEN[route, objective]
+
+
+def frozen_minimize(p, start, cfg):
+    """Frozen copy of the flow loop as it was before it handed its kinetic
+    array to grad_objective and called LAPACK's dptsv itself: the kinetic part
+    computed twice, scipy's solveh_banded, the norm over a row-major ravel.
+    The oracle of ``minimize``, path and trace alike (run it on a row-major
+    H·v, as then)."""
+    from scipy.linalg import solveh_banded as scipy_solveh_banded
+
+    h = start.h
+    kappa = cfg.eps / h
+    x0, x1 = start.left, start.right
+    path = start
+    obj, grad_v = eval_objective(p, path, cfg.eps, cfg.objective, with_grad_v=True)
+    ab = np.zeros((2, start.M - 1))
+    trace = FlowTrace()
+    tau = cfg.tau0
+    it = 0
+    while it < cfg.max_iter:
+        it += 1
+        g = grad_objective(p, path, cfg.eps, cfg.objective, grad_v=grad_v[1:-1])
+        gnorm = float(np.linalg.norm(g.ravel()) / np.sqrt(h))
+        if gnorm <= cfg.grad_tol:
+            trace.converged = True
+            trace.stop_reason = "gradient tolerance reached"
+            break
+        x = path.nodes
+        x_int = x[1:-1]
+        nonstiff = g - kappa * (2.0 * x_int - x[:-2] - x[2:])
+        while True:
+            rhs = x_int - tau * nonstiff
+            rhs[0] += tau * kappa * x0
+            rhs[-1] += tau * kappa * x1
+            ab[0, 1:] = -tau * kappa
+            ab[1, :] = 1.0 + 2.0 * tau * kappa
+            cand = path.with_interior(
+                scipy_solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True)
+            )
+            obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective, with_grad_v=True)
+            ok = obj_new <= obj
+            trace.record(it, obj_new, tau, gnorm, ok)
+            if ok:
+                break
+            tau *= SHRINK
+            if tau < 1e-15:
+                trace.stop_reason = "stepsize underflow: no decreasing step found"
+                return path, trace
+        path, obj, grad_v = cand, obj_new, grad_v_new
+        tau = min(tau * GROW, TAU_MAX)
+    else:
+        trace.stop_reason = "max iterations reached"
+    return path, trace
+
+
+class TestFrozenFlowLoop:
+    @pytest.mark.parametrize(
+        "route, objective, max_iter",
+        [("M1_M2_avoid", "J", 400), ("S1_S2_via_M0", "I", 400), ("S1_S2_avoid_a", "I", 40)],
+    )
+    def test_same_bytes_as_the_frozen_loop(self, tw, route, objective, max_iter):
+        start = DiscretePath.from_waypoints(figure_routes(tw)[route], 400)
+        cfg = FlowConfig(objective=objective, eps=1e-3, max_iter=max_iter)
+        path, trace = minimize(tw, start, cfg)
+        want_path, want = frozen_minimize(RowMajorTripleWell(), start, cfg)
+        assert 0 < sum(trace.accepted) < len(trace.accepted)  # some trials were rejected
+        assert path.nodes.tobytes() == want_path.nodes.tobytes()
+        for f in dataclasses.fields(FlowTrace):
+            got, exp = getattr(trace, f.name), getattr(want, f.name)
+            if isinstance(exp, array):
+                assert (got.typecode, got.tobytes()) == (exp.typecode, exp.tobytes()), f.name
+            else:
+                assert got == exp, f.name
+
+
+def _tridiagonal(ab):
+    """The dense symmetric matrix of the upper banded form ab (2, n)."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_same_bytes_as_scipy(self, order):
+        from scipy.linalg import solveh_banded as scipy_solveh_banded
+
+        rng = np.random.default_rng(8)
+        ab = np.zeros((2, 50))
+        ab[0, 1:] = -rng.uniform(0.0, 1.0, 49)
+        ab[1] = 2.0 + rng.uniform(0.0, 1.0, 50)
+        b = np.asarray(rng.normal(size=(50, 2)), order=order)
+        want = scipy_solveh_banded(ab, b)
+        got = solveh_banded(ab.copy(), b.copy(order="K"))
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(_tridiagonal(ab) @ got, b, atol=1e-12)
+
+    def test_not_positive_definite_is_a_numerical_failure(self):
+        # leading minor 2 is 1 - 2^2 < 0: not the usage error (exit 2) that
+        # scipy's LinAlgError, a ValueError, would be
+        ab = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 3.0]])
+        with pytest.raises(NonFiniteObjectiveError, match="info 2"):
+            solveh_banded(ab, np.ones((3, 2)))

@@ -1,5 +1,5 @@
-"""Importing the package loads no ODE solver, optimizer or graph routines, and
-building a transition graph loads only the graph routines."""
+"""Importing the package loads no SciPy module: the first flow solve loads
+scipy.linalg, and building a transition graph adds only the graph routines."""
 
 import json
 import os
@@ -13,9 +13,12 @@ import json, sys
 import numpy as np
 import ompath, ompath.experiments, ompath.cli
 
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 heavy = sorted(m for m in HEAVY if m in sys.modules)
 p = ompath.DoubleWell1D()
+start = ompath.DiscretePath.from_waypoints([[-1.0], [1.0]], 10)
+ompath.minimize(p, start, ompath.FlowConfig(objective="J", eps=0.1, max_iter=3))
+loaded_after_flow = [m for m in HEAVY if m in sys.modules]
 cps = ompath.CriticalPointSet([ompath.classify_point(p, np.array([x])) for x in (0.0, 1.0, -1.0)])
 # two gradient shots off the barrier, then Phi over their edges
 graph = ompath.build_transition_graph(p, cps)
@@ -23,6 +26,7 @@ graph = ompath.build_transition_graph(p, cps)
 tw_graph = ompath.experiments.triple_well_graph(ompath.TripleWell(), ham_M=400)
 print(json.dumps({
     "heavy_after_import": heavy,
+    "loaded_after_flow": loaded_after_flow,
     "edges": len(graph.edges),
     "phi_wells": float(graph.phi[1, 2]),
     "tw_edges": len(tw_graph.edges),
@@ -41,9 +45,11 @@ def test_import_leaves_ode_and_graph_modules_unloaded():
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout.strip().splitlines()[-1])
     assert out["heavy_after_import"] == []
+    # the banded solve imports scipy.linalg when it is first called
+    assert out["loaded_after_flow"] == ["scipy.linalg"]
     assert out["edges"] == 2
     assert abs(out["phi_wells"] - 0.5) < 1e-5
     assert out["tw_edges"] == 6
     # the shots need no scipy.integrate and the flows no scipy.optimize;
     # recompute_phi imports scipy.sparse when it is called
-    assert out["loaded_after_graphs"] == ["scipy.sparse"]
+    assert out["loaded_after_graphs"] == ["scipy.linalg", "scipy.sparse"]

@@ -356,7 +356,7 @@ class StackedTripleWell:
         x = np.asarray(x, dtype=float)
         h00, h01, h11 = self._hessian_entries(x)
         v0, v1 = v[..., 0], v[..., 1]
-        out = np.empty(x.shape)
+        out = np.empty(x.shape, order="F")
         out[..., 0] = h00 * v0 + h01 * v1
         out[..., 1] = h01 * v0 + h11 * v1
         return out
@@ -448,5 +448,5 @@ class TestFourColumnKernels:
         for xs in _layouts(x).values():
             assert tw.gradient(xs).flags["F_CONTIGUOUS"]
             assert tw.grad_laplacian(xs).flags["F_CONTIGUOUS"]
-            assert tw.hessian_vector(xs, xs).flags["C_CONTIGUOUS"]
+            assert tw.hessian_vector(xs, xs).flags["F_CONTIGUOUS"]
             assert tw.hessian(xs).flags["C_CONTIGUOUS"]
