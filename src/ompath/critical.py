@@ -139,6 +139,23 @@ def _newton_batch(p: PotentialModel, seeds, max_iter=100):
     return x, converged
 
 
+def _distinct_in_box(xs: np.ndarray, converged: np.ndarray, box: np.ndarray) -> list:
+    """The converged seeds inside the box, in seed order, each dropped when an
+    earlier one kept lies within MERGE_TOL of it.
+
+    A greedy over arrays: the first remaining seed is kept, and every
+    remaining seed within MERGE_TOL of it is dropped.  It loops once per
+    point kept, not once per seed.
+    """
+    outside = np.any(xs < box[:, 0], axis=1) | np.any(xs > box[:, 1], axis=1)
+    rest = xs[converged & ~outside]
+    found = []
+    while len(rest):
+        found.append(rest[0])
+        rest = rest[np.linalg.norm(rest - rest[0], axis=1) > MERGE_TOL]
+    return found
+
+
 def find_critical_points(p: PotentialModel, box, grid_per_axis: int) -> CriticalPointSet:
     """Locate critical points of V inside an axis-aligned box.
 
@@ -157,17 +174,7 @@ def find_critical_points(p: PotentialModel, box, grid_per_axis: int) -> Critical
     axes = [np.linspace(lo, hi, grid_per_axis) for lo, hi in box]
     seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.dim)
 
-    xs, converged = _newton_batch(p, seeds)
-    found: list[np.ndarray] = []
-    for x, ok in zip(xs, converged):
-        if not ok:
-            continue
-        if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
-            continue
-        if any(np.linalg.norm(x - y) <= MERGE_TOL for y in found):
-            continue
-        found.append(x)
-
+    found = _distinct_in_box(*_newton_batch(p, seeds), box)
     if not found:
         raise NoCriticalPointsError("no critical points found in the given box")
 

@@ -179,6 +179,8 @@ def run_figure(
     """Reproduce the data behind figure n (1..9) of the triple-well study in out."""
     if n not in range(1, 10):
         raise ValueError("figure number must be in 1..9")
+    # the settings of the figure's flows are checked before any file is written
+    FlowConfig(eps=eps, max_iter=max_iter)
     p = TripleWell()
     routes = figure_routes(p)
     names = named_points(p)

@@ -43,8 +43,8 @@ class FlowConfig:
 
     def __post_init__(self):
         _check(self.eps, self.objective)
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
+        if not 0.0 < self.tau0 < np.inf:
+            raise ValueError(f"tau0 must be positive and finite, not {self.tau0!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, not {self.max_iter!r}")
         if not self.grad_tol >= 0:
@@ -208,8 +208,10 @@ def continuation_minimize(
         raise ValueError("eps_schedule must be strictly decreasing")
     if eps_schedule[-1] != cfg.eps:
         raise ValueError(f"eps_schedule must end at eps {cfg.eps!r}, not {eps_schedule[-1]!r}")
+    # every stage's settings are checked before the first stage runs
+    stages = [replace(cfg, eps=e) for e in eps_schedule]
     path = start
     trace = None
-    for e in eps_schedule:
-        path, trace = minimize(p, path, replace(cfg, eps=e))
+    for stage in stages:
+        path, trace = minimize(p, path, stage)
     return path, trace

@@ -51,8 +51,8 @@ def _trapezoid_weights(n_nodes: int) -> np.ndarray:
 
 
 def _check(eps: float, objective: str = "I") -> None:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, not {eps!r}")
     if objective not in ("I", "J"):
         raise ValueError("objective must be 'I' or 'J'")
 

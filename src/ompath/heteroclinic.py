@@ -10,6 +10,7 @@ critical points.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -486,6 +487,43 @@ def hamiltonian_connection_adaptive(
     return orbit
 
 
+def shortest_paths(w: np.ndarray) -> np.ndarray:
+    """All-pairs shortest-path distances over the undirected graph with edge
+    weights ``w[u, v]``, by Dijkstra from each point; unreachable pairs stay
+    infinite.
+
+    Its rules, and so its bits, are those of ``scipy.sparse.csgraph.
+    shortest_path(w, method="D", directed=False)`` on a dense ``w``: a zero,
+    infinite or NaN weight is no edge, any other joins u and v both ways, and
+    a distance sums ``d[u] + w[u, v]`` from its source.  Rounding is monotone,
+    so each distance is the least such sum over all paths, whatever the order
+    of ties.  csgraph also drops a weight within 1e-8 of zero; here it is an
+    edge.
+    """
+    n = len(w)
+    adj = [[] for _ in range(n)]
+    for u, v in zip(*np.nonzero(np.isfinite(w) & (w != 0.0))):
+        if u != v:
+            adj[u].append((int(v), float(w[u, v])))
+            adj[v].append((int(u), float(w[u, v])))
+    out = np.empty((n, n))
+    for s in range(n):
+        dist = [np.inf] * n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:  # u was settled from a shorter entry
+                continue
+            for v, wuv in adj[u]:
+                dv = du + wuv
+                if dv < dist[v]:
+                    dist[v] = dv
+                    heapq.heappush(heap, (dv, v))
+        out[s] = dist
+    return out
+
+
 @dataclass
 class GraphEdge:
     i: int
@@ -515,16 +553,13 @@ class TransitionGraph:
     failures: list[dict] = field(default_factory=list)
 
     def recompute_phi(self) -> np.ndarray:
-        # imported on first use, so that importing ompath leaves scipy.sparse unloaded
-        from scipy.sparse.csgraph import shortest_path
-
         n = len(self.cps)
         w = np.full((n, n), np.inf)
         np.fill_diagonal(w, 0.0)
         for e in self.edges:
             w[e.i, e.j] = min(w[e.i, e.j], e.j_value)
             w[e.j, e.i] = min(w[e.j, e.i], e.j_value)
-        self.phi = shortest_path(w, method="D", directed=False)
+        self.phi = shortest_paths(w)
         return self.phi
 
     def phi_between(self, i: int, j: int) -> float:

@@ -19,7 +19,9 @@ class DomainError(ValueError):
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    # count_nonzero goes straight to C; np.all's Python-level dispatch costs a
+    # small batch several times the test itself
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise DomainError("non-finite input point")
     return x
 
@@ -82,6 +84,14 @@ def _pair(c0, c1) -> np.ndarray:
     return out
 
 
+# TripleWell.gradient evaluates a batch of at most SMALL_BATCH points on
+# Python floats: the same IEEE operations in the same order give the same
+# bits, at about 0.3 us a point, where the array path costs about 6.5 us a
+# call whatever its size (Python 3.11, NumPy 2.4).  The gradient shots of a
+# transition graph make some 2,000 calls of 4 points or fewer.
+SMALL_BATCH = 16
+
+
 class TripleWell(PotentialModel):
     """Product-of-three-quadratics potential on R^2.
 
@@ -109,6 +119,18 @@ class TripleWell(PotentialModel):
         w = sq1 + esq[..., 1]
         return u, v, w, g[..., 0], g[..., 1], ge[..., 0], ge[..., 1]
 
+    @staticmethod
+    def _point_columns(x1: float, x2: float):
+        # _columns at one point, on Python floats, operation for operation
+        sq1, sq2 = x1 * x1, x2 * x2
+        e1, e2 = x1 - 1.0, x2 - 1.0
+        return sq1 + sq2, e1 * e1 + sq2, sq1 + e2 * e2, 2.0 * x1, 2.0 * x2, 2.0 * e1, 2.0 * e2
+
+    @staticmethod
+    def _gradient_columns(u, v, w, a, b, c, d):
+        vw, uw, uv = v * w, u * w, u * v
+        return a * vw + c * uw + a * uv, b * vw + b * uw + d * uv
+
     def value(self, x):
         x = _check_finite(x)
         u, v, w, *_ = self._columns(x)
@@ -116,9 +138,10 @@ class TripleWell(PotentialModel):
 
     def gradient(self, x):
         x = _check_finite(x)
-        u, v, w, a, b, c, d = self._columns(x)
-        vw, uw, uv = v * w, u * w, u * v
-        return _pair(a * vw + c * uw + a * uv, b * vw + b * uw + d * uv)
+        if x.ndim == 2 and 0 < len(x) <= SMALL_BATCH:
+            rows = [self._gradient_columns(*self._point_columns(*pt)) for pt in x.tolist()]
+            return np.array(rows, order="F")
+        return _pair(*self._gradient_columns(*self._columns(x)))
 
     @staticmethod
     def _hessian_entries(x):

@@ -109,6 +109,24 @@ class TestMinimize:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimize", "--from", "M1", "--to", "M2", "--eps", "nan"],
+            ["minimize", "--from", "M1", "--to", "M2", "--eps", "inf"],
+            ["minimize", "--from", "M1", "--to", "M2", "--continuation", "0.1,nan,0.001"],
+            ["figure", "4", "--eps", "nan"],
+            ["figure", "1", "--eps", "inf"],
+        ],
+        ids=["eps-nan", "eps-inf", "continuation-nan", "figure-4-nan", "figure-1-inf"],
+    )
+    def test_nonfinite_temperature_is_usage_error(self, argv, tmp_path, capsys):
+        # a NaN passes "eps <= 0"; rejected before any stage runs, it writes nothing
+        out = tmp_path / "out"
+        assert run(argv + ["--nodes", "50", "--maxiter", "100", "--out", str(out)]) == 2
+        assert "eps must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_start_exits_3_with_dump(self, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(

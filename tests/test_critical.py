@@ -10,10 +10,12 @@ from ompath import (
     DoubleWell1D,
     NoCriticalPointsError,
     Quadratic,
+    TripleWell,
     check_admissibility,
     classify_point,
     find_critical_points,
 )
+from ompath.critical import MERGE_TOL, _distinct_in_box, _newton_batch
 from ompath.experiments import TRIPLE_WELL_NAMED, critical_index, named_points, write_json
 from test_flow import CountingTripleWell
 
@@ -89,6 +91,67 @@ class TestOtherPotentials:
             find_critical_points(tw, ((0.0, 1.0),), 5)
         with pytest.raises(ValueError):
             find_critical_points(tw, ((-1.0, 1.0), (-1.0, 1.0)), 1)
+
+
+def _distinct_in_box_per_seed(xs, converged, box):
+    """The per-seed merge loop of find_critical_points before it became an
+    array greedy, frozen as the oracle."""
+    found = []
+    for x, ok in zip(xs, converged):
+        if not ok:
+            continue
+        if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
+            continue
+        if any(np.linalg.norm(x - y) <= MERGE_TOL for y in found):
+            continue
+        found.append(x)
+    return found
+
+
+def _awkward_seeds(p, box, grid, rng):
+    """Newton's end points from a seed grid, plus exact and near duplicates
+    (inside and outside MERGE_TOL, and a chain whose third link is further
+    than MERGE_TOL from the first), points on and beyond the box, and
+    converged flags turned off, in shuffled order."""
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.dim)
+    xs, converged = _newton_batch(p, seeds)
+    base = xs[converged][:: max(1, int(converged.sum()) // 20)]
+    unit = rng.standard_normal(base.shape)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    extra = [base.copy()]
+    for r in (1e-9, 0.5 * MERGE_TOL, 0.8 * MERGE_TOL, 1.6 * MERGE_TOL, 3.0 * MERGE_TOL):
+        extra.append(base + r * unit)
+    edge = base.copy()
+    edge[:, 0] = box[0, 1]
+    beyond = base.copy()
+    beyond[::2, -1] = box[-1, 0] - 0.1
+    beyond[1::2, -1] = box[-1, 1] + 0.1
+    xs = np.concatenate([xs, *extra, edge, beyond])
+    converged = np.concatenate([converged, np.ones(len(xs) - len(converged), dtype=bool)])
+    converged[rng.random(len(xs)) < 0.1] = False
+    order = rng.permutation(len(xs))
+    return xs[order], converged[order]
+
+
+class TestMergeOracle:
+    @pytest.mark.parametrize(
+        "p, box, grid",
+        [
+            (TripleWell(), ((-0.5, 1.5), (-0.5, 1.5)), 40),
+            (DoubleWell1D(), ((-2.0, 2.0),), 20),
+            (Quadratic(3), ((-1.0, 1.0),) * 3, 6),
+        ],
+        ids=["triple-well", "double-well-1d", "quadratic-3"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_array_greedy_matches_per_seed_loop(self, p, box, grid, seed):
+        box = np.asarray(box, dtype=float)
+        xs, converged = _awkward_seeds(p, box, grid, np.random.default_rng(seed))
+        want = _distinct_in_box_per_seed(xs, converged, box)
+        got = _distinct_in_box(xs, converged, box)
+        assert len(want) > 1
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestClassification:

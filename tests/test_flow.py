@@ -102,6 +102,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FlowConfig(tau0=-1.0)
 
+    @pytest.mark.parametrize("field", ["eps", "tau0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_temperature_or_step(self, field, value):
+        # a NaN passes "<= 0" and would run a flow of NaN objectives
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            FlowConfig(**{field: value})
+
     @pytest.mark.parametrize(
         "field, value", [("max_iter", -5), ("grad_tol", -1e-6), ("grad_tol", float("nan"))]
     )
@@ -255,6 +262,13 @@ class TestContinuation:
             continuation_minimize(tw, path, FlowConfig(), [1e-3, 1e-2])
         with pytest.raises(ValueError):  # ends above the target temperature
             continuation_minimize(tw, path, FlowConfig(eps=1e-3), [0.1, 0.03])
+
+    def test_every_stage_checked_before_the_first_runs(self):
+        p = CountingTripleWell()
+        path = DiscretePath.from_waypoints([[0.0, 0.0], [1.0, 0.0]], 10)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            continuation_minimize(p, path, FlowConfig(eps=1e-3), [0.1, float("nan"), 1e-3])
+        assert p.calls["gradient"] == 0
 
     def test_matches_direct_flow_on_easy_problem(self):
         q = Quadratic(2)

@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from ompath import (
     CustomPotential,
@@ -22,7 +25,7 @@ from ompath import (
     hamiltonian_connection_adaptive,
     verify_orbit,
 )
-from ompath.heteroclinic import _orbit_record
+from ompath.heteroclinic import _orbit_record, shortest_paths
 
 TWO27 = 2.0 / 27.0
 
@@ -330,8 +333,54 @@ class TestTransitionGraph:
             build_transition_graph(p, cps_tw, hamiltonian_pairs=[(i, i)])
         assert p.log == []
 
+    def test_phi_bytes_equal_csgraph(self, graph_full):
+        n = len(graph_full.cps)
+        w = np.full((n, n), np.inf)
+        np.fill_diagonal(w, 0.0)
+        for e in graph_full.edges:
+            w[e.i, e.j] = min(w[e.i, e.j], e.j_value)
+            w[e.j, e.i] = min(w[e.j, e.i], e.j_value)
+        want = shortest_path(w, method="D", directed=False)
+        assert graph_full.recompute_phi().tobytes() == want.tobytes()
+
     def test_lazy_phi(self, graph_full):
         g = TransitionGraph(cps=graph_full.cps, edges=list(graph_full.edges))
         assert g.phi is None
         val = g.phi_between(0, 1)
         assert g.phi is not None and np.isfinite(val)
+
+
+# off-diagonal weights: no edge (inf, 0, NaN), a few values whose sums tie or
+# round, and any float above the 1e-8 that csgraph takes for zero
+_WEIGHTS = st.one_of(
+    st.sampled_from([np.inf, 0.0, np.nan, 0.1, 0.2, 0.3, TWO27, 2.0 * TWO27]),
+    st.floats(min_value=1e-8, max_value=1e3, exclude_min=True),
+)
+
+
+@st.composite
+def _symmetric_weights(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    w = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        w[i, j] = w[j, i] = draw(_WEIGHTS)
+    return w
+
+
+class TestShortestPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(w=_symmetric_weights())
+    def test_bytes_equal_csgraph_dijkstra(self, w):
+        want = shortest_path(w, method="D", directed=False)
+        assert shortest_paths(w).tobytes() == want.tobytes()
+
+    def test_no_edge_weights_leave_points_apart(self):
+        w = np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        d = shortest_paths(w)
+        assert d[0, 2] == d[2, 0] == 1.0
+        assert np.isinf(d[0, 1]) and np.isinf(d[1, 2])
+
+    def test_tiny_weight_is_an_edge(self):
+        # where csgraph takes a dense weight within 1e-8 of zero for no edge
+        w = np.array([[0.0, 1e-9], [1e-9, 0.0]])
+        assert shortest_paths(w)[0, 1] == 1e-9

@@ -1,5 +1,7 @@
 """Exact landscape values and derivative consistency of the test potentials."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ompath import (
     check_derivatives,
     get_potential,
 )
+from ompath.potentials import SMALL_BATCH, _check_finite
 
 SQ2 = np.sqrt(2.0)
 S1 = np.array([(2.0 + SQ2) / 6.0, (2.0 - SQ2) / 6.0])
@@ -109,6 +112,22 @@ class TestEdgesAndPlumbing:
             tw.value(np.array([np.nan, 0.0]))
         with pytest.raises(DomainError):
             tw.gradient(np.array([np.inf, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_domain_error_anywhere_in_a_batch(self, bad, order):
+        # in either layout and in a strided view, without a warning
+        x = np.zeros((5, 2))
+        x[0] = 1e300
+        x[3, 1] = bad
+        x = np.array(x, order=order)
+        for batch in (x, x[1:], x[::3]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    _check_finite(batch)
+        big = np.array([[1e300, -1e300], [0.0, 5e-324]], order=order)
+        assert _check_finite(big) is big
 
     def test_point_derivatives_consistent(self, tw):
         x = np.array([0.3, 0.4])
@@ -234,6 +253,16 @@ class TestStackFreeKernels:
         # the flow hands in column-major nodes (the banded solve returns them)
         self._assert_bitwise(tw, np.asfortranarray(x), np.asfortranarray(vec))
         self._assert_bitwise(tw, x[0], vec[0])
+
+    def test_small_batches_match_the_array_path(self, tw):
+        # a gradient batch of at most SMALL_BATCH points is evaluated on floats
+        x = np.concatenate([SIGNED_ZERO_WELLS, np.random.default_rng(7).uniform(-1.0, 2.0, (40, 2))])
+        whole = tw.gradient(x)
+        for k in (1, 2, SMALL_BATCH, SMALL_BATCH + 1):
+            for start in range(0, len(x) - k, 5):
+                got = tw.gradient(x[start : start + k])
+                assert got.flags["F_CONTIGUOUS"]
+                assert got.tobytes() == whole[start : start + k].tobytes()
 
     def test_signed_zero_coordinates(self, tw):
         pts = SIGNED_ZERO_WELLS
