@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .critical import NoCriticalPointsError, check_admissibility, find_critical_points
 from .experiments import (
@@ -55,17 +54,10 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _config_argv(sp: argparse.ArgumentParser, path: str) -> list[str]:
+def _config_argv(flags: dict, path: str) -> list[str]:
     """Config entries as the flags they stand for, so the parser itself types
     and checks them.  A key is a flag's name without its leading dashes; a
     switch takes ``true`` or ``false``."""
-    flags = {
-        opt[2:]: a
-        for a in sp._actions
-        if a.dest not in ("help", "config")
-        for opt in a.option_strings
-        if opt.startswith("--")
-    }
     out = []
     for key, raw in _read_config(path).items():
         action = flags.get(key)
@@ -82,17 +74,34 @@ def _config_argv(sp: argparse.ArgumentParser, path: str) -> list[str]:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line; a ``--config`` file supplies flags that the
-    command line itself does not set."""
+    command line itself does not set.  Each ``--flag value`` is read as
+    ``--flag=value``, the form of a config entry, so that a value such as
+    ``-0.5,1.5`` is not taken for an option; a value that starts with ``--`` is."""
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    args = ap.parse_args(argv)
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    i = next((k + 1 for k, tok in enumerate(argv) if tok in sub.choices), 0)
+    # the command's flags by name without their leading dashes, as a config file names them
+    flags = {
+        opt[2:]: a
+        for a in (sub.choices[argv[i - 1]]._actions if i else [])
+        if a.dest not in ("help", "config")
+        for opt in a.option_strings
+        if opt.startswith("--")
+    }
+    head, rest = argv[:i], []
+    for tok in argv[i:]:
+        action = flags.get(rest[-1][2:]) if rest and rest[-1].startswith("--") else None
+        if action is not None and action.nargs != 0 and not tok.startswith("--"):
+            rest[-1] += f"={tok}"
+        else:
+            rest.append(tok)
+    args = ap.parse_args(head + rest)
     if args.config is None:
         return args
-    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     # config flags go right after the command name, so the explicit flags
     # that follow them win
-    i = argv.index(args.command) + 1
-    return ap.parse_args(argv[:i] + _config_argv(sub.choices[args.command], args.config) + argv[i:])
+    return ap.parse_args(head + _config_argv(flags, args.config) + rest)
 
 
 def _add_common(sp, potential: bool = True):
@@ -240,17 +249,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    numbers = list(range(1, 10)) if args.number == "all" else [int(args.number)]
-    jobs = [
-        (n, os.path.join(args.out, f"figure{n}"), args.eps, args.nodes, args.maxiter) for n in numbers
-    ]
-    if len(jobs) > 1 and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            for fut in [ex.submit(run_figure, *job) for job in jobs]:
-                fut.result()
-    else:
-        for job in jobs:
-            run_figure(*job)
+    numbers = range(1, 10) if args.number == "all" else [int(args.number)]
+    for n in numbers:
+        run_figure(n, os.path.join(args.out, f"figure{n}"), args.eps, args.nodes, args.maxiter)
     print(args.out)
     return 0
 
@@ -312,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=FlowConfig.eps)
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     sp.add_argument("--maxiter", type=int, default=FlowConfig.max_iter)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for 'all'")
     sp.set_defaults(func=cmd_figure)
 
     return ap

@@ -167,17 +167,14 @@ def compare_with_eps(
     minimized: tuple[DiscretePath, FunctionalReport],
     predicted: GammaReport,
     eps: float,
-    support: BVStepPath | None = None,
+    support: BVStepPath,
 ) -> EpsComparison:
     """Report |I_eps - I0| and how much of the path sits on the predicted support."""
     path, report = minimized
-    score = np.nan
-    if support is not None:
-        score = support_score(path, support.support_locations())
     return EpsComparison(
         i_eps=report.i_eps,
         i0=predicted.i0,
         discrepancy=abs(report.i_eps - predicted.i0),
-        support_score=score,
+        support_score=support_score(path, support.support_locations()),
         eps=eps,
     )

@@ -143,6 +143,8 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 CAPTURE, ESCAPE = 1e-6, 10.0
 # intervals of a saddle-saddle connection, and of the paths the CLI minimises
 DEFAULT_NODES = 4000
+# intervals of a gradient shot's resampled path
+SHOT_NODES = 2000
 _ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
@@ -360,7 +362,7 @@ def _shot_orbit(
     )
 
 
-def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int = 2000) -> list:
+def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int = SHOT_NODES) -> list:
     """Shoot the descending gradient flow off saddle unstable manifolds.
 
     Each shot ``(source, eig_dir, sign)`` integrates xdot = -grad V from
@@ -411,7 +413,7 @@ def gradient_connection(
     eig_dir: np.ndarray,
     sign: int,
     cps: CriticalPointSet,
-    n_nodes: int = 2000,
+    n_nodes: int = SHOT_NODES,
 ) -> HeteroclinicOrbit:
     """One shot of ``gradient_shots``; raises the error that drops it."""
     (orbit,) = gradient_shots(p, cps, [(source, eig_dir, sign)], n_nodes)
@@ -543,7 +545,8 @@ class TransitionGraph:
     missing connections stay infinite.  ``failures`` records each connection
     that was attempted and dropped: ``from`` and ``mode``/``sign`` for a
     gradient shot, ``from``/``to`` and ``side`` for a saddle-saddle pair, then
-    the ``error`` class name and its ``message``.
+    the ``error`` class name and its ``message``.  ``build_transition_graph``
+    sets ``phi``; a graph built or changed by hand calls ``recompute_phi``.
     """
 
     cps: CriticalPointSet
@@ -563,13 +566,9 @@ class TransitionGraph:
         return self.phi
 
     def phi_between(self, i: int, j: int) -> float:
-        if self.phi is None:
-            self.recompute_phi()
         return float(self.phi[i, j])
 
     def to_dict(self) -> dict:
-        if self.phi is None:
-            self.recompute_phi()
         return {
             "nodes": [c.to_dict() for c in self.cps],
             "edges": [e.to_dict() for e in self.edges],
@@ -595,12 +594,15 @@ def build_transition_graph(
     direct saddle-saddle connection attempted in both homotopy classes (arcs
     on either side of the segment midpoint).  All shots run as one batch
     (``gradient_shots``).  A shot or pair that fails is recorded in
-    ``graph.failures`` and leaves no edge.  In two dimensions a pair that
-    names one point twice raises ValueError before any shot runs.
+    ``graph.failures`` and leaves no edge.  Pairs with ``ham_M`` below 3
+    intervals, and in two dimensions a pair that names one point twice, raise
+    ValueError before any shot runs.
     """
-    # a pair of one point has no chord to bend the start around
     pairs = []
     for i, j in hamiltonian_pairs:
+        if ham_M < 3:
+            raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
+        # a pair of one point has no chord to bend the start around
         chord = cps[j].location - cps[i].location
         perp = np.zeros_like(chord)
         if p.dim == 2:

@@ -247,6 +247,19 @@ class TestGraphAndGamma:
         assert capsys.readouterr().err == "error: --hamiltonian pair 'S1' is not of the form X:Y\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("nodes", [["--nodes", "2"], ["--nodes=-5"]], ids=["2", "-5"])
+    def test_graph_pair_with_too_few_nodes_is_usage_error(self, nodes, tmp_path, capsys, monkeypatch):
+        # refused before any shot runs, not recorded as two dropped connections
+        def no_shots(*args):
+            raise AssertionError("a shot ran")
+
+        monkeypatch.setattr(ompath.heteroclinic, "gradient_shots", no_shots)
+        out = tmp_path / "out"
+        assert run(["graph", "--hamiltonian", "S1:S2", *nodes, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a saddle-saddle connection needs at least 3 intervals")
+        assert not out.exists()
+
     def test_gamma_route_value(self, tmp_path):
         code = run(["gamma", "--route", "S1,M0,S2", "--nodes", "1000", "--out", str(tmp_path)])
         assert code == 0
@@ -286,14 +299,53 @@ class TestFigure:
             ["gamma", "--route", "0,0", "--potential", "quadratic"],
             ["figure", "3", "--potential", "double-well-1d"],
             ["graph", "--seed", "3"],
+            ["figure", "1", "--jobs", "2"],
         ],
-        ids=["gamma-potential", "figure-potential", "graph-seed"],
+        ids=["gamma-potential", "figure-potential", "graph-seed", "figure-jobs"],
     )
     def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            run(argv + ["--out", str(tmp_path)])
+            run(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNegativeValues:
+    """A flag's value may start with a minus sign in the ``--flag value`` form."""
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["critical-points", "--box", "-0.5,1.5"], "box", "-0.5,1.5"),
+            (["graph", "--box", "-2,2"], "box", "-2,2"),
+            (["minimize", "--from", "-0.5,0.2", "--to", "M2"], "start", "-0.5,0.2"),
+            (["minimize", "--from", "M1", "--to", "M2", "--waypoints", "-0.2,0.3;0.5,0.5"],
+             "waypoints", "-0.2,0.3;0.5,0.5"),
+            (["gamma", "--route", "-1,0"], "route", "-1,0"),
+        ],
+        ids=["box", "graph-box", "from", "waypoints", "route"],
+    )
+    def test_value_is_not_an_option(self, argv, dest, value):
+        assert getattr(parse_args(argv), dest) == value
+
+    def test_default_box_given_as_a_flag(self, tmp_path):
+        assert run(["critical-points", "--out", str(tmp_path / "default")]) == 0
+        assert run(["critical-points", "--box", "-0.5,1.5", "--out", str(tmp_path / "flag")]) == 0
+        for name in ("critical_points.json", "admissibility.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+    def test_negative_start_runs(self, tmp_path):
+        argv = ["minimize", "--from", "-0.5,0.2", "--to", "M2", "--nodes", "50", "--maxiter", "100"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / "minimize_summary.json").exists()
+
+    def test_missing_value_is_still_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["critical-points", "--box", "--grid", "10", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
 
 # SHA-1 of every file each command writes, as recorded before the commands

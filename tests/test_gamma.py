@@ -128,9 +128,9 @@ class TestCompareWithEps:
         path = DiscretePath(np.tile(m0.location, (101, 1)))
         rep = eval_I(tw, path, 1e-3)
         predicted = GammaReport(jump_cost=0.0, laplacian_integral=4.0)
-        cmp = compare_with_eps((path, rep), predicted, 1e-3)
+        cmp = compare_with_eps((path, rep), predicted, 1e-3, support=BVStepPath([], [m0]))
         assert cmp.discrepancy <= 1e-6
-        assert np.isnan(cmp.support_score)
+        assert cmp.support_score == 1.0
 
     def test_support_score(self, tw, graph_tw, names_tw):
         s1, m0, s2 = _named(graph_tw, names_tw, "S1", "M0", "S2")

@@ -14,7 +14,6 @@ from ompath import (
     DiscretePath,
     DoubleWell1D,
     EscapeError,
-    TransitionGraph,
     TripleWell,
     build_transition_graph,
     classify_point,
@@ -342,12 +341,6 @@ class TestTransitionGraph:
             w[e.j, e.i] = min(w[e.j, e.i], e.j_value)
         want = shortest_path(w, method="D", directed=False)
         assert graph_full.recompute_phi().tobytes() == want.tobytes()
-
-    def test_lazy_phi(self, graph_full):
-        g = TransitionGraph(cps=graph_full.cps, edges=list(graph_full.edges))
-        assert g.phi is None
-        val = g.phi_between(0, 1)
-        assert g.phi is not None and np.isfinite(val)
 
 
 # off-diagonal weights: no edge (inf, 0, NaN), a few values whose sums tie or
