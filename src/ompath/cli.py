@@ -237,7 +237,8 @@ def cmd_graph(args) -> int:
 
 def cmd_gamma(args) -> int:
     p = TripleWell()
-    tokens = args.route.split(",")
+    # entries given by coordinates need ';' between entries, as --waypoints does
+    tokens = args.route.split(";" if ";" in args.route else ",")
     bv, report = route_limit(triple_well_graph(p, ham_M=args.nodes), tokens, p)
     target = write_json(
         args.out,
@@ -303,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gamma", help="evaluate the limit functional on a triple-well route")
     _add_common(sp, potential=False)
-    sp.add_argument("--route", required=True, help="comma-separated critical points, e.g. S1,M0,S2")
+    sp.add_argument(
+        "--route", required=True, help="critical points, e.g. S1,M0,S2 or 'S1;M0;0.0976,0.569'"
+    )
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     sp.set_defaults(func=cmd_gamma)
 

@@ -9,7 +9,11 @@ step that fails to decrease the objective.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
 import io
+import os
 from array import array
 from dataclasses import dataclass, field, replace
 
@@ -94,18 +98,94 @@ class FlowTrace:
         return buf.getvalue()
 
 
+# NumPy's wheels ship OpenBLAS, whose ILP64 LAPACK symbols are renamed
+# scipy_<routine>_64_, in numpy.libs beside the package (Linux, Windows) or in
+# .dylibs inside it (macOS); importing numpy has already loaded it
+_NUMPY_OPENBLAS = (
+    os.path.join(os.pardir, "numpy.libs", "libscipy_openblas64_*"),
+    os.path.join(".dylibs", "libscipy_openblas64_*"),
+)
+
+
+@functools.cache
+def _dptsv():
+    """LAPACK's dptsv as ``(d, e, b) -> (x, info)``, looked up at the first
+    solve: the routine in the OpenBLAS that NumPy ships, called through
+    ctypes, else SciPy's wrapper of it.  Either one takes contiguous float64
+    ``d`` (n,) and ``e`` (n-1,), overwritten with the factorisation, and a
+    writable column-major float64 ``b`` (n,) or (n, k), solved in place."""
+    root = os.path.dirname(np.__file__)
+    for pattern in _NUMPY_OPENBLAS:
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            try:
+                fn = ctypes.CDLL(path).scipy_dptsv_64_
+            except (OSError, AttributeError):
+                continue
+            i64, f8 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+            fn.argtypes = [i64, i64, f8, f8, f8, i64, i64]
+            fn.restype = None
+            return functools.partial(_numpy_dptsv, fn)
+    return _scipy_dptsv
+
+
+def _numpy_dptsv(fn, d, e, b):
+    # ctypes passes each c_int64, and each c_double view of an array's
+    # buffer, by reference; such a view costs a third of ndarray.ctypes.
+    # LAPACK reads no e when n = 1, so d stands in for the empty e.  The
+    # integers are made per call: concurrent solves share none of them.
+    view = ctypes.c_double.from_buffer
+    n, info = ctypes.c_int64(len(d)), ctypes.c_int64()
+    vd = view(d)
+    fn(n, ctypes.c_int64(b.size // len(d)), vd, view(e) if len(e) else vd, view(b.T), n, info)
+    return b, info.value
+
+
+def _scipy_dptsv(d, e, b):
+    from scipy.linalg.lapack import dptsv
+
+    # f2py wants an e of length 1 or more; LAPACK reads none of it when n = 1
+    _, _, x, info = dptsv(
+        d, e if len(e) else np.zeros(1), b, overwrite_d=True, overwrite_e=True, overwrite_b=True
+    )
+    return x, info
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _lapack_ready(a: np.ndarray, order: str) -> np.ndarray:
+    """``a`` itself if LAPACK may read and write it as a float64 array in the
+    given memory order, else a copy in that layout."""
+    f = a.flags
+    if a.dtype is _FLOAT64 and f.behaved and (f.c_contiguous if order == "C" else f.f_contiguous):
+        return a
+    return np.array(a, dtype=np.float64, order=order)
+
+
 def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD tridiagonal system in upper banded form ``ab`` (2, n) for
-    the right-hand sides ``b`` (n, k); ``ab`` and ``b`` may be overwritten.
+    """Solve the SPD tridiagonal system in upper banded form ``ab`` (2, n)
+    for the right-hand sides ``b`` (n,) or (n, k), n, k >= 1; ``ab`` and
+    ``b`` may be overwritten.
 
     It hands LAPACK's dptsv the diagonal ``ab[1]`` and the superdiagonal
     ``ab[0, 1:]``, the routine and the values ``scipy.linalg.solveh_banded``
-    passes for two bands, so the solution is bitwise the same.  A column-major
-    ``b`` is solved in place.  scipy.linalg is loaded at the first call.
+    passes for two bands, so the solution is bitwise the same.  The routine
+    is the one in the OpenBLAS that NumPy's wheel ships and has loaded;
+    without it, SciPy's (``scipy.linalg`` then loads at the first call).
+    A row-major float64 ``ab`` and a column-major float64 ``b`` are solved
+    in place; any other is copied to that layout first.
+    Shapes that do not match raise ValueError, and a matrix that is not
+    positive definite raises NonFiniteObjectiveError.
     """
-    from scipy.linalg.lapack import dptsv
-
-    _, _, x, info = dptsv(ab[1], ab[0, 1:], b, overwrite_d=True, overwrite_e=True, overwrite_b=True)
+    ab, b = np.asarray(ab), np.asarray(b)
+    n = ab.shape[-1] if ab.ndim == 2 and len(ab) == 2 else 0
+    if n < 1 or b.ndim not in (1, 2) or len(b) != n or b.size == 0:
+        raise ValueError(
+            "need ab of shape (2, n) and b of shape (n,) or (n, k), n, k >= 1, "
+            f"not {ab.shape} and {b.shape}"
+        )
+    ab = _lapack_ready(ab, "C")
+    x, info = _dptsv()(ab[1], ab[0, 1:], _lapack_ready(b, "F"))
     if info != 0:
         raise NonFiniteObjectiveError(f"banded solve failed: LAPACK dptsv returned info {info}")
     return x

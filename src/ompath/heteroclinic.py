@@ -594,14 +594,14 @@ def build_transition_graph(
     direct saddle-saddle connection attempted in both homotopy classes (arcs
     on either side of the segment midpoint).  All shots run as one batch
     (``gradient_shots``).  A shot or pair that fails is recorded in
-    ``graph.failures`` and leaves no edge.  Pairs with ``ham_M`` below 3
-    intervals, and in two dimensions a pair that names one point twice, raise
-    ValueError before any shot runs.
+    ``graph.failures`` and leaves no edge.  A ``ham_M`` below 3 intervals,
+    with or without pairs, and in two dimensions a pair that names one point
+    twice, raise ValueError before any shot runs.
     """
+    if ham_M < 3:
+        raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
     pairs = []
     for i, j in hamiltonian_pairs:
-        if ham_M < 3:
-            raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
         # a pair of one point has no chord to bend the start around
         chord = cps[j].location - cps[i].location
         perp = np.zeros_like(chord)

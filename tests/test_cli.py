@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import ompath
+from ompath import TripleWell
 from ompath.cli import build_parser, main, parse_args
+from ompath.experiments import named_points
 from test_flow import NaNHessianTripleWell
 
 
@@ -247,15 +249,25 @@ class TestGraphAndGamma:
         assert capsys.readouterr().err == "error: --hamiltonian pair 'S1' is not of the form X:Y\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("nodes", [["--nodes", "2"], ["--nodes=-5"]], ids=["2", "-5"])
-    def test_graph_pair_with_too_few_nodes_is_usage_error(self, nodes, tmp_path, capsys, monkeypatch):
-        # refused before any shot runs, not recorded as two dropped connections
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--hamiltonian", "S1:S2", "--nodes", "2"],
+            ["--hamiltonian", "S1:S2", "--nodes=-5"],
+            ["--nodes", "2"],
+            ["--nodes=-5"],
+        ],
+        ids=["2", "-5", "no-pair-2", "no-pair--5"],
+    )
+    def test_graph_pair_with_too_few_nodes_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        # refused before any shot runs, not recorded as two dropped connections,
+        # and not ignored when no pair would use it
         def no_shots(*args):
             raise AssertionError("a shot ran")
 
         monkeypatch.setattr(ompath.heteroclinic, "gradient_shots", no_shots)
         out = tmp_path / "out"
-        assert run(["graph", "--hamiltonian", "S1:S2", *nodes, "--out", str(out)]) == 2
+        assert run(["graph", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a saddle-saddle connection needs at least 3 intervals")
         assert not out.exists()
@@ -270,6 +282,20 @@ class TestGraphAndGamma:
 
     def test_gamma_bad_route(self, tmp_path):
         assert run(["gamma", "--route", "S1,0.4:0.4", "--out", str(tmp_path)]) == 2
+
+    def test_gamma_route_entries_by_coordinates(self, tmp_path):
+        # ';' separates entries whose coordinates hold commas; S2 given by its
+        # coordinates gives what S2 given by name gives (the golden outputs pin
+        # the bytes of the comma form)
+        s2 = ",".join(f"{v:.17g}" for v in named_points(TripleWell())["S2"])
+        routes = {"comma": "S1,M0,S2", "names": "S1;M0;S2", "coords": f"S1;M0;{s2}"}
+        docs = {}
+        for name, route in routes.items():
+            assert run(["gamma", "--route", route, "--nodes", "1000", "--out", str(tmp_path / name)]) == 0
+            docs[name] = json.loads((tmp_path / name / "gamma_summary.json").read_text())
+        assert docs["coords"].pop("route") == ["S1", "M0", s2]
+        assert docs["names"].pop("route") == docs["comma"].pop("route") == ["S1", "M0", "S2"]
+        assert docs["coords"] == docs["names"] == docs["comma"]
 
 
 class TestFigure:
@@ -361,6 +387,10 @@ OUTPUT_GOLDEN = {
             "figure2/gradient_S2_M2.csv": "3d0d2d67c4ccaf71e2fc1b905314e9f30b1257be",
             "figure2/hamiltonian_S1_S2.csv": "63d2dc9a58168e2dcd7c923742c3311dacee7420",
         },
+    ),
+    "gamma": (
+        ["gamma", "--route", "S1,M0,S2", "--nodes", "1000"],
+        {"gamma_summary.json": "7a90b51f24a06081f137791b4bb79d1db3df5e0c"},
     ),
     "heteroclinic": (
         ["heteroclinic", "--from", "S1", "--sign", "-1", "--nodes", "300"],

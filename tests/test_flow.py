@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ompath import (
     grad_objective,
     minimize,
 )
+from ompath import flow
 from ompath.experiments import figure_routes, run_minimization
 from ompath.flow import GROW, SHRINK, TAU_MAX, solveh_banded
 
@@ -407,3 +409,103 @@ class TestBandedSolve:
         ab = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 3.0]])
         with pytest.raises(NonFiniteObjectiveError, match="info 2"):
             solveh_banded(ab, np.ones((3, 2)))
+
+
+def _scipy_dptsv(ab, b):
+    """SciPy's LAPACK dptsv on the bands of ab, as (x, info); f2py wants an e
+    of length 1 or more, and LAPACK reads none of it when n = 1."""
+    from scipy.linalg.lapack import dptsv
+
+    e = ab[0, 1:] if ab.shape[1] > 1 else np.zeros(1)
+    _, _, x, info = dptsv(ab[1], e, b)
+    return x, info
+
+
+def _banded_case(seed, n, k, b_order, b_int, ab_layout, spd):
+    """A random (ab, b): ab (2, n) row-major, column-major or a strided view;
+    b (n,) when k is 0, else (n, k), integer-valued or float."""
+    rng = np.random.default_rng(seed)
+    band = np.zeros((2, n))
+    if spd:  # diagonally dominant
+        band[0, 1:] = -rng.uniform(0.0, 1.0, n - 1)
+        band[1] = 2.0 + rng.uniform(0.0, 1.0, n)
+    else:
+        band[0, 1:] = rng.uniform(-2.0, 2.0, n - 1)
+        band[1] = rng.uniform(-1.0, 1.0, n)
+    if ab_layout == "F":
+        ab = np.asfortranarray(band)
+    elif ab_layout == "strided":
+        ab = np.zeros((2, 2 * n))[:, ::2]
+        ab[...] = band
+    else:
+        ab = band
+    shape = (n,) if k == 0 else (n, k)
+    b = rng.integers(-5, 6, size=shape) if b_int else rng.normal(size=shape)
+    return ab, np.asarray(b, order=b_order)
+
+
+# the routine the lookup finds, and the fallback it takes where NumPy ships no LAPACK
+BANDED_ROUTINES = {"found": lambda: flow._dptsv(), "fallback": lambda: flow._scipy_dptsv}
+
+
+class TestBandedSolveProperties:
+    """solveh_banded against SciPy, for the routine found and for the fallback."""
+
+    @pytest.mark.parametrize("routine", sorted(BANDED_ROUTINES))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        k=st.integers(0, 3),
+        b_order=st.sampled_from("CF"),
+        b_int=st.booleans(),
+        ab_layout=st.sampled_from(["C", "F", "strided"]),
+        spd=st.booleans(),
+        read_only=st.booleans(),
+    )
+    def test_same_bytes_and_info_as_scipy(
+        self, routine, seed, n, k, b_order, b_int, ab_layout, spd, read_only
+    ):
+        from scipy.linalg import solveh_banded as scipy_solveh_banded
+
+        ab, b = _banded_case(seed, n, k, b_order, b_int, ab_layout, spd)
+        want, info = _scipy_dptsv(ab.copy(), b.copy(order="K"))
+        in_place = b.dtype == np.float64 and b.flags.f_contiguous and not read_only
+        ab_in, b_in = ab.copy(order="K"), b.copy(order="K")
+        # LAPACK writes to both: a read-only input is copied, never written
+        ab_in.flags.writeable = b_in.flags.writeable = not read_only
+        dptsv = BANDED_ROUTINES[routine]()
+        with mock.patch.object(flow, "_dptsv", lambda: dptsv):
+            if info != 0:
+                with pytest.raises(NonFiniteObjectiveError, match=f"info {info}$"):
+                    solveh_banded(ab_in, b_in)
+                return
+            got = solveh_banded(ab_in, b_in)
+        if read_only:
+            assert (ab_in.tobytes(), b_in.tobytes()) == (ab.tobytes(), b.tobytes())
+        assert (got.shape, got.dtype) == (b.shape, np.float64)
+        assert got.tobytes() == want.tobytes()
+        # scipy.linalg.solveh_banded takes no n = 1 system (f2py's e check)
+        if n > 1:
+            assert got.tobytes() == scipy_solveh_banded(ab, b).tobytes()
+        assert np.shares_memory(got, b_in) == in_place
+
+    @pytest.mark.parametrize("routine", sorted(BANDED_ROUTINES))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        ab_rows=st.integers(1, 3),
+        b_shape=st.lists(st.integers(0, 7), min_size=0, max_size=3).map(tuple),
+    )
+    def test_mismatched_shapes_raise_value_error(self, routine, n, ab_rows, b_shape):
+        ok = ab_rows == 2 and n >= 1 and len(b_shape) in (1, 2) and b_shape[0] == n
+        ok = ok and all(b_shape)
+        ab = np.zeros((ab_rows, n))
+        ab[-1] = 1.0
+        dptsv = BANDED_ROUTINES[routine]()
+        with mock.patch.object(flow, "_dptsv", lambda: dptsv):
+            if ok:
+                assert solveh_banded(ab, np.ones(b_shape)).shape == b_shape
+            else:
+                with pytest.raises(ValueError, match="need ab of shape"):
+                    solveh_banded(ab, np.ones(b_shape))
