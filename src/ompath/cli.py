@@ -226,10 +226,7 @@ def cmd_graph(args) -> int:
         ends = spec.split(":")
         if len(ends) != 2:
             raise ValueError(f"--hamiltonian pair {spec!r} is not of the form X:Y")
-        pair = tuple(critical_index(cps, t, p) for t in ends)
-        if pair[0] == pair[1]:
-            raise ValueError(f"--hamiltonian pair {spec!r} names one point twice")
-        pairs.append(pair)
+        pairs.append(tuple(critical_index(cps, t, p) for t in ends))
     graph = build_transition_graph(p, cps, hamiltonian_pairs=pairs, ham_M=args.nodes)
     print(write_json(args.out, "transition_graph.json", graph.to_dict()))
     return 0
@@ -278,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="start", default="")
     sp.add_argument("--to", dest="end", default="")
     sp.add_argument("--waypoints", default="", help="semicolon-separated intermediate points")
-    sp.add_argument("--objective", choices=["I", "J"], default="I")
+    sp.add_argument("--objective", choices=["I", "J"], default=FlowConfig.objective)
     sp.add_argument("--continuation", default="", help="comma-separated decreasing eps schedule")
     sp.add_argument("--maxiter", type=int, default=FlowConfig.max_iter)
     sp.add_argument("--jitter", type=float, default=0.0)

@@ -26,16 +26,8 @@ class CriticalPoint:
     value: float
     laplacian: float
     eigenvalues: np.ndarray  # sorted ascending
-    index: int  # number of negative Hessian eigenvalues
+    index: int  # number of negative Hessian eigenvalues; a saddle has index >= 1
     residual: float  # |grad V| at the location
-
-    @property
-    def is_minimum(self) -> bool:
-        return self.index == 0
-
-    @property
-    def is_saddle(self) -> bool:
-        return self.index == 1
 
     def to_dict(self) -> dict:
         return {
@@ -92,13 +84,14 @@ def classify_point(p: PotentialModel, x) -> CriticalPoint:
     )
 
 
-# Newton stops once |grad V| <= RESIDUAL_TOL; points closer than MERGE_TOL are
-# one point
+# Newton stops once |grad V| <= RESIDUAL_TOL or after NEWTON_ITER steps; points
+# closer than MERGE_TOL are one point
 RESIDUAL_TOL = 1e-10
+NEWTON_ITER = 100
 MERGE_TOL = 1e-6
 
 
-def _newton_batch(p: PotentialModel, seeds, max_iter=100):
+def _newton_batch(p: PotentialModel, seeds):
     """Damped Newton on grad V = 0, run on all seeds at once.
 
     Armijo backtracking on |grad V|^2; pseudo-inverse Newton steps keep
@@ -109,7 +102,7 @@ def _newton_batch(p: PotentialModel, seeds, max_iter=100):
     g = p.gradient(x)
     phi = np.sum(g * g, axis=-1)
     alive = np.ones(len(x), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITER):
         active = alive & (np.sqrt(phi) > RESIDUAL_TOL)
         if not np.any(active):
             break

@@ -28,15 +28,8 @@ from .heteroclinic import (
 from .paths import DiscretePath
 from .potentials import PotentialModel, TripleWell
 
-_SQ2 = np.sqrt(2.0)
-
-TRIPLE_WELL_NAMED = {
-    "M0": (0.0, 0.0),
-    "M1": (1.0, 0.0),
-    "M2": (0.0, 1.0),
-    "S1": ((2.0 + _SQ2) / 6.0, (2.0 - _SQ2) / 6.0),
-    "S2": ((2.0 - _SQ2) / 6.0, (2.0 + _SQ2) / 6.0),
-}
+# the triple well's names, as perfbench imports them
+TRIPLE_WELL_NAMED = TripleWell.NAMED_POINTS
 
 # the triple well's search box and seed grid per axis
 DEFAULT_BOX = ((-0.5, 1.5),) * 2
@@ -48,12 +41,8 @@ DEFAULT_CONTINUATION = (0.1, 0.03, 0.01, 3e-3)
 
 
 def named_points(p: PotentialModel) -> dict[str, np.ndarray]:
-    """Coordinates of the named critical points of the built-in potentials."""
-    if isinstance(p, TripleWell):
-        return {k: np.array(v) for k, v in TRIPLE_WELL_NAMED.items()}
-    if p.dim == 1:
-        return {"Mminus": np.array([-1.0]), "S": np.array([0.0]), "Mplus": np.array([1.0])}
-    return {}
+    """Coordinates of the critical points that p's class names."""
+    return {k: np.array(v) for k, v in p.NAMED_POINTS.items()}
 
 
 def resolve_point(token: str, p: PotentialModel) -> np.ndarray:
@@ -74,7 +63,8 @@ def critical_index(cps: CriticalPointSet, token: str, p: PotentialModel) -> int:
     """Index of the critical point of ``cps`` that ``token`` names, by name or
     coordinates (see resolve_point); it must lie within 1e-6 of them."""
     i, d = cps.nearest(resolve_point(token, p))
-    if d > 1e-6:
+    # "not <=" so that a NaN distance is no match either
+    if not d <= 1e-6:
         raise ValueError(f"{token!r} is not a critical point (nearest is {d:.2g} away)")
     return i
 
@@ -181,6 +171,8 @@ def run_figure(
         raise ValueError("figure number must be in 1..9")
     # the settings of the figure's flows are checked before any file is written
     FlowConfig(eps=eps, max_iter=max_iter)
+    if nodes < 3:
+        raise ValueError(f"a figure path needs at least 3 intervals, not {nodes}")
     p = TripleWell()
     routes = figure_routes(p)
     names = named_points(p)

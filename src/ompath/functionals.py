@@ -57,6 +57,15 @@ def _check(eps: float, objective: str = "I") -> None:
         raise ValueError("objective must be 'I' or 'J'")
 
 
+def row_sumsq(x: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis, added column by column from the left
+    whatever the memory order of x; for N <= 2 it is np.sum(x * x, axis=-1)."""
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        s = s + x[..., j] * x[..., j]
+    return s
+
+
 def _terms(p: PotentialModel, path: DiscretePath, eps: float, laplacian: bool) -> tuple:
     """The kinetic, trapezoid-force and Laplacian terms of the action (the
     last 0.0 unless ``laplacian``), and grad V at every node."""
@@ -66,9 +75,7 @@ def _terms(p: PotentialModel, path: DiscretePath, eps: float, laplacian: bool) -
     kinetic = (eps / (2.0 * h)) * float((dx * dx).sum())
     g = p.gradient(x)
     w = _trapezoid_weights(x.shape[0])
-    # |g|^2 column by column, left to right: for N <= 2 np.sum(g * g, axis=-1)
-    sq = sum((g[..., j] * g[..., j] for j in range(1, g.shape[-1])), g[..., 0] * g[..., 0])
-    force = (h / (2.0 * eps)) * float((w * sq).sum())
+    force = (h / (2.0 * eps)) * float((w * row_sumsq(g)).sum())
     lap = h * float(np.sum(w * p.laplacian(x))) if laplacian else 0.0
     return kinetic, force, lap, g
 

@@ -90,7 +90,7 @@ def eval_I0(graph: TransitionGraph, path: BVStepPath) -> GammaReport:
         j, dj = graph.cps.nearest(v.location)
         if max(di, dj) > 1e-8:
             raise ValueError("step-path values must belong to the graph's node set")
-        jump += graph.phi_between(i, j)
+        jump += float(graph.phi[i, j])
     lap = float(
         np.sum(path.dwell_durations * np.array([v.laplacian for v in path.values]))
     )

@@ -11,13 +11,13 @@ critical points.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .critical import CriticalPoint, CriticalPointSet
 from .flow import FlowConfig, minimize
-from .functionals import _terms, eval_objective
+from .functionals import _terms, eval_objective, row_sumsq
 from .paths import DiscretePath, interpolate
 from .potentials import PotentialModel
 
@@ -54,15 +54,6 @@ class HeteroclinicOrbit:
     el_residual: float
     endpoint_distances: tuple[float, float]
     endpoint_warning: bool = False
-
-    def reversed(self) -> "HeteroclinicOrbit":
-        return replace(
-            self,
-            source=self.target,
-            target=self.source,
-            path=self.path.reversed(),
-            endpoint_distances=self.endpoint_distances[::-1],
-        )
 
 
 def _orbit_record(p: PotentialModel, path: DiscretePath) -> tuple[dict, str]:
@@ -159,23 +150,15 @@ def _weigh(coefs, stages):
     return out
 
 
-def _norm(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, the squares added in column order."""
-    s = d[..., 0] * d[..., 0]
-    for j in range(1, d.shape[-1]):
-        s = s + d[..., j] * d[..., j]
-    return np.sqrt(s)
-
-
 def _rms(x: np.ndarray) -> np.ndarray:
-    return _norm(x) / np.sqrt(x.shape[-1])
+    return np.sqrt(row_sumsq(x)) / np.sqrt(x.shape[-1])
 
 
 def _levels(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Event levels of the rows of y, (K, C+1), each >= 0 once its event is
     reached: CAPTURE minus the distance to each of the C critical points,
     then the distance to the centre (the last row of pts) minus ESCAPE."""
-    dist = _norm(y[:, None, :] - pts)
+    dist = np.sqrt(row_sumsq(y[:, None, :] - pts))
     dist[:, :-1] = CAPTURE - dist[:, :-1]
     dist[:, -1] -= ESCAPE
     return dist
@@ -565,9 +548,6 @@ class TransitionGraph:
         self.phi = shortest_paths(w)
         return self.phi
 
-    def phi_between(self, i: int, j: int) -> float:
-        return float(self.phi[i, j])
-
     def to_dict(self) -> dict:
         return {
             "nodes": [c.to_dict() for c in self.cps],
@@ -592,22 +572,22 @@ def build_transition_graph(
     Every unstable mode of every saddle is shot in both signs.  Pairs listed
     in ``hamiltonian_pairs`` (as index pairs into cps) additionally get a
     direct saddle-saddle connection attempted in both homotopy classes (arcs
-    on either side of the segment midpoint).  All shots run as one batch
-    (``gradient_shots``).  A shot or pair that fails is recorded in
-    ``graph.failures`` and leaves no edge.  A ``ham_M`` below 3 intervals,
-    with or without pairs, and in two dimensions a pair that names one point
-    twice, raise ValueError before any shot runs.
+    on either side of the segment midpoint); outside two dimensions there is
+    no one perpendicular to bend the start along, and the straight start is
+    tried once.  All shots run as one batch (``gradient_shots``).  A shot or
+    pair that fails is recorded in ``graph.failures`` and leaves no edge.  A
+    ``ham_M`` below 3 intervals, with or without pairs, and a pair that names
+    one point twice, raise ValueError before any shot runs.
     """
     if ham_M < 3:
         raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
     pairs = []
     for i, j in hamiltonian_pairs:
-        # a pair of one point has no chord to bend the start around
-        chord = cps[j].location - cps[i].location
-        perp = np.zeros_like(chord)
+        if i == j:
+            raise ValueError(f"saddle pair ({i}, {j}) names one point twice")
+        perp = None
         if p.dim == 2:
-            if not np.any(chord):
-                raise ValueError(f"saddle pair ({i}, {j}) names one point twice")
+            chord = cps[j].location - cps[i].location
             perp = np.array([-chord[1], chord[0]])
             perp /= np.linalg.norm(perp)
         pairs.append((i, j, perp))
@@ -631,8 +611,8 @@ def build_transition_graph(
     for i, j, perp in pairs:
         a, b = cps[i], cps[j]
         mid = 0.5 * (a.location + b.location)
-        for side in (+1, -1):
-            wp = [mid + 0.4 * side * perp] if np.any(perp) else None
+        for side in (+1,) if perp is None else (+1, -1):
+            wp = None if perp is None else [mid + 0.4 * side * perp]
             try:
                 orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
             except (NotConvergedError, ValueError) as err:

@@ -75,9 +75,6 @@ class DiscretePath:
         nodes = np.concatenate([self.nodes[:1], interior, self.nodes[-1:]])
         return DiscretePath(nodes, self.a, self.b)
 
-    def reversed(self) -> "DiscretePath":
-        return DiscretePath(self.nodes[::-1].copy(), self.a, self.b)
-
     @classmethod
     def from_waypoints(cls, waypoints, M: int, a: float = 0.0, b: float = 1.0):
         """Piecewise-linear interpolation through waypoints at equal time spacing."""

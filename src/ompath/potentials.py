@@ -45,6 +45,9 @@ class PotentialModel:
     """
 
     dim: int = 0
+    # the critical points the command line and the figures name, by name: each
+    # potential class lists its own, none by default
+    NAMED_POINTS: dict[str, tuple] = {}
 
     def value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -91,6 +94,8 @@ def _pair(c0, c1) -> np.ndarray:
 # transition graph make some 2,000 calls of 4 points or fewer.
 SMALL_BATCH = 16
 
+_SQ2 = np.sqrt(2.0)
+
 
 class TripleWell(PotentialModel):
     """Product-of-three-quadratics potential on R^2.
@@ -103,6 +108,13 @@ class TripleWell(PotentialModel):
     """
 
     dim = 2
+    NAMED_POINTS = {
+        "M0": (0.0, 0.0),
+        "M1": (1.0, 0.0),
+        "M2": (0.0, 1.0),
+        "S1": ((2.0 + _SQ2) / 6.0, (2.0 - _SQ2) / 6.0),
+        "S2": ((2.0 - _SQ2) / 6.0, (2.0 + _SQ2) / 6.0),
+    }
 
     @staticmethod
     def _columns(x):
@@ -207,6 +219,7 @@ class DoubleWell1D(PotentialModel):
     """V(x) = (x^2 - 1)^2 / 4 on R, wells at +-1, barrier 1/4 at 0."""
 
     dim = 1
+    NAMED_POINTS = {"Mminus": (-1.0,), "S": (0.0,), "Mplus": (1.0,)}
 
     def value(self, x):
         x = _check_finite(x)

@@ -240,8 +240,24 @@ class TestGraphAndGamma:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 2
-        assert done.stderr == "error: --hamiltonian pair 'S1:S1' names one point twice\n"
+        assert done.stderr == "error: saddle pair (4, 4) names one point twice\n"
         assert not (tmp_path / "transition_graph.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--route", "S1;nan,nan;S2"],
+            ["heteroclinic", "--from", "S1", "--hamiltonian", "--to", "nan,nan"],
+            ["graph", "--hamiltonian", "nan,nan:S1"],
+        ],
+        ids=["gamma", "heteroclinic", "graph"],
+    )
+    def test_nan_point_is_usage_error(self, argv, tmp_path, capsys):
+        # a NaN coordinate is at a NaN distance from every point: no match
+        out = tmp_path / "out"
+        assert run([*argv, "--nodes", "200", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: 'nan,nan' is not a critical point (nearest is nan away)\n"
+        assert not out.exists()
 
     def test_graph_pair_without_colon_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -309,6 +325,14 @@ class TestFigure:
         assert doc["figure"] == 1
         assert len(doc["critical_points"]) == 5
         assert doc["saddle_contour_level"] == pytest.approx(2.0 / 27.0)
+
+    @pytest.mark.parametrize("number", ["1", "2"])
+    def test_too_few_nodes_is_usage_error(self, number, tmp_path, capsys):
+        # refused before any file is written, also by figure 1, which runs no path
+        out = tmp_path / "out"
+        assert run(["figure", number, "--nodes", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: a figure path needs at least 3 intervals, not 2\n"
+        assert not out.exists()
 
     def test_bad_figure_number(self, tmp_path):
         assert run(["figure", "12", "--out", str(tmp_path)]) == 2

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ompath import (
     CriticalPointSet,
+    CustomPotential,
     DoubleWell1D,
     NoCriticalPointsError,
     Quadratic,
@@ -32,8 +35,8 @@ WELLS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 class TestTripleWellRecovery:
     def test_exactly_five_points(self, cps_tw):
         assert len(cps_tw) == 5
-        assert sum(c.is_minimum for c in cps_tw) == 3
-        assert sum(c.is_saddle for c in cps_tw) == 2
+        assert sum(c.index == 0 for c in cps_tw) == 3
+        assert sum(c.index == 1 for c in cps_tw) == 2
 
     def test_well_locations(self, cps_tw):
         for w in WELLS:
@@ -77,7 +80,7 @@ class TestOtherPotentials:
     def test_quadratic_single_minimum(self):
         cps = find_critical_points(Quadratic(2), ((-1, 1), (-1, 1)), 8)
         assert len(cps) == 1
-        assert cps[0].is_minimum
+        assert cps[0].index == 0
         np.testing.assert_allclose(cps[0].location, 0.0, atol=1e-12)
 
     def test_empty_box_raises(self, tw):
@@ -159,7 +162,6 @@ class TestClassification:
         c = classify_point(tw, SADDLES[1])
         assert c.index == 1
         assert c.eigenvalues[0] < 0 < c.eigenvalues[1]
-        assert c.is_saddle and not c.is_minimum
 
     def test_classify_minimum(self, tw):
         c = classify_point(tw, np.array([0.0, 0.0]))
@@ -187,12 +189,61 @@ class TestNamedPoints:
         for k, v in TRIPLE_WELL_NAMED.items():
             assert names[k].tobytes() == np.array(v).tobytes()
 
+    @pytest.mark.parametrize(
+        "p, names",
+        [
+            (DoubleWell1D(), ["Mminus", "S", "Mplus"]),
+            (CustomPotential(1, lambda x: 0.5 * x @ x, lambda x: x), []),
+            (Quadratic(1), []),
+        ],
+        ids=["double-well-1d", "custom-1d", "quadratic-1d"],
+    )
+    def test_names_come_from_the_class(self, p, names):
+        assert list(named_points(p)) == names
+
     def test_lookup_is_checked(self, tw, cps_tw):
         m0 = critical_index(cps_tw, "M0", tw)
         assert np.linalg.norm(cps_tw[m0].location) <= 1e-6
         without_m0 = CriticalPointSet([c for i, c in enumerate(cps_tw) if i != m0])
         with pytest.raises(ValueError, match="not a critical point"):
             critical_index(without_m0, "M0", tw)
+
+
+# coordinates of any kind, the non-finite ones drawn often
+_COORDS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats())
+
+
+class TestCriticalIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_token_names_a_critical_point_or_raises(self, tw, cps_tw, data):
+        kind = data.draw(st.sampled_from(["name", "near", "coordinates", "word"]))
+        if kind == "name":
+            token = data.draw(st.sampled_from(sorted(TRIPLE_WELL_NAMED)))
+            x = np.array(TRIPLE_WELL_NAMED[token])
+        elif kind == "near":
+            # within 1e-6 of a critical point: |offset| < sqrt(2) * 7e-7
+            k = data.draw(st.integers(0, len(cps_tw) - 1))
+            offset = data.draw(st.lists(st.floats(-7e-7, 7e-7), min_size=2, max_size=2))
+            x = cps_tw[k].location + np.array(offset)
+            token = ",".join(repr(float(v)) for v in x)
+        elif kind == "coordinates":
+            x = np.array(data.draw(st.lists(_COORDS, min_size=2, max_size=2)))
+            token = ",".join(repr(float(v)) for v in x)
+        else:
+            # no name, and without a comma no point of the plane: "M3", "nan", "1e0"
+            words = st.text("MSabnfi0123e.", min_size=1, max_size=4)
+            token = data.draw(words.filter(lambda t: t not in TRIPLE_WELL_NAMED))
+            x = np.full(2, np.nan)
+        # a distance to a point near the largest floats overflows to inf
+        with np.errstate(over="ignore"):
+            close = [i for i, c in enumerate(cps_tw) if np.linalg.norm(c.location - x) <= 1e-6]
+            assert len(close) <= 1 and (kind != "near" or close == [k])
+            if close:
+                assert critical_index(cps_tw, token, tw) == close[0]
+            else:
+                with pytest.raises(ValueError):
+                    critical_index(cps_tw, token, tw)
 
 
 class TestSerialization:

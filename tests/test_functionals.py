@@ -15,6 +15,7 @@ from ompath import (
     eval_objective,
     grad_objective,
 )
+from ompath.functionals import row_sumsq
 from ompath.heteroclinic import _orbit_record
 
 
@@ -109,10 +110,30 @@ class TestDecompositionIdentity:
         assert rep.kinetic >= 0.0 and rep.force >= 0.0
 
 
+class TestRowSumOfSquares:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5)),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_of_the_column_order_sums(self, shape, order, seed):
+        # the two loops it replaced: the force term's and the gradient shots' norm
+        x = np.asarray(np.random.default_rng(seed).standard_normal(shape), order=order)
+        n = shape[-1]
+        force = sum((x[..., j] * x[..., j] for j in range(1, n)), x[..., 0] * x[..., 0])
+        shots = x[..., 0] * x[..., 0]
+        for j in range(1, n):
+            shots = shots + x[..., j] * x[..., j]
+        assert row_sumsq(x).tobytes() == force.tobytes() == shots.tobytes()
+        if n <= 2:
+            assert row_sumsq(x).tobytes() == np.sum(x * x, axis=-1).tobytes()
+
+
 class TestTimeReversal:
     def test_action_reversal_invariant(self, tw, rng):
         path = DiscretePath(rng.uniform(-0.5, 1.2, size=(33, 2)))
-        f, b = eval_I(tw, path, 0.01), eval_I(tw, path.reversed(), 0.01)
+        f, b = eval_I(tw, path, 0.01), eval_I(tw, DiscretePath(path.nodes[::-1], path.a, path.b), 0.01)
         assert f.i_eps == pytest.approx(b.i_eps, abs=1e-13)
         assert f.kinetic == pytest.approx(b.kinetic, abs=1e-13)
 
@@ -137,7 +158,7 @@ class TestTruncatedAction:
         # one endpoint off a critical point is enough
         half = DiscretePath.from_waypoints([[0.0, 0.0], [0.6, 0.6]], 50, a=-1, b=1)
         assert _endpoint_warning(tw, half)
-        assert _endpoint_warning(tw, half.reversed())
+        assert _endpoint_warning(tw, DiscretePath(half.nodes[::-1], half.a, half.b))
 
 
 class TestGradientOracle:

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+import ompath
 from ompath import (
     CustomPotential,
     DiscretePath,
     DoubleWell1D,
     EscapeError,
+    NotConvergedError,
     TripleWell,
     build_transition_graph,
     classify_point,
@@ -63,9 +65,8 @@ class TestGradientOrbits:
 
     def test_time_reversal_keeps_action(self, tw, graph_tw):
         o = _gradient_orbits(graph_tw)[0]
-        rev = o.reversed()
-        assert eval_I(tw, rev.path, 1.0).j_eps == pytest.approx(o.j_value, abs=1e-12)
-        assert rev.source is o.target and rev.target is o.source
+        rev = DiscretePath(o.path.nodes[::-1], o.path.a, o.path.b)
+        assert eval_I(tw, rev, 1.0).j_eps == pytest.approx(o.j_value, abs=1e-12)
 
     def test_source_must_be_saddle(self, tw, cps_tw, names_tw):
         m0 = classify_point(tw, names_tw["M0"])
@@ -276,21 +277,21 @@ class TestTransitionGraph:
                     ):
                         seq = (i, *mids, j)
                         best = min(best, sum(w[a, b] for a, b in zip(seq, seq[1:])))
-                assert graph_full.phi_between(i, j) == pytest.approx(best, abs=1e-12)
+                assert graph_full.phi[i, j] == pytest.approx(best, abs=1e-12)
 
     def test_expected_transition_energies(self, graph_full, names_tw):
         cps = graph_full.cps
         idx = {k: cps.nearest(v)[0] for k, v in names_tw.items()}
-        phi = graph_full.phi_between
-        assert phi(idx["S1"], idx["M0"]) == pytest.approx(TWO27, abs=1e-3)
-        assert phi(idx["M1"], idx["M0"]) == pytest.approx(2 * TWO27, abs=2e-3)
+        phi = graph_full.phi
+        assert phi[idx["S1"], idx["M0"]] == pytest.approx(TWO27, abs=1e-3)
+        assert phi[idx["M1"], idx["M0"]] == pytest.approx(2 * TWO27, abs=2e-3)
         j_ss = min(
             e.j_value
             for e in graph_full.edges
             if {e.i, e.j} == {idx["S1"], idx["S2"]} and e.kind == "hamiltonian"
         )
         expected = min(4 * TWO27, 2 * TWO27 + j_ss)
-        assert phi(idx["M1"], idx["M2"]) == pytest.approx(expected, abs=2e-3)
+        assert phi[idx["M1"], idx["M2"]] == pytest.approx(expected, abs=2e-3)
         # the saddle-saddle channel is strictly the cheaper route
         assert expected < 4 * TWO27
 
@@ -303,29 +304,62 @@ class TestTransitionGraph:
 
     def test_dropped_connections_are_recorded(self):
         # the set omits the well at -1, so the shot that descends to it reaches
-        # no critical point of the set; a pair of one point is no pair at all
+        # no critical point of the set
         dw = DoubleWell1D()
         cps = CriticalPointSet([classify_point(dw, np.array([x])) for x in (0.0, 1.0)])
-        graph = build_transition_graph(dw, cps, hamiltonian_pairs=[(1, 1)])
+        graph = build_transition_graph(dw, cps)
         assert [(e.i, e.j) for e in graph.edges] == [(0, 1)]
-        shot, *pairs = graph.failures
-        assert shot == {
+        assert graph.failures == [{
             "from": 0,
             "mode": 0,
             "sign": -1,
             "error": "NotConvergedError",
             "message": "gradient shot reached neither a critical point nor the escape radius",
-        }
-        assert pairs == [
-            {"from": 1, "to": 1, "side": side, "error": "ValueError",
-             "message": "endpoints must be distinct critical points"}
-            for side in (1, -1)
-        ]
+        }]
         doc = json.loads(json.dumps(graph.to_dict()))
         assert doc["failures"] == graph.failures
 
+    @pytest.mark.parametrize("landscape, sides", [("double-well-1d", 1), ("triple-well", 2)])
+    def test_pair_tried_once_per_side(self, landscape, sides, tw, cps_tw, names_tw, monkeypatch):
+        # in 2-D the start bends to either side of the chord; in 1-D there is
+        # no side to bend to, and the one straight start is tried once
+        calls = []
+
+        def no_connection(p, a, b, M, waypoints):
+            calls.append(waypoints)
+            raise NotConvergedError("no connection")
+
+        monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection_adaptive", no_connection)
+        if landscape == "triple-well":
+            p, cps = tw, cps_tw
+            (i, _), (j, _) = cps.nearest(names_tw["S1"]), cps.nearest(names_tw["S2"])
+        else:
+            (p, cps, _), i, j = _dw_graph(), 1, 2
+        graph = build_transition_graph(p, cps, hamiltonian_pairs=[(i, j)], ham_M=50)
+        assert len(calls) == sides
+        if sides == 1:
+            assert calls == [None]
+        else:
+            mid = 0.5 * (cps[i].location + cps[j].location)
+            (up,), (down,) = calls
+            np.testing.assert_allclose(up + down, 2.0 * mid, atol=1e-15)
+        assert [f for f in graph.failures if "to" in f] == [
+            {"from": i, "to": j, "side": side, "error": "NotConvergedError", "message": "no connection"}
+            for side in (1, -1)[:sides]
+        ]
+
+    def test_one_dimensional_pair_of_one_point_raises_before_any_shot(self, monkeypatch):
+        def no_shots(*args, **kwargs):
+            raise AssertionError("a shot ran")
+
+        dw, cps, _ = _dw_graph()
+        for name in ("saddle_shots", "gradient_shots", "hamiltonian_connection_adaptive"):
+            monkeypatch.setattr(ompath.heteroclinic, name, no_shots)
+        with pytest.raises(ValueError, match=r"saddle pair \(0, 0\) names one point twice"):
+            build_transition_graph(dw, cps, hamiltonian_pairs=[(0, 0)])
+
     def test_pair_of_one_point_raises_before_any_shot(self, cps_tw, names_tw):
-        # in two dimensions such a pair has no chord to bend the start around
+        # rejected by index before any kernel call
         i, _ = cps_tw.nearest(names_tw["S1"])
         p = LoggingTripleWell()
         with pytest.raises(ValueError, match="names one point twice"):

@@ -41,13 +41,6 @@ def test_with_interior_shape_check():
         path.with_interior(np.zeros((3, 1)))
 
 
-def test_reversed_is_involution():
-    rng = np.random.default_rng(0)
-    path = DiscretePath(rng.standard_normal((11, 2)))
-    np.testing.assert_array_equal(path.reversed().reversed().nodes, path.nodes)
-    np.testing.assert_array_equal(path.reversed().nodes, path.nodes[::-1])
-
-
 def test_times_and_interval():
     path = DiscretePath(np.zeros((5, 1)), a=-2.0, b=2.0)
     np.testing.assert_allclose(path.times, [-2, -1, 0, 1, 2])

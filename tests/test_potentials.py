@@ -157,9 +157,11 @@ def _stacked_factors(x):
     """The triple well's factors with their gradients stacked column by column,
     the formulation the kernels used before they built them by arithmetic."""
     x1, x2 = x[..., 0], x[..., 1]
-    u = x1**2 + x2**2
-    v = (x1 - 1.0) ** 2 + x2**2
-    w = x1**2 + (x2 - 1.0) ** 2
+    # np.square, not **2: on a single point's NumPy scalars **2 calls libm pow,
+    # which is not correctly rounded; on arrays the two give the same bits
+    u = np.square(x1) + np.square(x2)
+    v = np.square(x1 - 1.0) + np.square(x2)
+    w = np.square(x1) + np.square(x2 - 1.0)
     gu = 2.0 * np.stack([x1, x2], axis=-1)
     gv = 2.0 * np.stack([x1 - 1.0, x2], axis=-1)
     gw = 2.0 * np.stack([x1, x2 - 1.0], axis=-1)
