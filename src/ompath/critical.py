@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .functionals import row_sumsq
 from .potentials import PotentialModel
 
 
@@ -53,19 +54,13 @@ class CriticalPointSet:
     def __getitem__(self, i):
         return self.points[i]
 
-    @property
-    def separation(self) -> float:
-        """Minimum pairwise distance between the located points."""
-        if len(self.points) < 2:
-            return np.inf
-        locs = np.array([p.location for p in self.points])
-        d = np.linalg.norm(locs[:, None] - locs[None, :], axis=-1)
-        return float(np.min(d[np.triu_indices(len(locs), 1)]))
-
     def nearest(self, x) -> tuple[int, float]:
-        """Index of the nearest point to x and the distance to it."""
-        x = np.asarray(x, dtype=float)
-        d = [np.linalg.norm(p.location - x) for p in self.points]
+        """Index of the nearest point to x and the distance to it.  A NaN
+        coordinate is at a NaN distance from every point, and the index is 0;
+        a distance beyond the largest float reads inf."""
+        locs = np.array([c.location for c in self.points])
+        with np.errstate(over="ignore"):
+            d = np.linalg.norm(locs - np.asarray(x, dtype=float), axis=-1)
         i = int(np.argmin(d))
         return i, float(d[i])
 
@@ -100,7 +95,7 @@ def _newton_batch(p: PotentialModel, seeds):
     """
     x = np.array(seeds, dtype=float)
     g = p.gradient(x)
-    phi = np.sum(g * g, axis=-1)
+    phi = row_sumsq(g)
     alive = np.ones(len(x), dtype=bool)
     for _ in range(NEWTON_ITER):
         active = alive & (np.sqrt(phi) > RESIDUAL_TOL)
@@ -117,7 +112,7 @@ def _newton_batch(p: PotentialModel, seeds):
                 break
             trial = xa + t[:, None] * step
             gt = p.gradient(trial)
-            pt = np.sum(gt * gt, axis=-1)
+            pt = row_sumsq(gt)
             ok = ~done & np.isfinite(pt) & (pt <= pa * (1.0 - 1e-4 * t))
             xa[ok], ga[ok], pa[ok] = trial[ok], gt[ok], pt[ok]
             done |= ok

@@ -43,15 +43,6 @@ class BVStepPath:
         ts = np.array([0.0] + list(self.jump_times) + [1.0])
         return np.diff(ts)
 
-    def support_locations(self) -> np.ndarray:
-        return np.array([v.location for v in self.values])
-
-    def sample(self, s: np.ndarray) -> np.ndarray:
-        """Right-continuous evaluation at times s."""
-        idx = np.searchsorted(self.jump_times, s, side="right")
-        locs = self.support_locations()
-        return locs[idx]
-
     def to_dict(self) -> dict:
         return {
             "jump_times": list(self.jump_times),
@@ -81,15 +72,19 @@ class GammaReport:
 def eval_I0(graph: TransitionGraph, path: BVStepPath) -> GammaReport:
     """Evaluate the limit functional; the dwell integral is exact for steps.
 
-    A missing transition-energy entry makes the jump cost infinite; the
+    Each value must lie within 1e-8 of a critical point of the graph.  A
+    missing transition-energy entry makes the jump cost infinite; the
     Laplacian part is still reported.
     """
-    jump = 0.0
-    for u, v in zip(path.values, path.values[1:]):
-        i, di = graph.cps.nearest(u.location)
-        j, dj = graph.cps.nearest(v.location)
-        if max(di, dj) > 1e-8:
+    idx = []
+    for v in path.values:
+        i, d = graph.cps.nearest(v.location)
+        # "not <=" so that a NaN distance is no match either
+        if not d <= 1e-8:
             raise ValueError("step-path values must belong to the graph's node set")
+        idx.append(i)
+    jump = 0.0
+    for i, j in zip(idx, idx[1:]):
         jump += float(graph.phi[i, j])
     lap = float(
         np.sum(path.dwell_durations * np.array([v.laplacian for v in path.values]))
@@ -175,6 +170,6 @@ def compare_with_eps(
         i_eps=report.i_eps,
         i0=predicted.i0,
         discrepancy=abs(report.i_eps - predicted.i0),
-        support_score=support_score(path, support.support_locations()),
+        support_score=support_score(path, [v.location for v in support.values]),
         eps=eps,
     )

@@ -10,7 +10,6 @@ critical points.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +72,8 @@ def _orbit_record(p: PotentialModel, path: DiscretePath) -> tuple[dict, str]:
     v = (x[2:] - x[:-2]) / (2.0 * h)  # centered velocities at interior nodes
     xi = x[1:-1]
     g = g_nodes[1:-1]
-    sp2 = np.sum(v * v, axis=-1)
-    gn2 = np.sum(g * g, axis=-1)
+    sp2 = row_sumsq(v)
+    gn2 = row_sumsq(g)
     fwd = float(np.max(np.linalg.norm(v + g, axis=-1)))
     bwd = float(np.max(np.linalg.norm(v - g, axis=-1)))
     acc = (x[2:] - 2.0 * xi + x[:-2]) / h**2
@@ -474,39 +473,33 @@ def hamiltonian_connection_adaptive(
 
 def shortest_paths(w: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path distances over the undirected graph with edge
-    weights ``w[u, v]``, by Dijkstra from each point; unreachable pairs stay
-    infinite.
+    weights ``w[u, v]``; unreachable pairs stay infinite.
 
-    Its rules, and so its bits, are those of ``scipy.sparse.csgraph.
-    shortest_path(w, method="D", directed=False)`` on a dense ``w``: a zero,
-    infinite or NaN weight is no edge, any other joins u and v both ways, and
-    a distance sums ``d[u] + w[u, v]`` from its source.  Rounding is monotone,
-    so each distance is the least such sum over all paths, whatever the order
-    of ties.  csgraph also drops a weight within 1e-8 of zero; here it is an
-    edge.
+    A zero, infinite or NaN weight is no edge, any other weight joins u and v
+    both ways, and of ``w[u, v]`` and ``w[v, u]`` the smaller counts.  Each
+    round relaxes every source at once, ``d[s, v] = min(d[s, v], min_u d[s, u]
+    + w[u, v])``, and holds an (n, n, n) array (n is 5 on the triple well);
+    the rounds stop when one changes nothing, after at most n.  A distance
+    sums ``d[u] + w[u, v]`` from its source, as Dijkstra does, and rounding
+    is monotone, so each distance is the least such sum over all paths and
+    its bits are those of ``scipy.sparse.csgraph.shortest_path(w,
+    method="D", directed=False)`` on a dense ``w``.  csgraph also drops a
+    weight within 1e-8 of zero; here it is an edge.  A sum beyond the
+    largest float reads inf.
     """
-    n = len(w)
-    adj = [[] for _ in range(n)]
-    for u, v in zip(*np.nonzero(np.isfinite(w) & (w != 0.0))):
-        if u != v:
-            adj[u].append((int(v), float(w[u, v])))
-            adj[v].append((int(u), float(w[u, v])))
-    out = np.empty((n, n))
-    for s in range(n):
-        dist = [np.inf] * n
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:  # u was settled from a shorter entry
-                continue
-            for v, wuv in adj[u]:
-                dv = du + wuv
-                if dv < dist[v]:
-                    dist[v] = dv
-                    heapq.heappush(heap, (dv, v))
-        out[s] = dist
-    return out
+    w = np.asarray(w, dtype=float)
+    edge = np.where(np.isfinite(w) & (w != 0.0), w, np.inf)
+    edge = np.minimum(edge, edge.T)
+    np.fill_diagonal(edge, np.inf)
+    d = np.full(w.shape, np.inf)
+    np.fill_diagonal(d, 0.0)
+    with np.errstate(over="ignore"):
+        for _ in range(len(w)):
+            new = np.minimum(d, np.min(d[:, :, None] + edge, axis=1))
+            if np.array_equal(new, d):
+                break
+            d = new
+    return d
 
 
 @dataclass
@@ -541,10 +534,8 @@ class TransitionGraph:
     def recompute_phi(self) -> np.ndarray:
         n = len(self.cps)
         w = np.full((n, n), np.inf)
-        np.fill_diagonal(w, 0.0)
         for e in self.edges:
             w[e.i, e.j] = min(w[e.i, e.j], e.j_value)
-            w[e.j, e.i] = min(w[e.j, e.i], e.j_value)
         self.phi = shortest_paths(w)
         return self.phi
 

@@ -259,6 +259,24 @@ class TestGraphAndGamma:
         assert capsys.readouterr().err == "error: 'nan,nan' is not a critical point (nearest is nan away)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["gamma", "--route", "S1;1e200,1e200;S2"], "1e200,1e200"),
+            (["heteroclinic", "--from", "S1", "--hamiltonian", "--to", "1e300,0"], "1e300,0"),
+        ],
+        ids=["gamma", "heteroclinic"],
+    )
+    def test_huge_point_is_usage_error_without_warning(self, argv, token, tmp_path, capsys):
+        # its distance to every point overflows: it reads inf, with no
+        # RuntimeWarning (an error under this suite's settings) before the
+        # one error line
+        out = tmp_path / "out"
+        assert run([*argv, "--nodes", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {token!r} is not a critical point (nearest is inf away)\n"
+        assert not out.exists()
+
     def test_graph_pair_without_colon_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["graph", "--hamiltonian", "S1", "--out", str(out)]) == 2

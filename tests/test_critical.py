@@ -65,9 +65,6 @@ class TestTripleWellRecovery:
     def test_residuals_tiny(self, cps_tw):
         assert all(c.residual <= 1e-10 for c in cps_tw)
 
-    def test_separation_positive(self, cps_tw):
-        assert cps_tw.separation > 0.3
-
 
 class TestOtherPotentials:
     def test_double_well_1d(self):

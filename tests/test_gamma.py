@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ompath import (
     BVStepPath,
+    CriticalPoint,
     DiscretePath,
     GammaReport,
     compare_with_eps,
@@ -27,14 +28,6 @@ class TestBVStepPath:
         s1, m0, s2 = _named(graph_tw, names_tw, "S1", "M0", "S2")
         bv = BVStepPath(jump_times=[0.25, 0.75], values=[s1, m0, s2])
         np.testing.assert_allclose(bv.dwell_durations, [0.25, 0.5, 0.25])
-
-    def test_sample_right_continuous(self, graph_tw, names_tw):
-        s1, m0, s2 = _named(graph_tw, names_tw, "S1", "M0", "S2")
-        bv = BVStepPath(jump_times=[0.25, 0.75], values=[s1, m0, s2])
-        out = bv.sample(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-        np.testing.assert_allclose(out[0], s1.location)
-        np.testing.assert_allclose(out[1], m0.location)  # value after the jump
-        np.testing.assert_allclose(out[4], s2.location)
 
     def test_validation(self, graph_tw, names_tw):
         s1, m0, s2 = _named(graph_tw, names_tw, "S1", "M0", "S2")
@@ -80,6 +73,16 @@ class TestEvalI0:
         stranger = classify_point(TripleWell(), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             eval_I0(graph_tw, BVStepPath([0.5], [s1, stranger]))
+
+    def test_nan_point_rejected(self, graph_tw, names_tw):
+        # a NaN location is at a NaN distance from every point: no match,
+        # not the first point of the graph
+        (s1,) = _named(graph_tw, names_tw, "S1")
+        nan_point = CriticalPoint(np.array([np.nan, np.nan]), 0.0, 0.0, np.array([1.0, 1.0]), 0, 0.0)
+        with pytest.raises(ValueError, match="must belong to the graph's node set"):
+            eval_I0(graph_tw, BVStepPath([0.5], [s1, nan_point]))
+        with pytest.raises(ValueError, match="must belong to the graph's node set"):
+            eval_I0(graph_tw, BVStepPath([0.5], [nan_point, s1]))
 
 
 class TestOptimizeSupport:

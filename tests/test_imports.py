@@ -73,7 +73,7 @@ def test_import_leaves_ode_and_graph_modules_unloaded(found):
     out = found
     assert out["after_import"] == []
     # the shots need no scipy.integrate, the flows no scipy.optimize, and
-    # recompute_phi runs its own Dijkstra, without scipy.sparse
+    # recompute_phi runs its own array relaxation, without scipy.sparse
     if not out["fallback"]:
         # the banded solve calls the LAPACK NumPy has loaded: no scipy at all
         assert out["after_flow"] == out["after_graphs"] == []
