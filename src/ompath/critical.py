@@ -80,49 +80,65 @@ def classify_point(p: PotentialModel, x) -> CriticalPoint:
 
 
 # Newton stops once |grad V| <= RESIDUAL_TOL or after NEWTON_ITER steps; points
-# closer than MERGE_TOL are one point
+# closer than MERGE_TOL are one point.  Backtracking tries each step size in turn.
 RESIDUAL_TOL = 1e-10
 NEWTON_ITER = 100
 MERGE_TOL = 1e-6
+COND_TOL = 1e-8
+STEP_SIZES = 0.5 ** np.arange(40)
 
 
+def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H^+ g for each row.  A Hessian with |det H| > COND_TOL |H|_F^N has
+    sigma_min / sigma_max > COND_TOL, so pinv's 1e-15 cutoff would truncate
+    nothing: it is solved by LU, which may differ from pinv in the last bit.
+    Every other Hessian, singular or near it, takes the pseudo-inverse."""
+    lu = np.abs(np.linalg.det(H)) > COND_TOL * np.linalg.norm(H, axis=(1, 2)) ** H.shape[-1]
+    step = np.empty_like(g)
+    step[lu] = -np.linalg.solve(H[lu], g[lu, :, None])[..., 0]
+    if not np.all(lu):
+        step[~lu] = -np.einsum("kij,kj->ki", np.linalg.pinv(H[~lu]), g[~lu])
+    return step
+
+
+@np.errstate(over="ignore")
 def _newton_batch(p: PotentialModel, seeds):
     """Damped Newton on grad V = 0, run on all seeds at once.
 
-    Armijo backtracking on |grad V|^2; pseudo-inverse Newton steps keep
-    near-singular Hessians alive.  Returns (points, converged_mask); seeds
-    that stagnate are reported unconverged and dropped by the caller.
+    Armijo backtracking on |grad V|^2 takes the first of STEP_SIZES that
+    decreases it enough: one gradient call tries t = 1 on every seed, and a
+    second all other t at once on the seeds the first rejected.  Each t is an
+    exact power of two, so every trial point has the bits that halving t one
+    round at a time gives.  An overflow reads inf and does not warn.  Returns
+    (points, converged_mask); seeds that stagnate are reported unconverged
+    and dropped by the caller.
     """
     x = np.array(seeds, dtype=float)
     g = p.gradient(x)
     phi = row_sumsq(g)
     alive = np.ones(len(x), dtype=bool)
     for _ in range(NEWTON_ITER):
-        active = alive & (np.sqrt(phi) > RESIDUAL_TOL)
-        if not np.any(active):
+        idx = np.flatnonzero(alive & (np.sqrt(phi) > RESIDUAL_TOL))
+        if not len(idx):
             break
-        H = p.hessian(x[active])
-        step = -np.einsum("kij,kj->ki", np.linalg.pinv(H), g[active])
-        bad = ~np.all(np.isfinite(step), axis=-1)
-        t = np.ones(step.shape[0])
-        done = bad.copy()
-        xa, ga, pa = x[active].copy(), g[active].copy(), phi[active].copy()
-        for _ in range(40):
-            if np.all(done):
+        step = _newton_step(p.hessian(x[idx]), g[idx])
+        # seeds with no finite step, or no decrease along it, are abandoned
+        finite = np.all(np.isfinite(step), axis=-1)
+        alive[idx[~finite]] = False
+        idx, step = idx[finite], step[finite]
+        for t in (STEP_SIZES[:1], STEP_SIZES[1:]):
+            if not len(idx):
                 break
-            trial = xa + t[:, None] * step
-            gt = p.gradient(trial)
+            trial = x[idx, None] + t[:, None] * step[:, None]
+            gt = p.gradient(trial.reshape(-1, x.shape[1])).reshape(trial.shape)
             pt = row_sumsq(gt)
-            ok = ~done & np.isfinite(pt) & (pt <= pa * (1.0 - 1e-4 * t))
-            xa[ok], ga[ok], pa[ok] = trial[ok], gt[ok], pt[ok]
-            done |= ok
-            t[~done] *= 0.5
-        # seeds with no decrease along the Newton direction are abandoned
-        idx = np.flatnonzero(active)
-        stalled = idx[~done]
-        alive[stalled] = False
-        moved = idx[done]
-        x[moved], g[moved], phi[moved] = xa[done], ga[done], pa[done]
+            ok = np.isfinite(pt) & (pt <= phi[idx, None] * (1.0 - 1e-4 * t))
+            k = np.argmax(ok, axis=1)
+            hit = ok[np.arange(len(idx)), k]
+            moved, k = idx[hit], k[hit]
+            x[moved], g[moved], phi[moved] = trial[hit, k], gt[hit, k], pt[hit, k]
+            idx, step = idx[~hit], step[~hit]
+        alive[idx] = False
     converged = alive & (np.sqrt(phi) <= RESIDUAL_TOL)
     return x, converged
 

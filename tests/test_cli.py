@@ -432,13 +432,13 @@ OUTPUT_GOLDEN = {
     ),
     "gamma": (
         ["gamma", "--route", "S1,M0,S2", "--nodes", "1000"],
-        {"gamma_summary.json": "7a90b51f24a06081f137791b4bb79d1db3df5e0c"},
+        {"gamma_summary.json": "18649095694f495c70a18a95fd7f15fa6d9cf306"},
     ),
     "heteroclinic": (
         ["heteroclinic", "--from", "S1", "--sign", "-1", "--nodes", "300"],
         {
             "orbit.csv": "b82a614d2cd7558d25fa04dd1f3ccd71aafdb22a",
-            "orbit_summary.json": "9aa27ddac4d7557fc9d565c1c9ae14c87eeccc46",
+            "orbit_summary.json": "ddccba809ef84eaadacd01100dd783b6391f9e9b",
         },
     ),
     "minimize": (

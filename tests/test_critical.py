@@ -1,6 +1,7 @@
 """Critical-point search, classification and admissibility checks."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,17 @@ from ompath import (
     classify_point,
     find_critical_points,
 )
-from ompath.critical import MERGE_TOL, _distinct_in_box, _newton_batch
+from ompath import critical
+from ompath.critical import (
+    MERGE_TOL,
+    NEWTON_ITER,
+    RESIDUAL_TOL,
+    _distinct_in_box,
+    _newton_batch,
+    _newton_step,
+)
 from ompath.experiments import TRIPLE_WELL_NAMED, critical_index, named_points, write_json
+from ompath.functionals import row_sumsq
 from test_flow import CountingTripleWell
 
 SQ2 = np.sqrt(2.0)
@@ -108,14 +118,28 @@ def _distinct_in_box_per_seed(xs, converged, box):
     return found
 
 
+def _seed_grid(box, grid):
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+
+
+_ORACLE_CASES = pytest.mark.parametrize(
+    "p, box, grid",
+    [
+        (TripleWell(), ((-0.5, 1.5), (-0.5, 1.5)), 40),
+        (DoubleWell1D(), ((-2.0, 2.0),), 20),
+        (Quadratic(3), ((-1.0, 1.0),) * 3, 6),
+    ],
+    ids=["triple-well", "double-well-1d", "quadratic-3"],
+)
+
+
 def _awkward_seeds(p, box, grid, rng):
     """Newton's end points from a seed grid, plus exact and near duplicates
     (inside and outside MERGE_TOL, and a chain whose third link is further
     than MERGE_TOL from the first), points on and beyond the box, and
     converged flags turned off, in shuffled order."""
-    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.dim)
-    xs, converged = _newton_batch(p, seeds)
+    xs, converged = _newton_batch(p, _seed_grid(box, grid))
     base = xs[converged][:: max(1, int(converged.sum()) // 20)]
     unit = rng.standard_normal(base.shape)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
@@ -135,15 +159,7 @@ def _awkward_seeds(p, box, grid, rng):
 
 
 class TestMergeOracle:
-    @pytest.mark.parametrize(
-        "p, box, grid",
-        [
-            (TripleWell(), ((-0.5, 1.5), (-0.5, 1.5)), 40),
-            (DoubleWell1D(), ((-2.0, 2.0),), 20),
-            (Quadratic(3), ((-1.0, 1.0),) * 3, 6),
-        ],
-        ids=["triple-well", "double-well-1d", "quadratic-3"],
-    )
+    @_ORACLE_CASES
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_array_greedy_matches_per_seed_loop(self, p, box, grid, seed):
         box = np.asarray(box, dtype=float)
@@ -152,6 +168,96 @@ class TestMergeOracle:
         got = _distinct_in_box(xs, converged, box)
         assert len(want) > 1
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _pinv_step(H, g):
+    """The Newton step of _newton_batch before it solved well-conditioned rows
+    by LU: the pseudo-inverse on every row."""
+    return -np.einsum("kij,kj->ki", np.linalg.pinv(H), g)
+
+
+def _newton_batch_loop(p, seeds, step_rule=_pinv_step):
+    """_newton_batch before its two batched backtracking rounds: one gradient
+    call per halving of t, at most 40, on every active seed; frozen as the
+    oracle, with the pseudo-inverse step unless told otherwise."""
+    x = np.array(seeds, dtype=float)
+    g = p.gradient(x)
+    phi = row_sumsq(g)
+    alive = np.ones(len(x), dtype=bool)
+    for _ in range(NEWTON_ITER):
+        active = alive & (np.sqrt(phi) > RESIDUAL_TOL)
+        if not np.any(active):
+            break
+        H = p.hessian(x[active])
+        step = step_rule(H, g[active])
+        bad = ~np.all(np.isfinite(step), axis=-1)
+        t = np.ones(step.shape[0])
+        done = bad.copy()
+        xa, ga, pa = x[active].copy(), g[active].copy(), phi[active].copy()
+        for _ in range(40):
+            if np.all(done):
+                break
+            trial = xa + t[:, None] * step
+            gt = p.gradient(trial)
+            pt = row_sumsq(gt)
+            ok = ~done & np.isfinite(pt) & (pt <= pa * (1.0 - 1e-4 * t))
+            xa[ok], ga[ok], pa[ok] = trial[ok], gt[ok], pt[ok]
+            done |= ok
+            t[~done] *= 0.5
+        idx = np.flatnonzero(active)
+        alive[idx[~done]] = False
+        moved = idx[done]
+        x[moved], g[moved], phi[moved] = xa[done], ga[done], pa[done]
+    converged = alive & (np.sqrt(phi) <= RESIDUAL_TOL)
+    return x, converged
+
+
+def _shifted(box, seed):
+    """The box with each edge moved by up to 0.02, so each seed gives new grid seeds."""
+    box = np.asarray(box, dtype=float)
+    return box + np.random.default_rng(seed).uniform(-0.02, 0.02, size=box.shape)
+
+
+class TestNewtonOracle:
+    @_ORACLE_CASES
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_pseudo_inverse_loop(self, p, box, grid, seed, monkeypatch):
+        box = _shifted(box, seed)
+        seeds = _seed_grid(box, grid)
+        want_x, want_ok = _newton_batch_loop(p, seeds)
+        got_x, got_ok = _newton_batch(p, seeds)
+        assert np.array_equal(got_ok, want_ok) and np.any(got_ok)
+        gap = np.abs(got_x - want_x)[got_ok]
+        assert np.all(gap <= 1e-13 * (1.0 + np.abs(want_x[got_ok])))
+
+        got = find_critical_points(p, box, grid)
+        monkeypatch.setattr(critical, "_newton_batch", _newton_batch_loop)
+        want = find_critical_points(p, box, grid)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.all(np.abs(a.location - b.location) <= 1e-15 * (1.0 + np.abs(b.location)))
+
+    @_ORACLE_CASES
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_rounds_equal_the_halving_loop(self, p, box, grid, seed):
+        seeds = _seed_grid(_shifted(box, seed), grid)
+        want_x, want_ok = _newton_batch_loop(p, seeds, _newton_step)
+        got_x, got_ok = _newton_batch(p, seeds)
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_ok.tobytes() == want_ok.tobytes()
+
+    def test_near_singular_rows_take_the_pseudo_inverse(self):
+        H = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1e-20]], [[2.0, 1.0], [1.0, 3.0]]])
+        g = np.array([[0.3, -0.7], [0.5, 0.25], [-1.5, 0.75]])
+        got, want = _newton_step(H, g), _pinv_step(H, g)
+        assert got[:2].tobytes() == want[:2].tobytes()
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0.0)
+
+    def test_huge_box_is_searched_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cps = find_critical_points(TripleWell(), ((-1e60, 1e60),) * 2, 5)
+        assert len(cps) == 1 and cps[0].location.tolist() == [0.0, 0.0]
 
 
 class TestClassification:
