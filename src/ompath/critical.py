@@ -101,7 +101,7 @@ def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return step
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_batch(p: PotentialModel, seeds):
     """Damped Newton on grad V = 0, run on all seeds at once.
 
@@ -109,7 +109,8 @@ def _newton_batch(p: PotentialModel, seeds):
     decreases it enough: one gradient call tries t = 1 on every seed, and a
     second all other t at once on the seeds the first rejected.  Each t is an
     exact power of two, so every trial point has the bits that halving t one
-    round at a time gives.  An overflow reads inf and does not warn.  Returns
+    round at a time gives.  An overflow reads inf, and inf - inf (in the
+    determinant of a huge Hessian) NaN, without a warning.  Returns
     (points, converged_mask); seeds that stagnate are reported unconverged
     and dropped by the caller.
     """
@@ -163,13 +164,17 @@ def _distinct_in_box(xs: np.ndarray, converged: np.ndarray, box: np.ndarray) -> 
 def find_critical_points(p: PotentialModel, box, grid_per_axis: int) -> CriticalPointSet:
     """Locate critical points of V inside an axis-aligned box.
 
-    ``box`` is a sequence of (lo, hi) per axis.  Newton runs from every grid
-    seed; diverged seeds are dropped, duplicates within MERGE_TOL are
-    merged, points outside the box are discarded.
+    ``box`` is a sequence of (lo, hi) per axis, with finite edges and widths.
+    Newton runs from every grid seed; diverged seeds are dropped, duplicates
+    within MERGE_TOL are merged, points outside the box are discarded.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
+    # a NaN or infinite edge makes a width non-finite too
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(np.diff(box, axis=-1))):
+            raise ValueError(f"box edges and widths must be finite, not {box.tolist()}")
     if box.shape != (p.dim, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box must be a nondegenerate (dim, 2) array of (lo, hi)")
     if grid_per_axis < 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import CriticalPoint, CriticalPointSet
-from .flow import FlowConfig, minimize
+from .flow import FlowConfig, FlowTrace, minimize
 from .functionals import _terms, eval_objective, row_sumsq
 from .paths import DiscretePath, interpolate
 from .potentials import PotentialModel
@@ -39,7 +39,8 @@ class HeteroclinicOrbit:
 
     ``kind`` is one of gradient-forward (xdot = -grad V), gradient-backward
     (xdot = +grad V) or hamiltonian.  Residuals are sup norms over interior
-    nodes with centered differences.
+    nodes with centered differences.  ``trace`` is the flow of a
+    saddle-saddle connection, None for a gradient shot.
     """
 
     source: CriticalPoint
@@ -53,6 +54,7 @@ class HeteroclinicOrbit:
     el_residual: float
     endpoint_distances: tuple[float, float]
     endpoint_warning: bool = False
+    trace: FlowTrace | None = None
 
 
 def _orbit_record(p: PotentialModel, path: DiscretePath) -> tuple[dict, str]:
@@ -382,11 +384,16 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
 def saddle_shots(p: PotentialModel, c: CriticalPoint) -> list:
     """The ``gradient_shots`` entries ``(c, eig_dir, sign)`` of every unstable
     mode of the saddle c, in signs +1 and -1: entry 2m + k is the m-th lowest
-    Hessian eigenvector in sign (+1, -1)[k]."""
+    Hessian eigenvector in sign (+1, -1)[k].  Each eigenvector is signed so
+    that its entry of largest magnitude (the first of equals) is negative, so
+    the +1 branch does not hang on the sign the eigensolver happens to pick."""
     if c.index < 1:
         raise ValueError("source must be a saddle (index >= 1)")
     eigval, eigvec = np.linalg.eigh(p.hessian(c.location))
-    return [(c, eigvec[:, m], sign) for m in np.flatnonzero(eigval < 0.0) for sign in (+1, -1)]
+    modes = eigvec[:, eigval < 0.0]
+    largest = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    modes = np.where(largest > 0.0, -modes, modes)
+    return [(c, modes[:, m], sign) for m in range(modes.shape[1]) for sign in (+1, -1)]
 
 
 def gradient_connection(
@@ -405,15 +412,16 @@ def gradient_connection(
 
 
 def hamiltonian_connection(
-    p: PotentialModel, a: CriticalPoint, b: CriticalPoint, start: DiscretePath
+    p: PotentialModel, a: CriticalPoint, b: CriticalPoint, start: DiscretePath, tau0: float = 1e-2
 ) -> HeteroclinicOrbit:
     """Connect two critical points by minimizing the truncated action.
 
     The unit-temperature action over the interval and mesh of ``start`` is
-    descended over interior nodes to ``grad_tol`` 1e-7 within 60,000
-    iterations.  The result must satisfy the second-order stationarity system
-    to 1e-2 and conserve energy at level zero to 1e-3, and is downgraded to a
-    gradient kind when the first-order residual is also at most 1e-3.
+    descended over interior nodes from the flow step ``tau0`` to ``grad_tol``
+    1e-7 within 60,000 iterations.  The result must satisfy the second-order
+    stationarity system to 1e-2 and conserve energy at level zero to 1e-3,
+    and is downgraded to a gradient kind when the first-order residual is
+    also at most 1e-3.
     """
     if a is b or np.allclose(a.location, b.location):
         raise ValueError("endpoints must be distinct critical points")
@@ -423,7 +431,7 @@ def hamiltonian_connection(
     ):
         raise ValueError("start endpoints must sit on the given critical points")
 
-    cfg = FlowConfig(objective="J", eps=1.0, tau0=1e-2, grad_tol=1e-7, max_iter=60_000)
+    cfg = FlowConfig(objective="J", eps=1.0, tau0=tau0, grad_tol=1e-7, max_iter=60_000)
     path, trace = minimize(p, start, cfg)
 
     fields, grad_kind = _orbit_record(p, path)
@@ -441,7 +449,7 @@ def hamiltonian_connection(
         )
     kind = grad_kind if fields["gradient_residual"] <= 1e-3 else "hamiltonian"
     return HeteroclinicOrbit(
-        source=a, target=b, path=path, kind=kind, endpoint_distances=(0.0, 0.0), **fields
+        source=a, target=b, path=path, kind=kind, endpoint_distances=(0.0, 0.0), trace=trace, **fields
     )
 
 
@@ -454,7 +462,8 @@ def hamiltonian_connection_adaptive(
 ) -> HeteroclinicOrbit:
     """Double the truncation interval, from [-6, 6] and at most five times,
     until the connection cost changes by less than 1e-4.  Each doubling starts
-    from the last orbit, extended by constant dwell at its ends."""
+    from the last orbit, extended by constant dwell at its ends, and its flow
+    from the last accepted step of the flow before."""
     wp = (
         [a.location] + [np.asarray(w, float) for w in (waypoints or [])] + [b.location]
     )
@@ -464,7 +473,9 @@ def hamiltonian_connection_adaptive(
     for _ in range(5):
         T *= 2.0
         nodes = interpolate(np.linspace(-T, T, M + 1), orbit.path.times, orbit.path.nodes)
-        new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T))
+        steps = [t for t, ok in zip(orbit.trace.steps, orbit.trace.accepted) if ok]
+        carry = {"tau0": steps[-1]} if steps else {}  # none when no step was taken
+        new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T), **carry)
         if abs(new.j_value - orbit.j_value) < 1e-4:
             return new
         orbit = new
@@ -595,8 +606,10 @@ def build_transition_graph(
         if isinstance(orbit, Exception):
             graph.failures.append({**key, **_failure(orbit)})
             continue
+        # a gradient orbit costs exactly the potential drop along it
         j_idx, _ = cps.nearest(orbit.target.location)
-        graph.edges.append(GraphEdge(key["from"], j_idx, orbit.j_value, orbit.kind))
+        drop = cps[key["from"]].value - orbit.target.value
+        graph.edges.append(GraphEdge(key["from"], j_idx, drop, orbit.kind))
         graph.orbits.append(orbit)
 
     for i, j, perp in pairs:

@@ -48,6 +48,14 @@ class TestCriticalPoints:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("box", ["nan,1", "-inf,1", "-1e308,1e308"])
+    def test_non_finite_box_is_usage_error(self, box, tmp_path, capsys):
+        # pytest turns a RuntimeWarning into an error, so none is printed either
+        assert run(["critical-points", "--box", box, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: box edges and widths must be finite") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestMinimize:
     ARGS = [
@@ -422,17 +430,17 @@ OUTPUT_GOLDEN = {
     "figure-2": (
         ["figure", "2", "--nodes", "200"],
         {
-            "figure2/figure2_summary.json": "14c75cd1c562073f4676dee396e5d80b93e2197a",
+            "figure2/figure2_summary.json": "e0719bd759055851ceb1f321c74432889b8302ed",
             "figure2/gradient_S1_M0.csv": "db0de2071c93c45d84b2befa7549c8bb583617fe",
             "figure2/gradient_S1_M1.csv": "bdefa8fe3b09a9e072e3e862af9f47a18f699a8b",
             "figure2/gradient_S2_M0.csv": "c15bd91ac9d1ea620479dc9c3774d6e1ecb7f0d6",
             "figure2/gradient_S2_M2.csv": "3d0d2d67c4ccaf71e2fc1b905314e9f30b1257be",
-            "figure2/hamiltonian_S1_S2.csv": "63d2dc9a58168e2dcd7c923742c3311dacee7420",
+            "figure2/hamiltonian_S1_S2.csv": "2f26e1df07765faafc213dbe08ccb978111d9d19",
         },
     ),
     "gamma": (
         ["gamma", "--route", "S1,M0,S2", "--nodes", "1000"],
-        {"gamma_summary.json": "18649095694f495c70a18a95fd7f15fa6d9cf306"},
+        {"gamma_summary.json": "86ba48156bad6a02fa981bc462336fec34aceb7a"},
     ),
     "heteroclinic": (
         ["heteroclinic", "--from", "S1", "--sign", "-1", "--nodes", "300"],

@@ -259,6 +259,26 @@ class TestNewtonOracle:
             cps = find_critical_points(TripleWell(), ((-1e60, 1e60),) * 2, 5)
         assert len(cps) == 1 and cps[0].location.tolist() == [0.0, 0.0]
 
+    def test_box_near_the_largest_float_is_searched_without_warnings(self):
+        # Hessians near 1e308 have a determinant of inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cps = find_critical_points(TripleWell(), ((0.0, 1e308),) * 2, 3)
+        assert len(cps) == 1 and cps[0].location.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "box",
+        [((np.nan, 1.0),) * 2, ((-np.inf, 1.0),) * 2, ((0.0, 1.0), (0.0, np.inf)), ((-1e308, 1e308),) * 2],
+        ids=["nan", "minus-inf", "inf", "width-overflows"],
+    )
+    def test_non_finite_box_rejected_before_any_evaluation(self, box):
+        p = CountingTripleWell()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="box edges and widths must be finite"):
+                find_critical_points(p, box, 3)
+        assert not any(p.calls.values())
+
 
 class TestClassification:
     def test_classify_saddle(self, tw):

@@ -1,5 +1,6 @@
 """Heteroclinic connections and the transition-energy graph."""
 
+import hashlib
 import itertools
 import json
 
@@ -26,7 +27,9 @@ from ompath import (
     hamiltonian_connection_adaptive,
     verify_orbit,
 )
-from ompath.heteroclinic import _orbit_record, shortest_paths
+from ompath.experiments import triple_well_graph
+from ompath.heteroclinic import _orbit_record, saddle_shots, shortest_paths
+from ompath.paths import interpolate
 
 TWO27 = 2.0 / 27.0
 
@@ -240,6 +243,158 @@ class TestHamiltonianConnection:
             hamiltonian_connection(tw, s1, s1, DiscretePath(np.zeros((101, 2)), a=-6, b=6))
 
 
+@pytest.fixture
+def flows(monkeypatch):
+    """(cfg, trace) of every flow a connection runs, taken by wrapping the
+    module attribute through which hamiltonian_connection calls minimize."""
+    log = []
+    original = ompath.heteroclinic.minimize
+
+    def minimize(p, start, cfg):
+        path, trace = original(p, start, cfg)
+        log.append((cfg, trace))
+        return path, trace
+
+    monkeypatch.setattr(ompath.heteroclinic, "minimize", minimize)
+    return log
+
+
+def _last_accepted_step(trace):
+    return [t for t, ok in zip(trace.steps, trace.accepted) if ok][-1]
+
+
+def _bent_pair(cps, names, side):
+    """S1, S2 and the waypoint build_transition_graph bends their start
+    through on the given side of the chord."""
+    a, b = cps[cps.nearest(names["S1"])[0]], cps[cps.nearest(names["S2"])[0]]
+    chord = b.location - a.location
+    perp = np.array([-chord[1], chord[0]]) / np.linalg.norm(chord)
+    return a, b, [0.5 * (a.location + b.location) + 0.4 * side * perp]
+
+
+def _restarting_adaptive(p, a, b, M, waypoints):
+    """hamiltonian_connection_adaptive as it was when every doubled stage
+    restarted its flow at the step 1e-2: the orbit and the number of stages."""
+    wp = [a.location] + [np.asarray(w, float) for w in waypoints] + [b.location]
+    T = 6.0
+    orbit = hamiltonian_connection(p, a, b, DiscretePath.from_waypoints(wp, M, a=-T, b=T))
+    for stages in range(2, 7):
+        T *= 2.0
+        nodes = interpolate(np.linspace(-T, T, M + 1), orbit.path.times, orbit.path.nodes)
+        new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T))
+        if abs(new.j_value - orbit.j_value) < 1e-4:
+            return new, stages
+        orbit = new
+    return orbit, stages
+
+
+class TestStepHandoff:
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_stage_starts_at_the_last_accepted_step_before(self, side, tw, cps_tw, names_tw, flows):
+        a, b, wp = _bent_pair(cps_tw, names_tw, side)
+        orbit = hamiltonian_connection_adaptive(tw, a, b, M=1000, waypoints=wp)
+        assert len(flows) >= 2 and orbit.trace is flows[-1][1]
+        assert flows[0][0].tau0 == 1e-2
+        for (_, before), (cfg, _) in zip(flows, flows[1:]):
+            assert cfg.tau0 == _last_accepted_step(before) != 1e-2
+
+    @pytest.mark.parametrize("M", [1000, 4000])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_matches_the_restarting_loop(self, M, side, tw, cps_tw, names_tw, flows):
+        a, b, wp = _bent_pair(cps_tw, names_tw, side)
+        want, want_stages = _restarting_adaptive(tw, a, b, M, wp)
+        del flows[:]
+        got = hamiltonian_connection_adaptive(tw, a, b, M=M, waypoints=wp)
+        assert len(flows) == want_stages
+        assert got.kind == want.kind
+        assert abs(got.j_value - want.j_value) <= 1e-12 * want.j_value
+        assert np.max(np.abs(got.path.nodes - want.path.nodes)) <= 1e-6
+        assert (got.path.a, got.path.b) == (want.path.a, want.path.b)
+
+    def test_trials_per_stage_on_the_benchmark_pair(self, tw, cps_tw, flows, monkeypatch):
+        # the S1-S2 pair of triple_well_graph at 4000 nodes, both sides; with
+        # every stage restarted at 1e-2 the trials were [89, 59, 71, 59]
+        calls = []
+        connect = ompath.heteroclinic.hamiltonian_connection
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection", counted)
+        triple_well_graph(tw, cps_tw, ham_M=4000)
+        assert [len(trace.accepted) for _, trace in flows] == [89, 20, 71, 18]
+        assert [sum(trace.accepted) for _, trace in flows] == [84, 15, 70, 13]
+        # each stage goes through the module attribute; the first has no carry
+        assert calls == [{}, {"tau0": _last_accepted_step(flows[0][1])}, {},
+                         {"tau0": _last_accepted_step(flows[2][1])}]
+
+    def test_lone_connection_bytes_unchanged(self, tw, cps_tw, names_tw, flows):
+        # recorded before the adaptive loop carried the step between stages
+        a, b, _ = _bent_pair(cps_tw, names_tw, 1)
+        mid = 0.5 * (a.location + b.location)
+        start = DiscretePath.from_waypoints([a.location, mid + 0.28, b.location], 200, a=-6.0, b=6.0)
+        orbit = hamiltonian_connection(tw, a, b, start)
+        assert [cfg.tau0 for cfg, _ in flows] == [1e-2]
+        assert hashlib.sha1(orbit.path.nodes.tobytes()).hexdigest() == (
+            "eb7c0354d97905caed947e5e9c10b41498d912c3"
+        )
+        assert orbit.j_value == 0.07759745506616325
+
+
+def _shot_key(shots):
+    return [(c.location.tobytes(), sign) for c, _, sign in shots]
+
+
+class TestSaddleShotSigns:
+    def test_largest_entry_is_negative(self, tw, cps_tw):
+        for c in cps_tw:
+            if c.index < 1:
+                continue
+            for _, eig_dir, _ in saddle_shots(tw, c):
+                assert eig_dir[np.argmax(np.abs(eig_dir))] < 0.0
+
+    def test_negated_eigenvectors_give_the_same_shots(self, tw, cps_tw, monkeypatch):
+        saddles = [c for c in cps_tw if c.index >= 1]
+        want = [saddle_shots(tw, c) for c in saddles]
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0], -eigh(h)[1]))
+        for c, shots in zip(saddles, want):
+            got = saddle_shots(tw, c)
+            assert _shot_key(got) == _shot_key(shots)
+            for (_, d_got, _), (_, d_want, _) in zip(got, shots):
+                assert d_got.tobytes() == d_want.tobytes()
+
+    def test_saddle_moved_by_an_ulp_keeps_its_branches(self, tw, cps_tw, names_tw):
+        # eigh's own sign for S2 flips under this one-ulp move
+        s2 = cps_tw[cps_tw.nearest(names_tw["S2"])[0]]
+        moved = classify_point(tw, s2.location + [0.0, np.spacing(s2.location[1])])
+        for (_, d, sign), (_, d_moved, sign_moved) in zip(saddle_shots(tw, s2), saddle_shots(tw, moved)):
+            assert sign == sign_moved
+            np.testing.assert_allclose(d_moved, d, rtol=0.0, atol=1e-12)
+
+    def test_plus_branches_of_both_saddles_reach_m0(self, tw, cps_tw, names_tw):
+        for name in ("S1", "S2"):
+            plus = saddle_shots(tw, cps_tw[cps_tw.nearest(names_tw[name])[0]])[0]
+            (orbit,) = ompath.heteroclinic.gradient_shots(tw, cps_tw, [plus])
+            assert np.linalg.norm(orbit.target.location) <= 1e-6
+
+
+class TestExactGradientEdges:
+    @pytest.mark.parametrize("landscape", ["triple-well", "double-well-1d"])
+    def test_phi_is_the_potential_drop(self, landscape, tw, cps_tw, graph_tw):
+        p, cps, graph = (tw, cps_tw, graph_tw) if landscape == "triple-well" else _dw_graph()
+        pairs = [(e.i, e.j) for e in graph.edges if e.kind.startswith("gradient")]
+        assert len(pairs) == (4 if landscape == "triple-well" else 2)
+        for s, m in pairs:
+            drop = cps[s].value - cps[m].value
+            assert graph.phi[s, m] == graph.phi[m, s] == drop
+        # each orbit keeps its own integrated action, which verify_orbit checks
+        for o in _gradient_orbits(graph):
+            assert o.j_value != o.source.value - o.target.value
+            assert verify_orbit(p, o).passed
+
+
 class TestTransitionGraph:
     def test_phi_symmetric(self, graph_full):
         phi = graph_full.phi
@@ -303,8 +458,9 @@ class TestTransitionGraph:
         assert doc["failures"] == graph_full.failures
 
     def test_dropped_connections_are_recorded(self):
-        # the set omits the well at -1, so the shot that descends to it reaches
-        # no critical point of the set
+        # the set omits the well at -1, so the shot that descends to it (sign
+        # +1: the saddle's eigenvector is signed (-1,)) reaches no critical
+        # point of the set
         dw = DoubleWell1D()
         cps = CriticalPointSet([classify_point(dw, np.array([x])) for x in (0.0, 1.0)])
         graph = build_transition_graph(dw, cps)
@@ -312,7 +468,7 @@ class TestTransitionGraph:
         assert graph.failures == [{
             "from": 0,
             "mode": 0,
-            "sign": -1,
+            "sign": 1,
             "error": "NotConvergedError",
             "message": "gradient shot reached neither a critical point nor the escape radius",
         }]
