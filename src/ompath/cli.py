@@ -129,22 +129,23 @@ def _critical_points(args):
     return p, find_critical_points(p, box, args.grid)
 
 
-def cmd_critical_points(args) -> int:
+def _point_list(spec: str, p) -> list:
+    """The points of a ';'-separated list, each resolved by resolve_point."""
+    return [resolve_point(tok, p) for tok in spec.split(";")] if spec else []
+
+
+def cmd_critical_points(args) -> str:
     p, cps = _critical_points(args)
     report = check_admissibility(p, cps, args.radius)
     target = write_json(args.out, "critical_points.json", [c.to_dict() for c in cps])
     write_json(args.out, "admissibility.json", dataclasses.asdict(report))
-    print(target)
-    return 0
+    return target
 
 
-def cmd_minimize(args) -> int:
+def cmd_minimize(args) -> str:
     p = get_potential(args.potential)
-    waypoints = []
-    if args.start:
-        waypoints.append(resolve_point(args.start, p))
-    for tok in (args.waypoints.split(";") if args.waypoints else []):
-        waypoints.append(resolve_point(tok, p))
+    waypoints = [resolve_point(args.start, p)] if args.start else []
+    waypoints += _point_list(args.waypoints, p)
     if args.end:
         waypoints.append(resolve_point(args.end, p))
     if len(waypoints) < 2:
@@ -163,7 +164,7 @@ def cmd_minimize(args) -> int:
         jitter=args.jitter,
         seed=args.seed,
     )
-    target = write_json(
+    return write_json(
         args.out,
         "minimize_summary.json",
         {
@@ -176,11 +177,9 @@ def cmd_minimize(args) -> int:
             "stop_reason": trace.stop_reason,
         },
     )
-    print(target)
-    return 0
 
 
-def cmd_heteroclinic(args) -> int:
+def cmd_heteroclinic(args) -> str:
     # a gradient shot ends wherever it flows, and a saddle-saddle connection
     # has no shooting sign: a flag the chosen kind would ignore is refused
     if args.hamiltonian and args.sign is not None:
@@ -194,14 +193,14 @@ def cmd_heteroclinic(args) -> int:
     src = cps[critical_index(cps, args.start, p)]
     if args.hamiltonian:
         dst = cps[critical_index(cps, args.end, p)]
-        wp = [resolve_point(t, p) for t in args.waypoints.split(";")] if args.waypoints else None
+        wp = _point_list(args.waypoints, p)
         orbit = hamiltonian_connection_adaptive(p, src, dst, M=args.nodes, waypoints=wp)
     else:
         # the lowest unstable mode, in the chosen sign (+1 when unset)
         shot = saddle_shots(p, src)[1 if args.sign == -1 else 0]
         orbit = gradient_connection(p, *shot, cps, n_nodes=args.nodes)
     write_text(args.out, "orbit.csv", orbit.path.to_csv())
-    target = write_json(
+    return write_json(
         args.out,
         "orbit_summary.json",
         {
@@ -215,11 +214,9 @@ def cmd_heteroclinic(args) -> int:
             "el_residual": orbit.el_residual,
         },
     )
-    print(target)
-    return 0
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> str:
     p, cps = _critical_points(args)
     pairs = []
     for spec in args.hamiltonian.split(";") if args.hamiltonian else []:
@@ -228,30 +225,26 @@ def cmd_graph(args) -> int:
             raise ValueError(f"--hamiltonian pair {spec!r} is not of the form X:Y")
         pairs.append(tuple(critical_index(cps, t, p) for t in ends))
     graph = build_transition_graph(p, cps, hamiltonian_pairs=pairs, ham_M=args.nodes)
-    print(write_json(args.out, "transition_graph.json", graph.to_dict()))
-    return 0
+    return write_json(args.out, "transition_graph.json", graph.to_dict())
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> str:
     p = TripleWell()
     # entries given by coordinates need ';' between entries, as --waypoints does
     tokens = args.route.split(";" if ";" in args.route else ",")
     bv, report = route_limit(triple_well_graph(p, ham_M=args.nodes), tokens, p)
-    target = write_json(
+    return write_json(
         args.out,
         "gamma_summary.json",
         {"route": tokens, "bv_path": bv.to_dict(), "report": report.to_dict()},
     )
-    print(target)
-    return 0
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> str:
     numbers = range(1, 10) if args.number == "all" else [int(args.number)]
     for n in numbers:
         run_figure(n, os.path.join(args.out, f"figure{n}"), args.eps, args.nodes, args.maxiter)
-    print(args.out)
-    return 0
+    return args.out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        return args.func(args)
+        print(args.func(args))
+        return 0
     except (ValueError, NoCriticalPointsError, EscapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

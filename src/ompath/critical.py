@@ -188,8 +188,13 @@ def find_critical_points(p: PotentialModel, box, grid_per_axis: int) -> Critical
         raise NoCriticalPointsError("no critical points found in the given box")
 
     points = [classify_point(p, x) for x in found]
-    points.sort(key=lambda c: (c.index, tuple(np.round(c.location, 12))))
-    return CriticalPointSet(points)
+    # by index, then by coordinates; coordinates within MERGE_TOL of each other
+    # are equal, each sorting as the least of them, whatever bits Newton stopped on
+    locs = np.array(found)
+    near = np.abs(locs[:, None] - locs[None]) <= MERGE_TOL
+    snapped = np.where(near, locs[None], np.inf).min(axis=1)
+    order = sorted(range(len(points)), key=lambda k: (points[k].index, *snapped[k]))
+    return CriticalPointSet([points[k] for k in order])
 
 
 @dataclass
@@ -217,6 +222,8 @@ COERCIVITY_TOL = 1e-3
 
 def check_admissibility(p: PotentialModel, cps: CriticalPointSet, R: float) -> AdmissibilityReport:
     """Report on nondegeneracy and sampled weak coercivity."""
+    if not 0.0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, not {R!r}")
     if len(cps) == 0:
         raise ValueError("critical point set must be nonempty")
     min_eig = min(float(np.min(np.abs(c.eigenvalues))) for c in cps)

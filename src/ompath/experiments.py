@@ -83,8 +83,8 @@ def run_minimization(
 ) -> tuple[DiscretePath, FlowTrace, FunctionalReport]:
     """Minimize one objective from a piecewise-linear waypoint start, whose
     interior nodes move by ``jitter`` times standard normal noise from ``seed``."""
-    if not jitter >= 0.0:
-        raise ValueError(f"jitter must be >= 0, not {jitter!r}")
+    if not 0.0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be >= 0 and finite, not {jitter!r}")
     start = DiscretePath.from_waypoints(waypoints, M)
     if jitter > 0.0:
         rng = np.random.default_rng(seed)
@@ -240,9 +240,8 @@ def run_figure(
         path, report, record = flow(f"{objective}_S1_S2_via_M0", "S1_S2_via_M0", objective)
         record["fraction_near_M0"] = support_score(path, [names["M0"]])
         if n == 7:
-            graph = build_transition_graph(p, find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID))
-            bv, predicted = route_limit(graph, ("S1", "M0", "S2"), p)
-            cmp = compare_with_eps((path, report), predicted, eps, support=bv)
+            bv, predicted = route_limit(triple_well_graph(p, ham_M=nodes), ("S1", "M0", "S2"), p)
+            cmp = compare_with_eps((path, report), predicted, support=bv)
             summary["gamma"] = {"predicted": predicted.to_dict(), "comparison": cmp.to_dict()}
 
     elif n == 8:
@@ -263,7 +262,7 @@ def run_figure(
         routes9 = (("M1", "S1", "M0", "S2", "M2"), ("M1", "S1", "S2", "M2"))
         candidates = [(list(r), *route_limit(graph, r, p)) for r in routes9]
         seq_names, bv, predicted = min(candidates, key=lambda c: c[2].i0)
-        cmp = compare_with_eps((path, report), predicted, eps, support=bv)
+        cmp = compare_with_eps((path, report), predicted, support=bv)
         summary["gamma"] = {
             "predicted_sequence": seq_names,
             "predicted": predicted.to_dict(),

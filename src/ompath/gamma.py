@@ -161,15 +161,14 @@ def support_score(path: DiscretePath, locations) -> float:
 def compare_with_eps(
     minimized: tuple[DiscretePath, FunctionalReport],
     predicted: GammaReport,
-    eps: float,
     support: BVStepPath,
 ) -> EpsComparison:
-    """Report |I_eps - I0| and how much of the path sits on the predicted support."""
+    """Report |I_eps - I0| at the report's eps, and the path's share on the support."""
     path, report = minimized
     return EpsComparison(
         i_eps=report.i_eps,
         i0=predicted.i0,
         discrepancy=abs(report.i_eps - predicted.i0),
         support_score=support_score(path, [v.location for v in support.values]),
-        eps=eps,
+        eps=report.eps,
     )

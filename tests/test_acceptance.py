@@ -13,6 +13,7 @@ import pytest
 
 from ompath import (
     DiscretePath,
+    DoubleWell1D,
     FlowConfig,
     TransitionGraph,
     GraphEdge,
@@ -35,6 +36,7 @@ from ompath.experiments import (
     run_minimization,
 )
 from ompath.gamma import support_score
+from ompath.paths import interpolate
 
 TWO27 = 2.0 / 27.0
 EPS = 1e-3
@@ -269,6 +271,22 @@ def test_criterion_8_gamma_consistency(graph_full, names_tw, fig7_run, fig9_run)
         f"|I_eps - I0| = {gap7:.4f} (saddle-to-saddle run, I0 = {i0_7:.4f}) and "
         f"{gap9:.4f} (well-to-well run, I0 = {i0_9:.4f}), both <= 0.05",
     )
+
+
+def test_criterion_10_double_well_ladder():
+    # On the double well the limit is closed form: the jump -1 -> 0 costs
+    # 2 (V(0) - V(-1)) = 1/2, all dwell goes to the wells' Lap V = 2, so
+    # I0 = 1/2 - 2 = -3/2.  Each stage warm starts from the last path.
+    p = DoubleWell1D()
+    path = DiscretePath.from_waypoints([[-1.0], [0.0], [1.0]], 1000)
+    gaps = []
+    for eps, m in ((0.1, 1000), (0.03, 1000), (0.01, 2000), (3e-3, 4000), (1e-3, 4000)):
+        start = DiscretePath(interpolate(np.linspace(0.0, 1.0, m + 1), path.times, path.nodes))
+        path, trace = minimize(p, start, FlowConfig(objective="I", eps=eps))
+        assert trace.converged, (eps, trace.stop_reason)
+        gaps.append(abs(eval_I(p, path, eps).i_eps + 1.5))
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    _report(10, "double-well |I_eps + 3/2| = " + ", ".join(f"{g:.4g}" for g in gaps))
 
 
 @pytest.fixture(scope="module")

@@ -56,6 +56,14 @@ class TestCriticalPoints:
         assert err.startswith("error: box edges and widths must be finite") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-3"])
+    def test_radius_not_positive_and_finite_is_usage_error(self, radius, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["critical-points", "--radius", radius, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: radius must be positive and finite, not {float(radius)!r}\n"
+        assert not out.exists()
+
 
 class TestMinimize:
     ARGS = [
@@ -109,8 +117,13 @@ class TestMinimize:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--maxiter", "-5", "max_iter must be >= 0"), ("--jitter", "-0.5", "jitter must be >= 0")],
-        ids=["maxiter", "jitter"],
+        [
+            ("--maxiter", "-5", "max_iter must be >= 0"),
+            ("--jitter", "-0.5", "jitter must be >= 0"),
+            # pytest turns a RuntimeWarning into an error, so none is printed either
+            ("--jitter", "inf", "jitter must be >= 0 and finite, not inf"),
+        ],
+        ids=["maxiter", "jitter", "jitter-inf"],
     )
     def test_negative_budget_or_jitter_is_usage_error(self, flag, value, message, tmp_path, capsys):
         out = tmp_path / "out"
@@ -471,6 +484,28 @@ class TestGoldenOutputs:
             if f.is_file()
         }
         assert got == want
+
+
+class TestReportLine:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["critical-points"], "critical_points.json"),
+            (
+                ["minimize", "--from", "M1", "--to", "M2", "--nodes", "50", "--maxiter", "10"],
+                "minimize_summary.json",
+            ),
+            (["heteroclinic", "--from", "S1", "--nodes", "100"], "orbit_summary.json"),
+            (["graph"], "transition_graph.json"),
+            (["gamma", "--route", "S1,M0,S2", "--nodes", "1000"], "gamma_summary.json"),
+            (["figure", "1"], None),
+        ],
+        ids=["critical-points", "minimize", "heteroclinic", "graph", "gamma", "figure"],
+    )
+    def test_stdout_is_one_line_the_reported_path(self, argv, name, tmp_path, capsys):
+        # figure reports its --out directory, every other command its summary file
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"{tmp_path / name if name else tmp_path}\n"
 
 
 class TestConfigFile:

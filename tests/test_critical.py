@@ -28,7 +28,14 @@ from ompath.critical import (
     _newton_batch,
     _newton_step,
 )
-from ompath.experiments import TRIPLE_WELL_NAMED, critical_index, named_points, write_json
+from ompath.experiments import (
+    DEFAULT_BOX,
+    DEFAULT_GRID,
+    TRIPLE_WELL_NAMED,
+    critical_index,
+    named_points,
+    write_json,
+)
 from ompath.functionals import row_sumsq
 from test_flow import CountingTripleWell
 
@@ -74,6 +81,16 @@ class TestTripleWellRecovery:
 
     def test_residuals_tiny(self, cps_tw):
         assert all(c.residual <= 1e-10 for c in cps_tw)
+
+    @pytest.mark.parametrize("seed", [100, 101, 4242])
+    def test_shifted_box_numbers_points_as_the_default_box(self, tw, cps_tw, seed):
+        # the box shift of the benchmark's limit_graph workload; from the boxes
+        # of seeds 100 and 4242 M2's x1 lands at -8.0e-12 and -7.7e-13
+        shift = np.random.default_rng(seed).uniform(-0.02, 0.02, size=(2, 2))
+        cps = find_critical_points(tw, np.asarray(DEFAULT_BOX) + shift, DEFAULT_GRID)
+        assert [c.index for c in cps] == [c.index for c in cps_tw]
+        for c, ref in zip(cps, cps_tw):
+            assert np.allclose(c.location, ref.location, rtol=0.0, atol=MERGE_TOL)
 
 
 class TestOtherPotentials:
@@ -301,6 +318,13 @@ class TestAdmissibility:
     def test_needs_points(self, tw):
         with pytest.raises(ValueError):
             check_admissibility(tw, CriticalPointSet([]), 3.0)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -3.0])
+    def test_radius_must_be_positive_and_finite(self, cps_tw, radius):
+        p = CountingTripleWell()
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            check_admissibility(p, cps_tw, radius)
+        assert p.calls["gradient"] == 0
 
 
 class TestNamedPoints:

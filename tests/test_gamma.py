@@ -131,7 +131,8 @@ class TestCompareWithEps:
         path = DiscretePath(np.tile(m0.location, (101, 1)))
         rep = eval_I(tw, path, 1e-3)
         predicted = GammaReport(jump_cost=0.0, laplacian_integral=4.0)
-        cmp = compare_with_eps((path, rep), predicted, 1e-3, support=BVStepPath([], [m0]))
+        cmp = compare_with_eps((path, rep), predicted, support=BVStepPath([], [m0]))
+        assert cmp.eps == 1e-3
         assert cmp.discrepancy <= 1e-6
         assert cmp.support_score == 1.0
 
@@ -140,11 +141,11 @@ class TestCompareWithEps:
         bv = BVStepPath([0.4, 0.6], [s1, m0, s2])
         path = DiscretePath(np.tile(m0.location, (101, 1)))
         rep = eval_I(tw, path, 1e-3)
-        cmp = compare_with_eps((path, rep), eval_I0(graph_tw, bv), 1e-3, support=bv)
+        cmp = compare_with_eps((path, rep), eval_I0(graph_tw, bv), support=bv)
         assert cmp.support_score == 1.0
         far = DiscretePath(np.tile([5.0, 5.0], (101, 1)))
         cmp2 = compare_with_eps(
-            (far, eval_I(tw, far, 1e-3)), eval_I0(graph_tw, bv), 1e-3, support=bv
+            (far, eval_I(tw, far, 1e-3)), eval_I0(graph_tw, bv), support=bv
         )
         assert cmp2.support_score == 0.0
 
