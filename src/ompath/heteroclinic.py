@@ -531,9 +531,10 @@ class TransitionGraph:
     ``phi[i, j]`` is the shortest-path distance over direct-connection weights;
     missing connections stay infinite.  ``failures`` records each connection
     that was attempted and dropped: ``from`` and ``mode``/``sign`` for a
-    gradient shot, ``from``/``to`` and ``side`` for a saddle-saddle pair, then
-    the ``error`` class name and its ``message``.  ``build_transition_graph``
-    sets ``phi``; a graph built or changed by hand calls ``recompute_phi``.
+    gradient shot, ``from``/``to`` and ``side`` (+1 or -1, the homotopy class
+    tried) for a saddle-saddle pair, then the ``error`` class name and its
+    ``message``.  ``build_transition_graph`` sets ``phi``; a graph built or
+    changed by hand calls ``recompute_phi``.
     """
 
     cps: CriticalPointSet
@@ -573,13 +574,17 @@ def build_transition_graph(
 
     Every unstable mode of every saddle is shot in both signs.  Pairs listed
     in ``hamiltonian_pairs`` (as index pairs into cps) additionally get a
-    direct saddle-saddle connection attempted in both homotopy classes (arcs
-    on either side of the segment midpoint); outside two dimensions there is
-    no one perpendicular to bend the start along, and the straight start is
-    tried once.  All shots run as one batch (``gradient_shots``).  A shot or
-    pair that fails is recorded in ``graph.failures`` and leaves no edge.  A
-    ``ham_M`` below 3 intervals, with or without pairs, and a pair that names
-    one point twice, raise ValueError before any shot runs.
+    direct saddle-saddle connection, started bent through mid + 0.4 perp
+    (side +1, perp the chord's unit normal).  Side -1, through mid - 0.4 perp,
+    is tried too only when another point of cps lies in the rhombus a,
+    mid + 0.4 perp, b, mid - 0.4 perp (boundary included), which puts the two
+    starts in different homotopy classes; the triple well's S1-S2 pair is
+    tried once.  Outside two dimensions the straight start is tried once.
+    All shots run as one batch (``gradient_shots``).  A shot or pair that
+    fails is recorded in ``graph.failures`` and leaves no edge.  A ``ham_M``
+    below 3 intervals, with or without pairs, and a pair that names one point
+    twice or is listed twice, in either order, raise ValueError before any
+    shot runs.
     """
     if ham_M < 3:
         raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
@@ -587,12 +592,19 @@ def build_transition_graph(
     for i, j in hamiltonian_pairs:
         if i == j:
             raise ValueError(f"saddle pair ({i}, {j}) names one point twice")
-        perp = None
+        if any({i, j} == {k, l} for k, l, _ in pairs):
+            raise ValueError(f"saddle pair ({i}, {j}) is listed twice")
+        starts = [(+1, None)]
         if p.dim == 2:
+            mid = 0.5 * (cps[i].location + cps[j].location)
             chord = cps[j].location - cps[i].location
             perp = np.array([-chord[1], chord[0]])
             perp /= np.linalg.norm(perp)
-        pairs.append((i, j, perp))
+            # the two bends are homotopic unless another point lies between them
+            d = np.delete(np.array([c.location for c in cps]), [i, j], axis=0) - mid
+            between = np.any(2 * np.abs(d @ chord) / (chord @ chord) + np.abs(d @ perp) / 0.4 <= 1)
+            starts = [(side, [mid + 0.4 * side * perp]) for side in ((+1, -1) if between else (+1,))]
+        pairs.append((i, j, starts))
 
     graph = TransitionGraph(cps=cps)
     keys, shots = [], []
@@ -612,11 +624,9 @@ def build_transition_graph(
         graph.edges.append(GraphEdge(key["from"], j_idx, drop, orbit.kind))
         graph.orbits.append(orbit)
 
-    for i, j, perp in pairs:
+    for i, j, starts in pairs:
         a, b = cps[i], cps[j]
-        mid = 0.5 * (a.location + b.location)
-        for side in (+1,) if perp is None else (+1, -1):
-            wp = None if perp is None else [mid + 0.4 * side * perp]
+        for side, wp in starts:
             try:
                 orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
             except (NotConvergedError, ValueError) as err:

@@ -264,6 +264,20 @@ class TestGraphAndGamma:
         assert done.stderr == "error: saddle pair (4, 4) names one point twice\n"
         assert not (tmp_path / "transition_graph.json").exists()
 
+    @pytest.mark.parametrize("pairs", ["S1:S2;S2:S1", "S1:S2;S1:S2"])
+    def test_graph_pair_listed_twice_is_usage_error(self, pairs, tmp_path, capsys, monkeypatch):
+        # refused before any shot or connection runs, in either order
+        def no_shots(*args, **kwargs):
+            raise AssertionError("a shot ran")
+
+        for name in ("gradient_shots", "hamiltonian_connection_adaptive"):
+            monkeypatch.setattr(ompath.heteroclinic, name, no_shots)
+        out = tmp_path / "out"
+        assert run(["graph", "--hamiltonian", pairs, "--nodes", "200", "--out", str(out)]) == 2
+        pair = "(3, 4)" if pairs == "S1:S2;S2:S1" else "(4, 3)"
+        assert capsys.readouterr().err == f"error: saddle pair {pair} is listed twice\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -315,7 +329,7 @@ class TestGraphAndGamma:
         ids=["2", "-5", "no-pair-2", "no-pair--5"],
     )
     def test_graph_pair_with_too_few_nodes_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
-        # refused before any shot runs, not recorded as two dropped connections,
+        # refused before any shot runs, not recorded as a dropped connection,
         # and not ignored when no pair would use it
         def no_shots(*args):
             raise AssertionError("a shot ran")

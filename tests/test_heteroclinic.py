@@ -311,9 +311,9 @@ class TestStepHandoff:
         assert np.max(np.abs(got.path.nodes - want.path.nodes)) <= 1e-6
         assert (got.path.a, got.path.b) == (want.path.a, want.path.b)
 
-    def test_trials_per_stage_on_the_benchmark_pair(self, tw, cps_tw, flows, monkeypatch):
-        # the S1-S2 pair of triple_well_graph at 4000 nodes, both sides; with
-        # every stage restarted at 1e-2 the trials were [89, 59, 71, 59]
+    def test_trials_per_stage_on_the_benchmark_pair(self, tw, cps_tw, names_tw, flows, monkeypatch):
+        # the S1-S2 pair of triple_well_graph at 4000 nodes, tried on side +1
+        # only; with every stage restarted at 1e-2 the trials were [89, 59]
         calls = []
         connect = ompath.heteroclinic.hamiltonian_connection
 
@@ -323,11 +323,18 @@ class TestStepHandoff:
 
         monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection", counted)
         triple_well_graph(tw, cps_tw, ham_M=4000)
-        assert [len(trace.accepted) for _, trace in flows] == [89, 20, 71, 18]
-        assert [sum(trace.accepted) for _, trace in flows] == [84, 15, 70, 13]
+        assert [len(trace.accepted) for _, trace in flows] == [89, 20]
+        assert [sum(trace.accepted) for _, trace in flows] == [84, 15]
         # each stage goes through the module attribute; the first has no carry
-        assert calls == [{}, {"tau0": _last_accepted_step(flows[0][1])}, {},
-                         {"tau0": _last_accepted_step(flows[2][1])}]
+        assert calls == [{}, {"tau0": _last_accepted_step(flows[0][1])}]
+        # side -1, which the graph no longer tries, keeps its own count
+        # (restarted at 1e-2 it was [71, 59])
+        del flows[:], calls[:]
+        a, b, wp = _bent_pair(cps_tw, names_tw, -1)
+        hamiltonian_connection_adaptive(tw, a, b, M=4000, waypoints=wp)
+        assert [len(trace.accepted) for _, trace in flows] == [71, 18]
+        assert [sum(trace.accepted) for _, trace in flows] == [70, 13]
+        assert calls == [{}, {"tau0": _last_accepted_step(flows[0][1])}]
 
     def test_lone_connection_bytes_unchanged(self, tw, cps_tw, names_tw, flows):
         # recorded before the adaptive loop carried the step between stages
@@ -475,10 +482,16 @@ class TestTransitionGraph:
         doc = json.loads(json.dumps(graph.to_dict()))
         assert doc["failures"] == graph.failures
 
-    @pytest.mark.parametrize("landscape, sides", [("double-well-1d", 1), ("triple-well", 2)])
-    def test_pair_tried_once_per_side(self, landscape, sides, tw, cps_tw, names_tw, monkeypatch):
-        # in 2-D the start bends to either side of the chord; in 1-D there is
-        # no side to bend to, and the one straight start is tried once
+    @pytest.mark.parametrize("landscape, pair, sides", [
+        ("double-well-1d", (1, 2), 1),
+        ("triple-well", ("S1", "S2"), 1),
+        ("triple-well", ("M0", "M1"), 2),
+    ], ids=["double-well-1d-1", "triple-well-1", "triple-well-2"])
+    def test_pair_tried_once_per_side(self, landscape, pair, sides, tw, cps_tw, names_tw, monkeypatch):
+        # in 2-D the start bends through mid + 0.4 perp, and through
+        # mid - 0.4 perp too only when another point lies between the bends:
+        # none does for S1-S2, S1 does for M0-M1.  In 1-D there is no side to
+        # bend to, and the one straight start is tried once
         calls = []
 
         def no_connection(p, a, b, M, waypoints):
@@ -488,21 +501,44 @@ class TestTransitionGraph:
         monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection_adaptive", no_connection)
         if landscape == "triple-well":
             p, cps = tw, cps_tw
-            (i, _), (j, _) = cps.nearest(names_tw["S1"]), cps.nearest(names_tw["S2"])
+            i, j = (cps.nearest(names_tw[name])[0] for name in pair)
         else:
-            (p, cps, _), i, j = _dw_graph(), 1, 2
+            (p, cps, _), (i, j) = _dw_graph(), pair
         graph = build_transition_graph(p, cps, hamiltonian_pairs=[(i, j)], ham_M=50)
-        assert len(calls) == sides
-        if sides == 1:
+        if landscape == "double-well-1d":
             assert calls == [None]
         else:
+            chord = cps[j].location - cps[i].location
+            perp = np.array([-chord[1], chord[0]]) / np.linalg.norm(chord)
             mid = 0.5 * (cps[i].location + cps[j].location)
-            (up,), (down,) = calls
-            np.testing.assert_allclose(up + down, 2.0 * mid, atol=1e-15)
+            assert len(calls) == sides
+            for (wp,), side in zip(calls, (1, -1)):
+                np.testing.assert_allclose(wp, mid + 0.4 * side * perp, atol=1e-15)
         assert [f for f in graph.failures if "to" in f] == [
             {"from": i, "to": j, "side": side, "error": "NotConvergedError", "message": "no connection"}
             for side in (1, -1)[:sides]
         ]
+
+    def test_pair_listed_twice_raises_before_any_shot(self, tw, cps_tw, names_tw, monkeypatch):
+        def no_shots(*args, **kwargs):
+            raise AssertionError("a shot ran")
+
+        (i, _), (j, _) = cps_tw.nearest(names_tw["S1"]), cps_tw.nearest(names_tw["S2"])
+        for name in ("saddle_shots", "gradient_shots", "hamiltonian_connection_adaptive"):
+            monkeypatch.setattr(ompath.heteroclinic, name, no_shots)
+        for k, l in ((i, j), (j, i)):
+            with pytest.raises(ValueError, match=rf"saddle pair \({k}, {l}\) is listed twice"):
+                build_transition_graph(tw, cps_tw, hamiltonian_pairs=[(i, j), (k, l)])
+
+    def test_skipped_side_reaches_the_graph_orbit(self, tw, cps_tw, names_tw, graph_full):
+        # side -1 of S1-S2 lands on the orbit side +1 found: nothing is lost
+        # by not trying it (measured: nodes 2.4e-8 apart, J 5.8e-16 higher)
+        (orbit,) = [o for o in graph_full.orbits if o.kind == "hamiltonian"]
+        a, b, wp = _bent_pair(cps_tw, names_tw, -1)
+        other = hamiltonian_connection_adaptive(tw, a, b, M=2000, waypoints=wp)
+        assert other.path.nodes.shape == orbit.path.nodes.shape
+        assert np.max(np.abs(other.path.nodes - orbit.path.nodes)) <= 1e-6
+        assert other.j_value >= orbit.j_value * (1.0 - 1e-12)
 
     def test_one_dimensional_pair_of_one_point_raises_before_any_shot(self, monkeypatch):
         def no_shots(*args, **kwargs):

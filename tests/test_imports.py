@@ -81,7 +81,7 @@ def test_import_leaves_ode_and_graph_modules_unloaded(found):
         assert out["heavy_after_flow"] == out["heavy_after_graphs"] == ["scipy.linalg"]
     assert out["edges"] == 2
     assert abs(out["phi_wells"] - 0.5) < 1e-5
-    assert out["tw_edges"] == 6
+    assert out["tw_edges"] == 5  # four gradient edges, one S1-S2 edge
 
 
 def test_fallback_solves_give_the_same_bytes(found):
