@@ -212,6 +212,8 @@ def cmd_heteroclinic(args) -> str:
             "zero_energy_residual": orbit.zero_energy_residual,
             "gradient_residual": orbit.gradient_residual,
             "el_residual": orbit.el_residual,
+            # whether J settled under interval doubling; a shot has no doubling
+            **({"stabilised": orbit.stabilised} if args.hamiltonian else {}),
         },
     )
 

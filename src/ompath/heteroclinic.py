@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import CriticalPoint, CriticalPointSet
-from .flow import FlowConfig, FlowTrace, minimize
+from .flow import TAU_MAX, FlowConfig, minimize
 from .functionals import _terms, eval_objective, row_sumsq
 from .paths import DiscretePath, interpolate
 from .potentials import PotentialModel
@@ -39,8 +39,9 @@ class HeteroclinicOrbit:
 
     ``kind`` is one of gradient-forward (xdot = -grad V), gradient-backward
     (xdot = +grad V) or hamiltonian.  Residuals are sup norms over interior
-    nodes with centered differences.  ``trace`` is the flow of a
-    saddle-saddle connection, None for a gradient shot.
+    nodes with centered differences.  ``stabilised`` says whether the last
+    interval doubling of ``hamiltonian_connection_adaptive`` moved J by less
+    than 1e-4; it is None for a gradient shot or a lone connection.
     """
 
     source: CriticalPoint
@@ -54,7 +55,7 @@ class HeteroclinicOrbit:
     el_residual: float
     endpoint_distances: tuple[float, float]
     endpoint_warning: bool = False
-    trace: FlowTrace | None = None
+    stabilised: bool | None = None
 
 
 def _orbit_record(p: PotentialModel, path: DiscretePath) -> tuple[dict, str]:
@@ -412,16 +413,17 @@ def gradient_connection(
 
 
 def hamiltonian_connection(
-    p: PotentialModel, a: CriticalPoint, b: CriticalPoint, start: DiscretePath, tau0: float = 1e-2
+    p: PotentialModel, a: CriticalPoint, b: CriticalPoint, start: DiscretePath
 ) -> HeteroclinicOrbit:
     """Connect two critical points by minimizing the truncated action.
 
     The unit-temperature action over the interval and mesh of ``start`` is
-    descended over interior nodes from the flow step ``tau0`` to ``grad_tol``
-    1e-7 within 60,000 iterations.  The result must satisfy the second-order
-    stationarity system to 1e-2 and conserve energy at level zero to 1e-3,
-    and is downgraded to a gradient kind when the first-order residual is
-    also at most 1e-3.
+    descended over interior nodes from the step cap ``TAU_MAX``, which the
+    flow halves until a step decreases J, to ``grad_tol`` 1e-7 within 60,000
+    iterations.  The result must satisfy the second-order stationarity
+    system to 1e-2 and conserve energy at level zero to 1e-3, and is
+    downgraded to a gradient kind when the first-order residual is also at
+    most 1e-3.
     """
     if a is b or np.allclose(a.location, b.location):
         raise ValueError("endpoints must be distinct critical points")
@@ -431,7 +433,7 @@ def hamiltonian_connection(
     ):
         raise ValueError("start endpoints must sit on the given critical points")
 
-    cfg = FlowConfig(objective="J", eps=1.0, tau0=tau0, grad_tol=1e-7, max_iter=60_000)
+    cfg = FlowConfig(objective="J", eps=1.0, tau0=TAU_MAX, grad_tol=1e-7, max_iter=60_000)
     path, trace = minimize(p, start, cfg)
 
     fields, grad_kind = _orbit_record(p, path)
@@ -449,7 +451,7 @@ def hamiltonian_connection(
         )
     kind = grad_kind if fields["gradient_residual"] <= 1e-3 else "hamiltonian"
     return HeteroclinicOrbit(
-        source=a, target=b, path=path, kind=kind, endpoint_distances=(0.0, 0.0), trace=trace, **fields
+        source=a, target=b, path=path, kind=kind, endpoint_distances=(0.0, 0.0), **fields
     )
 
 
@@ -461,9 +463,9 @@ def hamiltonian_connection_adaptive(
     waypoints=None,
 ) -> HeteroclinicOrbit:
     """Double the truncation interval, from [-6, 6] and at most five times,
-    until the connection cost changes by less than 1e-4.  Each doubling starts
-    from the last orbit, extended by constant dwell at its ends, and its flow
-    from the last accepted step of the flow before."""
+    until the connection cost changes by less than 1e-4, and mark the orbit
+    ``stabilised`` if it did.  Each doubling starts from the last orbit,
+    extended by constant dwell at its ends."""
     wp = (
         [a.location] + [np.asarray(w, float) for w in (waypoints or [])] + [b.location]
     )
@@ -473,12 +475,11 @@ def hamiltonian_connection_adaptive(
     for _ in range(5):
         T *= 2.0
         nodes = interpolate(np.linspace(-T, T, M + 1), orbit.path.times, orbit.path.nodes)
-        steps = [t for t, ok in zip(orbit.trace.steps, orbit.trace.accepted) if ok]
-        carry = {"tau0": steps[-1]} if steps else {}  # none when no step was taken
-        new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T), **carry)
-        if abs(new.j_value - orbit.j_value) < 1e-4:
-            return new
+        new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T))
+        new.stabilised = bool(abs(new.j_value - orbit.j_value) < 1e-4)
         orbit = new
+        if orbit.stabilised:
+            break
     return orbit
 
 
@@ -494,9 +495,11 @@ def shortest_paths(w: np.ndarray) -> np.ndarray:
     sums ``d[u] + w[u, v]`` from its source, as Dijkstra does, and rounding
     is monotone, so each distance is the least such sum over all paths and
     its bits are those of ``scipy.sparse.csgraph.shortest_path(w,
-    method="D", directed=False)`` on a dense ``w``.  csgraph also drops a
-    weight within 1e-8 of zero; here it is an edge.  A sum beyond the
-    largest float reads inf.
+    method="D", directed=False)`` on a dense ``w``.  Those sums can differ
+    in the last bit each way, so the lesser of ``d[s, v]`` and ``d[v, s]``
+    is returned both ways: still the least sum over every path, and
+    symmetric to the bit.  csgraph also drops a weight within 1e-8 of zero;
+    here it is an edge.  A sum beyond the largest float reads inf.
     """
     w = np.asarray(w, dtype=float)
     edge = np.where(np.isfinite(w) & (w != 0.0), w, np.inf)
@@ -510,7 +513,7 @@ def shortest_paths(w: np.ndarray) -> np.ndarray:
             if np.array_equal(new, d):
                 break
             d = new
-    return d
+    return np.minimum(d, d.T)
 
 
 @dataclass
@@ -519,9 +522,11 @@ class GraphEdge:
     j: int
     j_value: float
     kind: str
+    stabilised: bool | None = None  # saddle-saddle edges only
 
     def to_dict(self):
-        return {"from": self.i, "to": self.j, "J": self.j_value, "kind": self.kind}
+        out = {"from": self.i, "to": self.j, "J": self.j_value, "kind": self.kind}
+        return out if self.stabilised is None else {**out, "stabilised": self.stabilised}
 
 
 @dataclass
@@ -632,7 +637,7 @@ def build_transition_graph(
             except (NotConvergedError, ValueError) as err:
                 graph.failures.append({"from": i, "to": j, "side": side, **_failure(err)})
                 continue
-            graph.edges.append(GraphEdge(i, j, orbit.j_value, orbit.kind))
+            graph.edges.append(GraphEdge(i, j, orbit.j_value, orbit.kind, orbit.stabilised))
             graph.orbits.append(orbit)
 
     graph.recompute_phi()

@@ -224,6 +224,15 @@ class TestHeteroclinic:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_saddle_connection_reports_stabilised(self, tmp_path):
+        # only a saddle-saddle connection doubles its interval, so only its
+        # summary says whether J settled
+        argv = ["heteroclinic", "--from", "S1", "--to", "S2", "--hamiltonian", "--nodes", "1000"]
+        assert run([*argv, "--out", str(tmp_path / "ham")]) == 0
+        assert json.loads((tmp_path / "ham" / "orbit_summary.json").read_text())["stabilised"] is True
+        assert run(["heteroclinic", "--from", "S1", "--nodes", "300", "--out", str(tmp_path / "shot")]) == 0
+        assert "stabilised" not in json.loads((tmp_path / "shot" / "orbit_summary.json").read_text())
+
     def test_unset_sign_is_plus_one(self, tmp_path):
         argv = ["heteroclinic", "--from", "S1", "--nodes", "300"]
         assert run([*argv, "--out", str(tmp_path / "unset")]) == 0
@@ -457,12 +466,12 @@ OUTPUT_GOLDEN = {
     "figure-2": (
         ["figure", "2", "--nodes", "200"],
         {
-            "figure2/figure2_summary.json": "e0719bd759055851ceb1f321c74432889b8302ed",
+            "figure2/figure2_summary.json": "3cb9ff372f45179d2673e8decafd20add69e5d71",
             "figure2/gradient_S1_M0.csv": "db0de2071c93c45d84b2befa7549c8bb583617fe",
             "figure2/gradient_S1_M1.csv": "bdefa8fe3b09a9e072e3e862af9f47a18f699a8b",
             "figure2/gradient_S2_M0.csv": "c15bd91ac9d1ea620479dc9c3774d6e1ecb7f0d6",
             "figure2/gradient_S2_M2.csv": "3d0d2d67c4ccaf71e2fc1b905314e9f30b1257be",
-            "figure2/hamiltonian_S1_S2.csv": "2f26e1df07765faafc213dbe08ccb978111d9d19",
+            "figure2/hamiltonian_S1_S2.csv": "917e17af6bc3942fb8ab1b3744c808c39c573b1e",
         },
     ),
     "gamma": (

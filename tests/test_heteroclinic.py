@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ompath import (
     verify_orbit,
 )
 from ompath.experiments import triple_well_graph
+from ompath.flow import TAU_MAX
 from ompath.heteroclinic import _orbit_record, saddle_shots, shortest_paths
 from ompath.paths import interpolate
 
@@ -259,10 +261,6 @@ def flows(monkeypatch):
     return log
 
 
-def _last_accepted_step(trace):
-    return [t for t, ok in zip(trace.steps, trace.accepted) if ok][-1]
-
-
 def _bent_pair(cps, names, side):
     """S1, S2 and the waypoint build_transition_graph bends their start
     through on the given side of the chord."""
@@ -273,30 +271,31 @@ def _bent_pair(cps, names, side):
 
 
 def _restarting_adaptive(p, a, b, M, waypoints):
-    """hamiltonian_connection_adaptive as it was when every doubled stage
-    restarted its flow at the step 1e-2: the orbit and the number of stages."""
+    """hamiltonian_connection_adaptive as it was when every stage started its
+    flow at the step 1e-2: the orbit and the number of stages."""
     wp = [a.location] + [np.asarray(w, float) for w in waypoints] + [b.location]
-    T = 6.0
-    orbit = hamiltonian_connection(p, a, b, DiscretePath.from_waypoints(wp, M, a=-T, b=T))
-    for stages in range(2, 7):
-        T *= 2.0
-        nodes = interpolate(np.linspace(-T, T, M + 1), orbit.path.times, orbit.path.nodes)
-        new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T))
-        if abs(new.j_value - orbit.j_value) < 1e-4:
-            return new, stages
-        orbit = new
+    with pytest.MonkeyPatch.context() as mp:
+        flow = ompath.heteroclinic.minimize
+        mp.setattr(ompath.heteroclinic, "minimize", lambda p, x, cfg: flow(p, x, replace(cfg, tau0=1e-2)))
+        T = 6.0
+        orbit = hamiltonian_connection(p, a, b, DiscretePath.from_waypoints(wp, M, a=-T, b=T))
+        for stages in range(2, 7):
+            T *= 2.0
+            nodes = interpolate(np.linspace(-T, T, M + 1), orbit.path.times, orbit.path.nodes)
+            new = hamiltonian_connection(p, a, b, DiscretePath(nodes, a=-T, b=T))
+            if abs(new.j_value - orbit.j_value) < 1e-4:
+                return new, stages
+            orbit = new
     return orbit, stages
 
 
 class TestStepHandoff:
     @pytest.mark.parametrize("side", [1, -1])
-    def test_stage_starts_at_the_last_accepted_step_before(self, side, tw, cps_tw, names_tw, flows):
+    def test_every_stage_starts_at_the_step_cap(self, side, tw, cps_tw, names_tw, flows):
         a, b, wp = _bent_pair(cps_tw, names_tw, side)
-        orbit = hamiltonian_connection_adaptive(tw, a, b, M=1000, waypoints=wp)
-        assert len(flows) >= 2 and orbit.trace is flows[-1][1]
-        assert flows[0][0].tau0 == 1e-2
-        for (_, before), (cfg, _) in zip(flows, flows[1:]):
-            assert cfg.tau0 == _last_accepted_step(before) != 1e-2
+        hamiltonian_connection_adaptive(tw, a, b, M=1000, waypoints=wp)
+        assert len(flows) >= 2
+        assert all(cfg.tau0 == TAU_MAX for cfg, _ in flows)
 
     @pytest.mark.parametrize("M", [1000, 4000])
     @pytest.mark.parametrize("side", [1, -1])
@@ -313,7 +312,8 @@ class TestStepHandoff:
 
     def test_trials_per_stage_on_the_benchmark_pair(self, tw, cps_tw, names_tw, flows, monkeypatch):
         # the S1-S2 pair of triple_well_graph at 4000 nodes, tried on side +1
-        # only; with every stage restarted at 1e-2 the trials were [89, 59]
+        # only; started at 1e-2, with the second stage at the first's last
+        # accepted step, the trials were [89, 20] (accepted [84, 15])
         calls = []
         connect = ompath.heteroclinic.hamiltonian_connection
 
@@ -323,30 +323,58 @@ class TestStepHandoff:
 
         monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection", counted)
         triple_well_graph(tw, cps_tw, ham_M=4000)
-        assert [len(trace.accepted) for _, trace in flows] == [89, 20]
-        assert [sum(trace.accepted) for _, trace in flows] == [84, 15]
-        # each stage goes through the module attribute; the first has no carry
-        assert calls == [{}, {"tau0": _last_accepted_step(flows[0][1])}]
-        # side -1, which the graph no longer tries, keeps its own count
-        # (restarted at 1e-2 it was [71, 59])
+        assert [len(trace.accepted) for _, trace in flows] == [36, 15]
+        assert [sum(trace.accepted) for _, trace in flows] == [29, 10]
+        # each stage goes through the module attribute, with no keyword
+        assert calls == [{}, {}]
+        # side -1, which the graph does not try (so started: [71, 18], [70, 13])
         del flows[:], calls[:]
         a, b, wp = _bent_pair(cps_tw, names_tw, -1)
         hamiltonian_connection_adaptive(tw, a, b, M=4000, waypoints=wp)
-        assert [len(trace.accepted) for _, trace in flows] == [71, 18]
-        assert [sum(trace.accepted) for _, trace in flows] == [70, 13]
-        assert calls == [{}, {"tau0": _last_accepted_step(flows[0][1])}]
+        assert [len(trace.accepted) for _, trace in flows] == [30, 15]
+        assert [sum(trace.accepted) for _, trace in flows] == [24, 10]
+        assert calls == [{}, {}]
 
     def test_lone_connection_bytes_unchanged(self, tw, cps_tw, names_tw, flows):
-        # recorded before the adaptive loop carried the step between stages
+        # recorded when the flow first started at the step cap
         a, b, _ = _bent_pair(cps_tw, names_tw, 1)
         mid = 0.5 * (a.location + b.location)
         start = DiscretePath.from_waypoints([a.location, mid + 0.28, b.location], 200, a=-6.0, b=6.0)
         orbit = hamiltonian_connection(tw, a, b, start)
-        assert [cfg.tau0 for cfg, _ in flows] == [1e-2]
+        assert [cfg.tau0 for cfg, _ in flows] == [TAU_MAX]
         assert hashlib.sha1(orbit.path.nodes.tobytes()).hexdigest() == (
-            "eb7c0354d97905caed947e5e9c10b41498d912c3"
+            "7c786888e2b5a0ec95ebcc5f566191976293dbb4"
         )
-        assert orbit.j_value == 0.07759745506616325
+        assert orbit.j_value == 0.0775974550661649
+        assert orbit.stabilised is None
+
+
+class TestStabilised:
+    def test_j_that_keeps_moving_is_not_stabilised(self, tw, cps_tw, names_tw, monkeypatch):
+        # every stage's J is one above the last, so no doubling settles it
+        a, b, wp = _bent_pair(cps_tw, names_tw, 1)
+        start = DiscretePath.from_waypoints([a.location, *wp, b.location], 200, a=-6.0, b=6.0)
+        template = hamiltonian_connection(tw, a, b, start)
+        calls = []
+
+        def moving(p, a, b, start):
+            calls.append(start.b)
+            return replace(template, path=start, j_value=float(len(calls)))
+
+        monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection", moving)
+        orbit = hamiltonian_connection_adaptive(tw, a, b, M=200, waypoints=wp)
+        assert calls == [6.0, 12.0, 24.0, 48.0, 96.0, 192.0]
+        assert orbit.j_value == 6.0 and orbit.stabilised is False
+
+    def test_triple_well_saddle_pair_is_stabilised(self, tw, saddle_orbit, graph_full):
+        assert saddle_orbit.stabilised is True
+        doc = json.loads(json.dumps(graph_full.to_dict()))
+        for edge in doc["edges"]:
+            if edge["kind"] == "hamiltonian":
+                assert edge["stabilised"] is True
+            else:
+                assert "stabilised" not in edge
+        assert all(o.stabilised is None for o in _gradient_orbits(graph_full))
 
 
 def _shot_key(shots):
@@ -532,7 +560,7 @@ class TestTransitionGraph:
 
     def test_skipped_side_reaches_the_graph_orbit(self, tw, cps_tw, names_tw, graph_full):
         # side -1 of S1-S2 lands on the orbit side +1 found: nothing is lost
-        # by not trying it (measured: nodes 2.4e-8 apart, J 5.8e-16 higher)
+        # by not trying it (measured: nodes 2.3e-12 apart, J bitwise equal)
         (orbit,) = [o for o in graph_full.orbits if o.kind == "hamiltonian"]
         a, b, wp = _bent_pair(cps_tw, names_tw, -1)
         other = hamiltonian_connection_adaptive(tw, a, b, M=2000, waypoints=wp)
@@ -565,8 +593,8 @@ class TestTransitionGraph:
         for e in graph_full.edges:
             w[e.i, e.j] = min(w[e.i, e.j], e.j_value)
             w[e.j, e.i] = min(w[e.j, e.i], e.j_value)
-        want = shortest_path(w, method="D", directed=False)
-        assert graph_full.recompute_phi().tobytes() == want.tobytes()
+        cs = shortest_path(w, method="D", directed=False)
+        assert graph_full.recompute_phi().tobytes() == np.minimum(cs, cs.T).tobytes()
 
 
 # off-diagonal weights: no edge (inf, 0, NaN), a few values whose sums tie or
@@ -593,8 +621,21 @@ class TestShortestPaths:
     @settings(max_examples=300, deadline=None)
     @given(w=_weight_arrays())
     def test_bytes_equal_csgraph_dijkstra(self, w):
-        want = shortest_path(w, method="D", directed=False)
-        assert shortest_paths(w).tobytes() == want.tobytes()
+        # csgraph's distances, the lesser of the two directions both ways
+        cs = shortest_path(w, method="D", directed=False)
+        assert shortest_paths(w).tobytes() == np.minimum(cs, cs.T).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=_weight_arrays())
+    def test_symmetric_to_the_bit(self, w):
+        d = shortest_paths(w)
+        assert d.tobytes() == d.T.tobytes()
+
+    def test_triple_well_phi_symmetric_to_the_bit(self, tw, cps_tw):
+        # each distance summed from its source alone, Phi(M1, M2) read
+        # 0.22574520185951485 and Phi(M2, M1) ...483 at 1,000 nodes
+        phi = triple_well_graph(tw, cps_tw, ham_M=1000).phi
+        assert phi.tobytes() == phi.T.tobytes()
 
     def test_no_edge_weights_leave_points_apart(self):
         w = np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
