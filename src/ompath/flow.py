@@ -204,11 +204,14 @@ def _grad_norm(g: np.ndarray, h: float) -> float:
     return float(np.linalg.norm(g.ravel()) / np.sqrt(h))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def minimize(
     p: PotentialModel, start: DiscretePath, cfg: FlowConfig
 ) -> tuple[DiscretePath, FlowTrace]:
     """Descend the discrete objective over interior nodes until the gradient
-    norm falls below cfg.grad_tol or cfg.max_iter steps are spent."""
+    norm falls below cfg.grad_tol or cfg.max_iter steps are spent.  A value
+    that overflows or turns NaN raises NonFiniteObjectiveError, with no
+    RuntimeWarning before it."""
     if start.M < 3:
         raise ValueError("need at least 3 intervals")
     h = start.h

@@ -10,6 +10,7 @@ critical points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,11 @@ from .potentials import PotentialModel
 
 class EscapeError(RuntimeError):
     """A shot trajectory left the search region without reaching a critical point."""
+
+
+class ChainError(RuntimeError):
+    """A saddle-saddle orbit passed by a third critical point: it is a chain of
+    connections through that point, not a direct one."""
 
 
 class NotConvergedError(RuntimeError):
@@ -156,6 +162,42 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(row_sumsq(x)) / np.sqrt(x.shape[-1])
 
 
+# the coefficients by name, for the stages of _dp_step
+((_A21,), (_A31, _A32), (_A41, _A42, _A43),
+ (_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65)) = _DP_A
+_B1, _, _B3, _B4, _B5, _B6 = _DP_B
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
+
+
+def _dp_step(p: PotentialModel, y: np.ndarray, f: np.ndarray, h: np.ndarray) -> tuple:
+    """One Dormand-Prince step from each row of y (first stage f, length h):
+    the stages (7, K, N), the new points and the RMS error norms, on floats
+    through ``p.point_gradient``, with the array formulas' operations in order."""
+    grad = p.point_gradient
+    stages, ends, errs = [], [], []
+    for y0, k1, dt in zip(y.tolist(), f.tolist(), h.tolist()):
+        k2 = [-g for g in grad([x + (_A21 * s1) * dt for x, s1 in zip(y0, k1)])]
+        k3 = [-g for g in grad([x + (_A31 * s1 + _A32 * s2) * dt for x, s1, s2 in zip(y0, k1, k2)])]
+        k4 = [-g for g in grad([x + (_A41 * s1 + _A42 * s2 + _A43 * s3) * dt
+                                for x, s1, s2, s3 in zip(y0, k1, k2, k3)])]
+        k5 = [-g for g in grad([x + (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4) * dt
+                                for x, s1, s2, s3, s4 in zip(y0, k1, k2, k3, k4)])]
+        k6 = [-g for g in grad([x + (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5) * dt
+                                for x, s1, s2, s3, s4, s5 in zip(y0, k1, k2, k3, k4, k5)])]
+        end = [x + dt * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
+               for x, s1, s3, s4, s5, s6 in zip(y0, k1, k3, k4, k5, k6)]
+        k7 = [-g for g in grad(end)]
+        sq = 0.0
+        for x, xe, s1, s3, s4, s5, s6, s7 in zip(y0, end, k1, k3, k4, k5, k6, k7):
+            e = (_E1 * s1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * s7) * dt
+            e = e / (ATOL + max(abs(x), abs(xe)) * RTOL)
+            sq += e * e
+        stages.append((k1, k2, k3, k4, k5, k6, k7))
+        ends.append(end)
+        errs.append(math.sqrt(sq) / math.sqrt(len(y0)))
+    return np.array(stages).transpose(1, 0, 2), np.array(ends), np.array(errs)
+
+
 def _levels(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Event levels of the rows of y, (K, C+1), each >= 0 once its event is
     reached: CAPTURE minus the distance to each of the C critical points,
@@ -208,8 +250,8 @@ def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.nda
     own adaptive Dormand-Prince 5(4) step, until it reaches one of the events
     ``watch`` marks for it (columns of _levels) or time T_MAX.
 
-    Each stage makes one gradient call for all rows still running.  A row's
-    numbers do not depend on the others: every operation is elementwise.
+    Each row takes its steps on floats (_dp_step) and the step-size control
+    is elementwise, so a row's numbers do not depend on the others.
     """
     K = y0.shape[0]
     rows = np.arange(K)
@@ -244,15 +286,8 @@ def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.nda
             continue
         t_new = np.minimum(ti + np.maximum(h_abs[idx], min_step), T_MAX)
         h = t_new - ti
-        hc = h[:, None]
         yi = y[idx]
-        k = [f[idx]]
-        for a in _DP_A:
-            k.append(-p.gradient(yi + _weigh(a, k) * hc))
-        y_new = yi + hc * _weigh(_DP_B, k)
-        k.append(-p.gradient(y_new))
-        scale = ATOL + np.maximum(np.abs(yi), np.abs(y_new)) * RTOL
-        err = _rms(_weigh(_DP_E, k) * hc / scale)
+        k, y_new, err = _dp_step(p, yi, f[idx], h)
 
         ok = err < 1.0
         # the floor only keeps 0**-0.2 finite: every error below 6e-6 grows
@@ -265,7 +300,7 @@ def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.nda
             if not ok.any():
                 continue
             idx, ti, t_new, h, yi, y_new = idx[ok], ti[ok], t_new[ok], h[ok], yi[ok], y_new[ok]
-            k = [s[ok] for s in k]
+            k = k[:, ok]
 
         log.append((idx, ti, h, yi, *k))
         t[idx], y[idx], f[idx] = t_new, y_new, k[-1]
@@ -569,6 +604,18 @@ def _failure(err: Exception) -> dict:
     return {"error": type(err).__name__, "message": str(err)}
 
 
+def _check_chain(orbit: HeteroclinicOrbit, cps: CriticalPointSet, ends, reach: float) -> None:
+    """Raise ChainError if the orbit comes within ``reach`` of a critical
+    point of cps other than its ends."""
+    for k, c in enumerate(cps):
+        if k in ends:
+            continue
+        d = float(np.min(np.linalg.norm(orbit.path.nodes - c.location, axis=-1)))
+        if d <= reach:
+            where = f"critical point {k} at {c.location.tolist()}"
+            raise ChainError(f"the orbit passes within {d:.3g} of {where}")
+
+
 def build_transition_graph(
     p: PotentialModel,
     cps: CriticalPointSet,
@@ -586,7 +633,10 @@ def build_transition_graph(
     starts in different homotopy classes; the triple well's S1-S2 pair is
     tried once.  Outside two dimensions the straight start is tried once.
     All shots run as one batch (``gradient_shots``).  A shot or pair that
-    fails is recorded in ``graph.failures`` and leaves no edge.  A ``ham_M``
+    fails is recorded in ``graph.failures`` and leaves no edge; so is a
+    saddle-saddle orbit that passes within a tenth of the least distance
+    between two critical points of a third one (ChainError): it is a chain
+    through that point, whose own edges the graph already holds.  A ``ham_M``
     below 3 intervals, with or without pairs, and a pair that names one point
     twice or is listed twice, in either order, raise ValueError before any
     shot runs.
@@ -629,12 +679,17 @@ def build_transition_graph(
         graph.edges.append(GraphEdge(key["from"], j_idx, drop, orbit.kind))
         graph.orbits.append(orbit)
 
+    if pairs:
+        locs = np.array([c.location for c in cps])
+        dist = np.linalg.norm(locs[:, None] - locs, axis=-1)
+        reach = 0.1 * np.min(dist[np.triu_indices(len(cps), 1)])
     for i, j, starts in pairs:
         a, b = cps[i], cps[j]
         for side, wp in starts:
             try:
                 orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
-            except (NotConvergedError, ValueError) as err:
+                _check_chain(orbit, cps, (i, j), reach)
+            except (NotConvergedError, ChainError, ValueError) as err:
                 graph.failures.append({"from": i, "to": j, "side": side, **_failure(err)})
                 continue
             graph.edges.append(GraphEdge(i, j, orbit.j_value, orbit.kind, orbit.stabilised))

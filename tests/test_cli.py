@@ -169,6 +169,24 @@ class TestMinimize:
         doc = json.loads((tmp_path / "failure.json").read_text())
         assert "error" in doc
 
+    def test_overflowing_path_exits_3_without_warning(self, tmp_path, capsys):
+        # |grad V|^2 overflows at (1e40, 1e40): a numerical failure, exit 3,
+        # with no RuntimeWarning first, in process under this suite's
+        # error::RuntimeWarning filter and in a plain interpreter
+        argv = ["minimize", "--from", "M1", "--to", "M2", "--waypoints", "1e40,1e40", "--nodes", "50"]
+        assert run(argv + ["--out", str(tmp_path / "here")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "objective non-finite at the starting path"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ompath.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ompath.cli", *argv, "--out", str(tmp_path / "plain")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 3
+        assert "Warning" not in done.stderr
+        assert json.loads(done.stderr)["error"] == "objective non-finite at the starting path"
+
     def test_nonfinite_gradient_exits_3(self, tmp_path, monkeypatch, capsys):
         # a NaN in the flow's gradient is a numerical failure (exit 3), not a
         # usage error from the banded solve rejecting its input

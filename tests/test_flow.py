@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import warnings
 from array import array
 from unittest import mock
 
@@ -151,6 +152,15 @@ class TestNonFinite:
         nodes[0] = nodes[-1] = 0.0
         with np.errstate(over="ignore"), pytest.raises(NonFiniteObjectiveError):
             minimize(tw, DiscretePath(nodes), FlowConfig(max_iter=5))
+
+    def test_overflow_through_a_path_raises_its_own_class(self, tw):
+        # |grad V|^2 overflows at (1e40, 1e40); under warnings as errors the
+        # overflow warning would otherwise be raised in place of the error
+        path = DiscretePath.from_waypoints([[1.0, 0.0], [1e40, 1e40], [0.0, 1.0]], 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteObjectiveError, match="at the starting path"):
+                minimize(tw, path, FlowConfig())
 
     def test_nonfinite_gradient_raises(self):
         # a NaN in the action gradient is a numerical failure, not a bad input

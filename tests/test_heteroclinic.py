@@ -22,6 +22,7 @@ from ompath import (
     build_transition_graph,
     classify_point,
     CriticalPointSet,
+    DomainError,
     eval_I,
     gradient_connection,
     hamiltonian_connection,
@@ -30,7 +31,21 @@ from ompath import (
 )
 from ompath.experiments import triple_well_graph
 from ompath.flow import TAU_MAX
-from ompath.heteroclinic import _orbit_record, saddle_shots, shortest_paths
+from ompath.experiments import run_figure
+from ompath.heteroclinic import (
+    _DP_A,
+    _DP_B,
+    _DP_E,
+    ATOL,
+    MIN_FACTOR,
+    RTOL,
+    SHOT_NODES,
+    _dp_step,
+    _orbit_record,
+    gradient_shots,
+    saddle_shots,
+    shortest_paths,
+)
 from ompath.paths import interpolate
 
 TWO27 = 2.0 / 27.0
@@ -149,6 +164,131 @@ class TestBatchedShots:
             ref = DiscretePath(nodes, a=-t_end / 2.0, b=t_end / 2.0)
             ref_j = _orbit_record(p, ref)[0]["j_value"]
             assert abs(o.j_value - ref_j) <= 1e-12 * ref_j
+
+
+def _weigh_frozen(coefs, stages):
+    out = None
+    for c, k in zip(coefs, stages):
+        if c:
+            out = c * k if out is None else out + c * k
+    return out
+
+
+def _numpy_dp_step(p, yi, f, h):
+    """The Dormand-Prince stage loop of the shots as it was on arrays, kept
+    as the oracle of _dp_step: one gradient call per stage for every row,
+    and the RMS error norm summed column by column."""
+    hc = h[:, None]
+    k = [f]
+    for a in _DP_A:
+        k.append(-p.gradient(yi + _weigh_frozen(a, k) * hc))
+    y_new = yi + hc * _weigh_frozen(_DP_B, k)
+    k.append(-p.gradient(y_new))
+    scale = ATOL + np.maximum(np.abs(yi), np.abs(y_new)) * RTOL
+    e = _weigh_frozen(_DP_E, k) * hc / scale
+    sq = e[:, 0] * e[:, 0]
+    for j in range(1, e.shape[1]):
+        sq = sq + e[:, j] * e[:, j]
+    return np.array(k), y_new, np.sqrt(sq) / np.sqrt(e.shape[1])
+
+
+def _orbit_bits(out):
+    """Everything a gradient_shots entry holds, in bytes where it is an array."""
+    if isinstance(out, Exception):
+        return type(out).__name__, str(out)
+    return (
+        out.source.location.tobytes(), out.target.location.tobytes(), out.path.nodes.tobytes(),
+        out.path.a, out.path.b, out.kind, out.j_value, out.energy_residual, out.zero_energy_residual,
+        out.gradient_residual, out.el_residual, out.endpoint_distances, out.endpoint_warning,
+    )
+
+
+def _shots_both_ways(p, cps, shots, n_nodes=SHOT_NODES):
+    """gradient_shots with the float stages, then with the array oracle."""
+    got = [_orbit_bits(o) for o in gradient_shots(p, cps, shots, n_nodes)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ompath.heteroclinic, "_dp_step", _numpy_dp_step)
+        want = [_orbit_bits(o) for o in gradient_shots(p, cps, shots, n_nodes)]
+    return got, want
+
+
+def _saddle_shots_of(p, cps):
+    return [s for c in cps if c.index >= 1 for s in saddle_shots(p, c)]
+
+
+class TestFloatStages:
+    """The shots' stages on floats give the array loop's numbers to the bit."""
+
+    def test_triple_well_graph_shots(self, tw, cps_tw):
+        got, want = _shots_both_ways(tw, cps_tw, _saddle_shots_of(tw, cps_tw))
+        assert len(got) == 4 and not any(isinstance(o[0], str) for o in got)
+        assert got == want
+
+    def test_figure_2_files(self, tmp_path):
+        run_figure(2, tmp_path / "floats")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ompath.heteroclinic, "_dp_step", _numpy_dp_step)
+            run_figure(2, tmp_path / "arrays")
+        names = sorted(f.name for f in (tmp_path / "arrays").iterdir())
+        assert sum(name.startswith("gradient_") for name in names) == 4
+        for name in names:
+            assert (tmp_path / "floats" / name).read_bytes() == (tmp_path / "arrays" / name).read_bytes()
+
+    def test_double_well_shots(self):
+        dw, cps, _ = _dw_graph()
+        got, want = _shots_both_ways(dw, cps, _saddle_shots_of(dw, cps))
+        assert len(got) == 2 and got == want
+
+    @pytest.mark.parametrize("hook", ["float formula", "array of one point"])
+    def test_seeded_random_starts(self, hook, tw, cps_tw):
+        # a batch of 12, started off the saddles in random directions
+        p = tw if hook == "float formula" else CustomPotential(2, tw.value, tw.gradient)
+        rng = np.random.default_rng(2026)
+        saddles = [c for c in cps_tw if c.index >= 1]
+        shots = [
+            (saddles[rng.integers(len(saddles))], rng.normal(size=2), int(rng.choice([-1, 1])))
+            for _ in range(12)
+        ]
+        got, want = _shots_both_ways(p, cps_tw, shots, 500)
+        assert got == want
+
+    @pytest.mark.parametrize("hook", ["float formula", "array of one point"])
+    def test_non_finite_stage_point_raises_domain_error(self, hook, tw):
+        # the second stage point is 0.5 + 2e308, which overflows to inf
+        p = tw if hook == "float formula" else CustomPotential(2, tw.value, tw.gradient)
+        y, f, h = np.array([[0.5, 0.5]]), np.array([[1e308, 0.0]]), np.array([10.0])
+        with pytest.raises(DomainError):
+            _dp_step(p, y, f, h)
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            _numpy_dp_step(p, y, f, h)
+
+    def test_nan_error_norm_shrinks_the_step(self, tw, cps_tw, names_tw, monkeypatch):
+        # the gradient turns NaN once, at the new point of the first step
+        # (its 8th evaluation: two for the initial step, then six stages):
+        # the error norm reads NaN, and the step is retried MIN_FACTOR as long
+        s1 = cps_tw[cps_tw.nearest(names_tw["S1"])[0]]
+        shot = saddle_shots(tw, s1)[0]
+        calls, steps = [0], []
+
+        def gradient(x):
+            calls[0] += 1
+            return np.full(2, np.nan) if calls[0] == 8 else tw.gradient(x)
+
+        def recorded(p, y, f, h):
+            k, y_new, err = stepper(p, y, f, h)
+            steps.append((h[0], err[0]))
+            return k, y_new, err
+
+        p = CustomPotential(2, tw.value, gradient)
+        runs = []
+        for stepper in (_dp_step, _numpy_dp_step):
+            calls[0], steps[:] = 0, []
+            monkeypatch.setattr(ompath.heteroclinic, "_dp_step", recorded)
+            runs.append(_orbit_bits(gradient_shots(p, cps_tw, [shot])[0]))
+            assert np.isnan(steps[0][1]) and not np.isnan(steps[1][1])
+            assert steps[1][0] == steps[0][0] * MIN_FACTOR
+        assert runs[0] == runs[1]
+        assert not isinstance(runs[0][0], str)
 
 
 class LoggingTripleWell(TripleWell):
@@ -546,6 +686,37 @@ class TestTransitionGraph:
             {"from": i, "to": j, "side": side, "error": "NotConvergedError", "message": "no connection"}
             for side in (1, -1)[:sides]
         ]
+
+    def test_chain_through_a_third_point_is_a_failure(self, tw, cps_tw, names_tw, monkeypatch):
+        # a lone connection started at T = 24 passes every residual check, but
+        # it is the chain S1 -> M0 -> S2 (J 4/27), 5e-8 from M0
+        def lone_at_24(p, a, b, M, waypoints):
+            start = DiscretePath.from_waypoints([a.location, *waypoints, b.location], M, a=-24.0, b=24.0)
+            return hamiltonian_connection(p, a, b, start)
+
+        i, j, m0 = (cps_tw.nearest(names_tw[k])[0] for k in ("S1", "S2", "M0"))
+        a, b, wp = _bent_pair(cps_tw, names_tw, 1)
+        chain = lone_at_24(tw, a, b, 1000, wp)
+        assert chain.kind == "hamiltonian" and abs(chain.j_value - 2 * TWO27) <= 1e-5
+        assert np.min(np.linalg.norm(chain.path.nodes - names_tw["M0"], axis=-1)) <= 1e-7
+
+        monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection_adaptive", lone_at_24)
+        graph = build_transition_graph(tw, cps_tw, hamiltonian_pairs=[(i, j)], ham_M=1000)
+        (failure,) = graph.failures
+        assert (failure["from"], failure["to"], failure["side"], failure["error"]) == (i, j, 1, "ChainError")
+        assert failure["message"].startswith("the orbit passes within 4.98e-08 of critical point ")
+        assert f"critical point {m0} at" in failure["message"]
+        assert [e.kind for e in graph.edges] == ["gradient-forward"] * 4
+        assert len(graph.orbits) == 4
+        # S1 to S2 then costs the chain's own edges, through M0
+        assert graph.phi[i, j] == graph.phi[i, m0] + graph.phi[m0, j]
+
+    def test_direct_saddle_orbit_is_no_chain(self, graph_full, names_tw):
+        # it stays 0.439 from M0; the check's reach is a tenth of the least
+        # distance between two critical points, 0.0577 on the triple well
+        assert graph_full.failures == []
+        (orbit,) = [o for o in graph_full.orbits if o.kind == "hamiltonian"]
+        assert np.min(np.linalg.norm(orbit.path.nodes - names_tw["M0"], axis=-1)) > 0.4
 
     def test_pair_listed_twice_raises_before_any_shot(self, tw, cps_tw, names_tw, monkeypatch):
         def no_shots(*args, **kwargs):

@@ -16,7 +16,7 @@ from ompath import (
     check_derivatives,
     get_potential,
 )
-from ompath.potentials import SMALL_BATCH, _check_finite
+from ompath.potentials import _check_finite
 
 SQ2 = np.sqrt(2.0)
 S1 = np.array([(2.0 + SQ2) / 6.0, (2.0 - SQ2) / 6.0])
@@ -92,6 +92,18 @@ class TestBatchBroadcasting:
             np.testing.assert_array_equal(grads[k], p.gradient(x))
             assert laps[k] == p.laplacian(x)
             np.testing.assert_array_equal(hesses[k], p.hessian(x))
+
+    @pytest.mark.parametrize(
+        "p", [DoubleWell1D(), Quadratic(3), CustomPotential(2, TripleWell().value, TripleWell().gradient)]
+    )
+    def test_point_gradient_is_the_gradient_of_one_point(self, p, rng):
+        # the default hook; TripleWell's own is in TestStackFreeKernels
+        pts = np.concatenate([rng.uniform(-1.5, 1.5, size=(7, p.dim)), np.full((1, p.dim), -0.0)])
+        grads = p.gradient(pts)
+        for k, x in enumerate(pts.tolist()):
+            assert np.array(p.point_gradient(x)).tobytes() == grads[k].tobytes()
+        with pytest.raises(DomainError):
+            p.point_gradient([np.nan] * p.dim)
 
 
 class TestSwapSymmetry:
@@ -256,15 +268,18 @@ class TestStackFreeKernels:
         self._assert_bitwise(tw, np.asfortranarray(x), np.asfortranarray(vec))
         self._assert_bitwise(tw, x[0], vec[0])
 
-    def test_small_batches_match_the_array_path(self, tw):
-        # a gradient batch of at most SMALL_BATCH points is evaluated on floats
+    def test_point_gradient_matches_the_array_path(self, tw):
+        # a gradient shot evaluates each stage at one point, on floats
         x = np.concatenate([SIGNED_ZERO_WELLS, np.random.default_rng(7).uniform(-1.0, 2.0, (40, 2))])
-        whole = tw.gradient(x)
-        for k in (1, 2, SMALL_BATCH, SMALL_BATCH + 1):
-            for start in range(0, len(x) - k, 5):
-                got = tw.gradient(x[start : start + k])
-                assert got.flags["F_CONTIGUOUS"]
-                assert got.tobytes() == whole[start : start + k].tobytes()
+        got = np.array([tw.point_gradient(pt) for pt in x.tolist()])
+        assert got.tobytes() == tw.gradient(x).tobytes()
+        for pt in x:
+            assert np.array(tw.point_gradient(pt.tolist())).tobytes() == tw.gradient(pt).tobytes()
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]])
+    def test_point_gradient_refuses_non_finite_points(self, tw, bad):
+        with pytest.raises(DomainError):
+            tw.point_gradient(bad)
 
     def test_signed_zero_coordinates(self, tw):
         pts = SIGNED_ZERO_WELLS
