@@ -1,7 +1,7 @@
 """Heteroclinic connections between critical points and the transition graph.
 
-Gradient connections are shot from saddle unstable manifolds, all shots of a
-graph at once, with a batched adaptive Dormand-Prince 5(4) integrator;
+Gradient connections are shot from saddle unstable manifolds, each shot on
+its own with an adaptive Dormand-Prince 5(4) integrator on Python floats;
 saddle-saddle connections are found by minimizing the unit-temperature action
 on a truncated interval.  Connection costs assemble into a weighted graph
 whose shortest-path distances give the transition energy between any two
@@ -149,8 +149,7 @@ _ROOT_TOL = 4.0 * np.finfo(float).eps
 
 def _weigh(coefs, stages):
     """sum_s coefs[s] * stages[s] over the nonzero coefficients, added left to
-    right.  Everything is elementwise, so a row's result does not depend on
-    the other rows of the batch."""
+    right, on floats or elementwise on arrays."""
     out = None
     for c, k in zip(coefs, stages):
         if c:
@@ -169,55 +168,52 @@ _B1, _, _B3, _B4, _B5, _B6 = _DP_B
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
-def _dp_step(p: PotentialModel, y: np.ndarray, f: np.ndarray, h: np.ndarray) -> tuple:
-    """One Dormand-Prince step from each row of y (first stage f, length h):
-    the stages (7, K, N), the new points and the RMS error norms, on floats
+def _dp_step(p: PotentialModel, y0: list, k1: list, dt: float) -> tuple:
+    """One Dormand-Prince step of length dt from the point y0 (first stage
+    k1): the seven stages, the new point and the RMS error norm, on floats
     through ``p.point_gradient``, with the array formulas' operations in order."""
     grad = p.point_gradient
-    stages, ends, errs = [], [], []
-    for y0, k1, dt in zip(y.tolist(), f.tolist(), h.tolist()):
-        k2 = [-g for g in grad([x + (_A21 * s1) * dt for x, s1 in zip(y0, k1)])]
-        k3 = [-g for g in grad([x + (_A31 * s1 + _A32 * s2) * dt for x, s1, s2 in zip(y0, k1, k2)])]
-        k4 = [-g for g in grad([x + (_A41 * s1 + _A42 * s2 + _A43 * s3) * dt
-                                for x, s1, s2, s3 in zip(y0, k1, k2, k3)])]
-        k5 = [-g for g in grad([x + (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4) * dt
-                                for x, s1, s2, s3, s4 in zip(y0, k1, k2, k3, k4)])]
-        k6 = [-g for g in grad([x + (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5) * dt
-                                for x, s1, s2, s3, s4, s5 in zip(y0, k1, k2, k3, k4, k5)])]
-        end = [x + dt * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
-               for x, s1, s3, s4, s5, s6 in zip(y0, k1, k3, k4, k5, k6)]
-        k7 = [-g for g in grad(end)]
+    k2 = [-g for g in grad([x + (_A21 * s1) * dt for x, s1 in zip(y0, k1)])]
+    k3 = [-g for g in grad([x + (_A31 * s1 + _A32 * s2) * dt for x, s1, s2 in zip(y0, k1, k2)])]
+    k4 = [-g for g in grad([x + (_A41 * s1 + _A42 * s2 + _A43 * s3) * dt
+                            for x, s1, s2, s3 in zip(y0, k1, k2, k3)])]
+    k5 = [-g for g in grad([x + (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4) * dt
+                            for x, s1, s2, s3, s4 in zip(y0, k1, k2, k3, k4)])]
+    k6 = [-g for g in grad([x + (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5) * dt
+                            for x, s1, s2, s3, s4, s5 in zip(y0, k1, k2, k3, k4, k5)])]
+    end = [x + dt * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
+           for x, s1, s3, s4, s5, s6 in zip(y0, k1, k3, k4, k5, k6)]
+    k7 = [-g for g in grad(end)]
+    sq = 0.0
+    for x, xe, s1, s3, s4, s5, s6, s7 in zip(y0, end, k1, k3, k4, k5, k6, k7):
+        e = (_E1 * s1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * s7) * dt
+        e = e / (ATOL + max(abs(x), abs(xe)) * RTOL)
+        sq += e * e
+    return (k1, k2, k3, k4, k5, k6, k7), end, math.sqrt(sq) / math.sqrt(len(y0))
+
+
+def _levels(y: list, pts: list) -> list:
+    """Event levels of the point y, one per row of pts, each >= 0 once its
+    event is reached: CAPTURE minus the distance to each critical point, then
+    the distance to the centre (the last row of pts) minus ESCAPE."""
+    dist = []
+    for c in pts:
         sq = 0.0
-        for x, xe, s1, s3, s4, s5, s6, s7 in zip(y0, end, k1, k3, k4, k5, k6, k7):
-            e = (_E1 * s1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * s7) * dt
-            e = e / (ATOL + max(abs(x), abs(xe)) * RTOL)
-            sq += e * e
-        stages.append((k1, k2, k3, k4, k5, k6, k7))
-        ends.append(end)
-        errs.append(math.sqrt(sq) / math.sqrt(len(y0)))
-    return np.array(stages).transpose(1, 0, 2), np.array(ends), np.array(errs)
-
-
-def _levels(y: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Event levels of the rows of y, (K, C+1), each >= 0 once its event is
-    reached: CAPTURE minus the distance to each of the C critical points,
-    then the distance to the centre (the last row of pts) minus ESCAPE."""
-    dist = np.sqrt(row_sumsq(y[:, None, :] - pts))
-    dist[:, :-1] = CAPTURE - dist[:, :-1]
-    dist[:, -1] -= ESCAPE
-    return dist
+        for x, xc in zip(y, c):
+            sq += (x - xc) * (x - xc)
+        dist.append(math.sqrt(sq))
+    return [CAPTURE - d for d in dist[:-1]] + [dist[-1] - ESCAPE]
 
 
 def _dense(y_old, q, h, x):
-    """Shampine's quartic at fractions x of the steps of length h from y_old:
-    y_old + h (q1 x + q2 x^2 + q3 x^3 + q4 x^4), one step per row."""
-    x = x[:, None]
+    """Shampine's quartic at fraction x of a step of length h from y_old:
+    y_old + h (q1 x + q2 x^2 + q3 x^3 + q4 x^4), on floats or on arrays."""
     power = x
     acc = q[0] * power
     for qj in q[1:]:
         power = power * x
         acc = acc + qj * power
-    return y_old + h[:, None] * acc
+    return y_old + h * acc
 
 
 def _event_time(level, lo: float, hi: float) -> float:
@@ -246,17 +242,14 @@ class _Shot:
 
 
 def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.ndarray) -> list:
-    """Integrate xdot = -grad V from every row of y0 at once, each row with its
-    own adaptive Dormand-Prince 5(4) step, until it reaches one of the events
+    """Integrate xdot = -grad V from each row of y0, each with its own
+    adaptive Dormand-Prince 5(4) step, until it reaches one of the events
     ``watch`` marks for it (columns of _levels) or time T_MAX.
 
-    Each row takes its steps on floats (_dp_step) and the step-size control
-    is elementwise, so a row's numbers do not depend on the others.
+    Only the initial steps are computed on arrays, with two ``p.gradient``
+    calls; each shot then runs alone on Python floats (_shoot), so its
+    numbers do not depend on the others.
     """
-    K = y0.shape[0]
-    rows = np.arange(K)
-    t = np.zeros(K)
-    y = y0.copy()
     f = -p.gradient(y0)
     # initial step of Hairer, Norsett & Wanner (Sec. II.4)
     scale = ATOL + np.abs(y0) * RTOL
@@ -270,74 +263,59 @@ def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.nda
             (0.01 / np.maximum(d1, d2)) ** 0.2,
         )
     h_abs = np.minimum(np.minimum(100.0 * h0, h1), T_MAX)
-    rejected = np.zeros(K, dtype=bool)
-    running = np.ones(K, dtype=bool)
-    level = _levels(y0, pts)
-    shots = [_Shot() for _ in range(K)]
-    log = []  # (rows, t_old, h, y_old, *stages) of the steps each round accepted
+    pts = pts.tolist()
+    return [_shoot(p, *row, pts) for row in zip(y0.tolist(), f.tolist(), h_abs.tolist(), watch.tolist())]
 
-    while running.any():
-        idx = rows[running]
-        ti = t[idx]
-        min_step = 10.0 * (np.nextafter(ti, np.inf) - ti)
-        stuck = rejected[idx] & (h_abs[idx] < min_step)
-        if stuck.any():
-            running[idx[stuck]] = False
-            continue
-        t_new = np.minimum(ti + np.maximum(h_abs[idx], min_step), T_MAX)
-        h = t_new - ti
-        yi = y[idx]
-        k, y_new, err = _dp_step(p, yi, f[idx], h)
 
+def _shoot(p: PotentialModel, y: list, f: list, h_abs: float, watch: list, pts: list) -> _Shot:
+    """One shot of _integrate from the point y, with first stage f and
+    initial step h_abs, on floats.  Each operation is that of the array
+    formulas, in their order, so the bits are theirs.  The controller's power
+    goes through np.power on one element: Python's ** and a NumPy scalar
+    differ from the array power in the last bit."""
+    shot, t, rejected, level, steps = _Shot(), 0.0, False, _levels(y, pts), []
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if rejected and h_abs < min_step:
+            break
+        # min and max pass a NaN first argument on, as np.minimum and np.maximum do
+        t_new = min(t + max(h_abs, min_step), T_MAX)
+        h = t_new - t
+        k, y_new, err = _dp_step(p, y, f, h)
+        # the floor only keeps 0**-0.2 finite: every error below 6e-6 grows the
+        # step by MAX_FACTOR, and a NaN error still shrinks it (np.fmax's NaN rule)
+        factor = SAFETY * np.power(np.array([max(err, 1e-10)]), -0.2).item()
         ok = err < 1.0
-        # the floor only keeps 0**-0.2 finite: every error below 6e-6 grows
-        # the step by MAX_FACTOR, and a NaN error still shrinks it
-        factor = SAFETY * np.maximum(err, 1e-10) ** -0.2
-        grow = np.where(rejected[idx], np.minimum(1.0, factor), np.minimum(MAX_FACTOR, factor))
-        h_abs[idx] = h * np.where(ok, grow, np.fmax(MIN_FACTOR, factor))
-        rejected[idx] = ~ok
-        if not ok.all():
-            if not ok.any():
-                continue
-            idx, ti, t_new, h, yi, y_new = idx[ok], ti[ok], t_new[ok], h[ok], yi[ok], y_new[ok]
-            k = k[:, ok]
-
-        log.append((idx, ti, h, yi, *k))
-        t[idx], y[idx], f[idx] = t_new, y_new, k[-1]
-        new_level = _levels(y_new, pts)
-        crossed = (level[idx] <= 0.0) & (new_level >= 0.0) & watch[idx]
-        level[idx] = new_level
-        running[idx[t_new >= T_MAX]] = False
-        for r in np.flatnonzero(crossed.any(axis=1)):
+        h_abs = h * (min(1.0 if rejected else MAX_FACTOR, factor) if ok else max(MIN_FACTOR, factor))
+        rejected = not ok
+        if rejected:
+            continue
+        steps.append((t, h, y, k))
+        t_old, y_old, t, y, f = t, y, t_new, y_new, k[-1]
+        new_level = _levels(y, pts)
+        crossed = [c for c, (a, b, w) in enumerate(zip(level, new_level, watch)) if a <= 0.0 <= b and w]
+        level = new_level
+        if crossed:
             # the earliest of the events this step crossed, on its dense output
-            q = [_weigh(c, [s[r : r + 1] for s in k]) for c in _DP_Q]
-            y_old, t_old, step = yi[r : r + 1], ti[r], h[r : r + 1]
+            qs = [[_weigh(c, s) for c in _DP_Q] for s in zip(*k)]
 
             def at(col, te):
-                x = np.array([(te - t_old) / step[0]])
-                return _levels(_dense(y_old, q, step, x), pts)[0, col]
+                x = (te - t_old) / h
+                return _levels([_dense(yn, qn, h, x) for yn, qn in zip(y_old, qs)], pts)[col]
 
-            shot = shots[idx[r]]
             shot.t, shot.event = min(
-                (_event_time(lambda te: at(col, te), t_old, t_new[r]), col)
-                for col in np.flatnonzero(crossed[r])
+                (_event_time(lambda te: at(col, te), t_old, t), col) for col in crossed
             )
-            running[idx[r]] = False
-
-    for r, shot in enumerate(shots):
-        if shot.event < 0:
-            shot.t, shot.y = float(t[r]), y[r]
-    if log:
-        # each shot's accepted steps in order, with their dense-output coefficients
-        owner, *cols = (np.concatenate(c) for c in zip(*log))
-        order = np.argsort(owner, kind="stable")
-        t_old, h, y_old, *stages = (c[order] for c in cols)
-        q = [_weigh(c, stages) for c in _DP_Q]
-        bounds = np.searchsorted(owner[order], np.arange(K + 1))
-        for r, shot in enumerate(shots):
-            sl = slice(bounds[r], bounds[r + 1])
-            shot.steps = (t_old[sl], h[sl], y_old[sl], [qj[sl] for qj in q])
-    return shots
+            break
+        if t >= T_MAX:
+            break
+    if shot.event < 0:
+        shot.t, shot.y = t, np.array(y)
+    if steps:
+        t_old, h, y_old, k = zip(*steps)
+        stages = np.array(k).transpose(1, 0, 2)
+        shot.steps = (np.array(t_old), np.array(h), np.array(y_old), [_weigh(c, stages) for c in _DP_Q])
+    return shot
 
 
 def _resample(shot: _Shot, n_nodes: int) -> np.ndarray:
@@ -346,7 +324,8 @@ def _resample(shot: _Shot, n_nodes: int) -> np.ndarray:
     t_old, h, y_old, q = shot.steps
     ts = np.linspace(0.0, shot.t, n_nodes + 1)
     seg = np.searchsorted(t_old[1:], ts, side="left")
-    return _dense(y_old[seg], [qj[seg] for qj in q], h[seg], (ts - t_old[seg]) / h[seg])
+    x = (ts - t_old[seg]) / h[seg]
+    return _dense(y_old[seg], [qj[seg] for qj in q], h[seg, None], x[:, None])
 
 
 def _shot_orbit(
@@ -356,8 +335,14 @@ def _shot_orbit(
     if shot.event == len(cps):
         raise EscapeError("trajectory left the search region")
     if shot.event < 0:
+        # the same 1e-3 on |grad V| as the orbits' endpoint warning
+        g = float(np.linalg.norm(p.gradient(shot.y)))
+        hint = ""
+        if g <= 1e-3 and cps.nearest(shot.y)[1] > CAPTURE:
+            hint = ": a critical point outside the set, so search a wider box (--box)"
+        why = f"the time limit {T_MAX:g}" if shot.t >= T_MAX else f"a step below 10 ulp of t = {shot.t:.12g}"
         raise NotConvergedError(
-            "gradient shot reached neither a critical point nor the escape radius",
+            f"gradient shot stopped at {why}, at x = {shot.y.tolist()}, where |grad V| = {g:.3g}{hint}",
             {"t_final": shot.t, "x_final": shot.y.tolist()},
         )
     target = cps[shot.event]
@@ -390,10 +375,11 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
     comes within 1e-6 of another critical point of the set, then resamples it
     to a uniform-step path centered on [-T, T].  It fails with EscapeError
     beyond distance 10 from the centre of the critical points, and with
-    NotConvergedError beyond time 2000 or when the resampled path is longer
-    than 100.  All shots are integrated together, and each gives the same
-    numbers as it would alone.  Returns one entry per shot: its orbit, or the
-    error that dropped it.
+    NotConvergedError beyond time 2000, on a step below 10 ulp of its time
+    (the message names the end point and |grad V| there), or when the
+    resampled path is longer than 100.  Each shot integrates alone, so it
+    gives the same numbers in any batch.  Returns one entry per shot: its
+    orbit, or the error that dropped it.
     """
     for source, _, _ in shots:
         if source.index < 1:
@@ -632,7 +618,7 @@ def build_transition_graph(
     mid + 0.4 perp, b, mid - 0.4 perp (boundary included), which puts the two
     starts in different homotopy classes; the triple well's S1-S2 pair is
     tried once.  Outside two dimensions the straight start is tried once.
-    All shots run as one batch (``gradient_shots``).  A shot or pair that
+    All shots go through one ``gradient_shots`` call.  A shot or pair that
     fails is recorded in ``graph.failures`` and leaves no edge; so is a
     saddle-saddle orbit that passes within a tenth of the least distance
     between two critical points of a third one (ChainError): it is a chain

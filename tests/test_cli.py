@@ -258,6 +258,23 @@ class TestHeteroclinic:
         for name in ("orbit.csv", "orbit_summary.json"):
             assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "plus" / name).read_bytes()
 
+    def test_shot_to_a_well_outside_the_box_says_so(self, tmp_path, capsys):
+        # the default box (-0.5, 1.5) misses the double well's minimum at -1:
+        # the shot that flows there stops at T_MAX, and the message names the
+        # end point, |grad V| there and the wider box that finds it
+        argv = ["heteroclinic", "--potential", "double-well-1d", "--from", "S", "--nodes", "300"]
+        assert run([*argv, "--out", str(tmp_path / "default")]) == 3
+        diag = json.loads(capsys.readouterr().err)
+        message = diag["error"]
+        assert message.startswith("gradient shot stopped at the time limit 2000, at x = [")
+        (x,) = json.loads(message.split("at x = ")[1].split("]")[0] + "]")
+        assert x == pytest.approx(-1.0, abs=1e-6) and x == diag["diagnostics"]["x_final"][0]
+        assert "a critical point outside the set" in message and "--box" in message
+        assert diag["diagnostics"]["t_final"] == 2000.0
+        assert run([*argv, "--box", "-2,2", "--out", str(tmp_path / "wide")]) == 0
+        doc = json.loads((tmp_path / "wide" / "orbit_summary.json").read_text())
+        assert doc["target"]["location"] == pytest.approx([-1.0], abs=1e-9)
+
 
 class TestGraphAndGamma:
     def test_graph_json(self, tmp_path):

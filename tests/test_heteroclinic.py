@@ -1,5 +1,6 @@
 """Heteroclinic connections and the transition-energy graph."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -24,23 +25,32 @@ from ompath import (
     CriticalPointSet,
     DomainError,
     eval_I,
+    find_critical_points,
     gradient_connection,
     hamiltonian_connection,
     hamiltonian_connection_adaptive,
     verify_orbit,
 )
-from ompath.experiments import triple_well_graph
+from ompath.experiments import DEFAULT_BOX, DEFAULT_GRID, triple_well_graph
 from ompath.flow import TAU_MAX
 from ompath.experiments import run_figure
 from ompath.heteroclinic import (
     _DP_A,
     _DP_B,
     _DP_E,
+    _DP_Q,
     ATOL,
+    CAPTURE,
+    ESCAPE,
+    MAX_FACTOR,
     MIN_FACTOR,
     RTOL,
+    SAFETY,
     SHOT_NODES,
+    T_MAX,
     _dp_step,
+    _integrate,
+    _Shot,
     _orbit_record,
     gradient_shots,
     saddle_shots,
@@ -192,6 +202,124 @@ def _numpy_dp_step(p, yi, f, h):
     return np.array(k), y_new, np.sqrt(sq) / np.sqrt(e.shape[1])
 
 
+def _row_sumsq_frozen(x):
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        s = s + x[..., j] * x[..., j]
+    return s
+
+
+def _numpy_levels(y, pts):
+    dist = np.sqrt(_row_sumsq_frozen(y[:, None, :] - pts))
+    dist[:, :-1] = CAPTURE - dist[:, :-1]
+    dist[:, -1] -= ESCAPE
+    return dist
+
+
+def _numpy_dense(y_old, q, h, x):
+    x = x[:, None]
+    power = x
+    acc = q[0] * power
+    for qj in q[1:]:
+        power = power * x
+        acc = acc + qj * power
+    return y_old + h[:, None] * acc
+
+
+def _numpy_event_time(level, lo, hi):
+    while hi - lo > 4.0 * np.finfo(float).eps * (1.0 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if level(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _numpy_integrate(p, y0, pts, watch, dp_step=_numpy_dp_step):
+    """The shots' integrator as it was on arrays, kept as the oracle of
+    _integrate: all rows step together, with the step-size control, the
+    events and the step log on arrays, and the stages of ``dp_step``."""
+    K = y0.shape[0]
+    rows = np.arange(K)
+    t = np.zeros(K)
+    y = y0.copy()
+    f = -p.gradient(y0)
+    scale = ATOL + np.abs(y0) * RTOL
+    d0 = np.sqrt(_row_sumsq_frozen(y0 / scale)) / np.sqrt(y0.shape[-1])
+    d1 = np.sqrt(_row_sumsq_frozen(f / scale)) / np.sqrt(y0.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), T_MAX)
+        d2 = np.sqrt(_row_sumsq_frozen((-p.gradient(y0 + h0[:, None] * f) - f) / scale))
+        d2 = d2 / np.sqrt(y0.shape[-1]) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** 0.2,
+        )
+    h_abs = np.minimum(np.minimum(100.0 * h0, h1), T_MAX)
+    rejected = np.zeros(K, dtype=bool)
+    running = np.ones(K, dtype=bool)
+    level = _numpy_levels(y0, pts)
+    shots = [_Shot() for _ in range(K)]
+    log = []
+    while running.any():
+        idx = rows[running]
+        ti = t[idx]
+        min_step = 10.0 * (np.nextafter(ti, np.inf) - ti)
+        stuck = rejected[idx] & (h_abs[idx] < min_step)
+        if stuck.any():
+            running[idx[stuck]] = False
+            continue
+        t_new = np.minimum(ti + np.maximum(h_abs[idx], min_step), T_MAX)
+        h = t_new - ti
+        yi = y[idx]
+        k, y_new, err = dp_step(p, yi, f[idx], h)
+        ok = err < 1.0
+        factor = SAFETY * np.maximum(err, 1e-10) ** -0.2
+        grow = np.where(rejected[idx], np.minimum(1.0, factor), np.minimum(MAX_FACTOR, factor))
+        h_abs[idx] = h * np.where(ok, grow, np.fmax(MIN_FACTOR, factor))
+        rejected[idx] = ~ok
+        if not ok.all():
+            if not ok.any():
+                continue
+            idx, ti, t_new, h, yi, y_new = idx[ok], ti[ok], t_new[ok], h[ok], yi[ok], y_new[ok]
+            k = k[:, ok]
+        log.append((idx, ti, h, yi, *k))
+        t[idx], y[idx], f[idx] = t_new, y_new, k[-1]
+        new_level = _numpy_levels(y_new, pts)
+        crossed = (level[idx] <= 0.0) & (new_level >= 0.0) & watch[idx]
+        level[idx] = new_level
+        running[idx[t_new >= T_MAX]] = False
+        for r in np.flatnonzero(crossed.any(axis=1)):
+            q = [_weigh_frozen(c, [s[r : r + 1] for s in k]) for c in _DP_Q]
+            y_old, t_old, step = yi[r : r + 1], ti[r], h[r : r + 1]
+
+            def at(col, te):
+                x = np.array([(te - t_old) / step[0]])
+                return _numpy_levels(_numpy_dense(y_old, q, step, x), pts)[0, col]
+
+            shot = shots[idx[r]]
+            shot.t, shot.event = min(
+                (_numpy_event_time(lambda te: at(col, te), t_old, t_new[r]), col)
+                for col in np.flatnonzero(crossed[r])
+            )
+            running[idx[r]] = False
+    for r, shot in enumerate(shots):
+        if shot.event < 0:
+            shot.t, shot.y = float(t[r]), y[r]
+    if log:
+        owner, *cols = (np.concatenate(c) for c in zip(*log))
+        order = np.argsort(owner, kind="stable")
+        t_old, h, y_old, *stages = (c[order] for c in cols)
+        q = [_weigh_frozen(c, stages) for c in _DP_Q]
+        bounds = np.searchsorted(owner[order], np.arange(K + 1))
+        for r, shot in enumerate(shots):
+            sl = slice(bounds[r], bounds[r + 1])
+            shot.steps = (t_old[sl], h[sl], y_old[sl], [qj[sl] for qj in q])
+    return shots
+
+
 def _orbit_bits(out):
     """Everything a gradient_shots entry holds, in bytes where it is an array."""
     if isinstance(out, Exception):
@@ -204,10 +332,10 @@ def _orbit_bits(out):
 
 
 def _shots_both_ways(p, cps, shots, n_nodes=SHOT_NODES):
-    """gradient_shots with the float stages, then with the array oracle."""
+    """gradient_shots with the per-shot float integrator, then with the array oracle."""
     got = [_orbit_bits(o) for o in gradient_shots(p, cps, shots, n_nodes)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ompath.heteroclinic, "_dp_step", _numpy_dp_step)
+        mp.setattr(ompath.heteroclinic, "_integrate", _numpy_integrate)
         want = [_orbit_bits(o) for o in gradient_shots(p, cps, shots, n_nodes)]
     return got, want
 
@@ -216,18 +344,51 @@ def _saddle_shots_of(p, cps):
     return [s for c in cps if c.index >= 1 for s in saddle_shots(p, c)]
 
 
+def _integrator_inputs(cps, shots):
+    """The (y0, pts, watch) that gradient_shots hands to _integrate."""
+    locs = [c.location for c in cps]
+    starts = [s.location + 1e-6 * sign * np.asarray(d, float) / np.linalg.norm(d) for s, d, sign in shots]
+    watch = [[c is not s for c in cps] + [True] for s, _, _ in shots]
+    return np.array(starts), np.vstack(locs + [np.mean(locs, axis=0)]), np.array(watch)
+
+
+def _shot_bits(shot):
+    """Everything a _Shot holds: the event, the time, the end point and every
+    step array and dense-output coefficient, in bytes."""
+    steps = [a.tobytes() for a in shot.steps[:3] + tuple(shot.steps[3])] if shot.steps else []
+    return int(shot.event), shot.t, None if shot.y is None else shot.y.tobytes(), steps
+
+
+def _shots_against_the_oracle(p, cps, shots):
+    """The _Shot bits of _integrate and of the array oracle on the same inputs."""
+    args = _integrator_inputs(cps, shots)
+    return [_shot_bits(s) for s in _integrate(p, *args)], [_shot_bits(s) for s in _numpy_integrate(p, *args)]
+
+
+def _walled_hill():
+    """A hill whose gradient jumps from -x to 1e8 sign(x) beyond |x| = 0.5:
+    a shot off its top steps up to the wall and stops on a step below 10 ulp."""
+    wall = lambda x: np.where(np.abs(x) > 0.5, 1e8 * np.sign(x), -x)  # noqa: E731
+    hill = CustomPotential(1, lambda x: -0.5 * np.sum(x * x, axis=-1), wall)
+    top = classify_point(hill, np.array([0.0]))
+    return hill, CriticalPointSet([top]), [(top, np.array([1.0]), 1)]
+
+
 class TestFloatStages:
-    """The shots' stages on floats give the array loop's numbers to the bit."""
+    """Each shot integrates alone on floats and gives the array integrator's
+    numbers to the bit."""
 
     def test_triple_well_graph_shots(self, tw, cps_tw):
         got, want = _shots_both_ways(tw, cps_tw, _saddle_shots_of(tw, cps_tw))
         assert len(got) == 4 and not any(isinstance(o[0], str) for o in got)
         assert got == want
+        got, want = _shots_against_the_oracle(tw, cps_tw, _saddle_shots_of(tw, cps_tw))
+        assert [s[0] for s in got] == [0, 1, 0, 2] and got == want
 
     def test_figure_2_files(self, tmp_path):
         run_figure(2, tmp_path / "floats")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ompath.heteroclinic, "_dp_step", _numpy_dp_step)
+            mp.setattr(ompath.heteroclinic, "_integrate", _numpy_integrate)
             run_figure(2, tmp_path / "arrays")
         names = sorted(f.name for f in (tmp_path / "arrays").iterdir())
         assert sum(name.startswith("gradient_") for name in names) == 4
@@ -238,6 +399,29 @@ class TestFloatStages:
         dw, cps, _ = _dw_graph()
         got, want = _shots_both_ways(dw, cps, _saddle_shots_of(dw, cps))
         assert len(got) == 2 and got == want
+
+    def test_double_well_shots_in_the_default_box(self):
+        # the box holds 0 and 1 only: the +1 branch flows to -1, outside the
+        # set, and stops at T_MAX with no event; the -1 branch reaches 1
+        dw = DoubleWell1D()
+        cps = find_critical_points(dw, DEFAULT_BOX[:1], DEFAULT_GRID)
+        shots = _saddle_shots_of(dw, cps)
+        got, want = _shots_against_the_oracle(dw, cps, shots)
+        assert got == want
+        assert got[0][:2] == (-1, T_MAX)
+        assert got[1][0] == cps.nearest(np.array([1.0]))[0] and got[1][1] < T_MAX
+        got, want = _shots_both_ways(dw, cps, shots)
+        assert got == want and got[0][0] == "NotConvergedError"
+
+    def test_step_size_underflow_stop(self):
+        hill, cps, shots = _walled_hill()
+        got, want = _shots_against_the_oracle(hill, cps, shots)
+        assert got == want
+        ((event, t, y, steps),) = got
+        assert event == -1 and t < T_MAX and len(steps) == 7 and all(steps)
+        assert np.frombuffer(y)[0] == pytest.approx(0.5, abs=1e-12)
+        got, want = _shots_both_ways(hill, cps, shots)
+        assert got == want and got[0][0] == "NotConvergedError" and "a step below 10 ulp" in got[0][1]
 
     @pytest.mark.parametrize("hook", ["float formula", "array of one point"])
     def test_seeded_random_starts(self, hook, tw, cps_tw):
@@ -251,14 +435,16 @@ class TestFloatStages:
         ]
         got, want = _shots_both_ways(p, cps_tw, shots, 500)
         assert got == want
+        got, want = _shots_against_the_oracle(p, cps_tw, shots)
+        assert got == want
 
     @pytest.mark.parametrize("hook", ["float formula", "array of one point"])
     def test_non_finite_stage_point_raises_domain_error(self, hook, tw):
         # the second stage point is 0.5 + 2e308, which overflows to inf
         p = tw if hook == "float formula" else CustomPotential(2, tw.value, tw.gradient)
-        y, f, h = np.array([[0.5, 0.5]]), np.array([[1e308, 0.0]]), np.array([10.0])
         with pytest.raises(DomainError):
-            _dp_step(p, y, f, h)
+            _dp_step(p, [0.5, 0.5], [1e308, 0.0], 10.0)
+        y, f, h = np.array([[0.5, 0.5]]), np.array([[1e308, 0.0]]), np.array([10.0])
         with np.errstate(over="ignore"), pytest.raises(DomainError):
             _numpy_dp_step(p, y, f, h)
 
@@ -274,21 +460,40 @@ class TestFloatStages:
             calls[0] += 1
             return np.full(2, np.nan) if calls[0] == 8 else tw.gradient(x)
 
-        def recorded(p, y, f, h):
-            k, y_new, err = stepper(p, y, f, h)
-            steps.append((h[0], err[0]))
-            return k, y_new, err
+        def recorded(stepper):
+            def step(p, y, f, h):
+                k, y_new, err = stepper(p, y, f, h)
+                steps.append((np.ravel(h)[0], np.ravel(err)[0]))
+                return k, y_new, err
+
+            return step
 
         p = CustomPotential(2, tw.value, gradient)
         runs = []
-        for stepper in (_dp_step, _numpy_dp_step):
+        for integrator in ("per-shot floats", "array oracle"):
             calls[0], steps[:] = 0, []
-            monkeypatch.setattr(ompath.heteroclinic, "_dp_step", recorded)
+            if integrator == "per-shot floats":
+                monkeypatch.setattr(ompath.heteroclinic, "_dp_step", recorded(_dp_step))
+            else:
+                oracle = functools.partial(_numpy_integrate, dp_step=recorded(_numpy_dp_step))
+                monkeypatch.setattr(ompath.heteroclinic, "_integrate", oracle)
             runs.append(_orbit_bits(gradient_shots(p, cps_tw, [shot])[0]))
             assert np.isnan(steps[0][1]) and not np.isnan(steps[1][1])
             assert steps[1][0] == steps[0][0] * MIN_FACTOR
         assert runs[0] == runs[1]
         assert not isinstance(runs[0][0], str)
+
+    @pytest.mark.parametrize("n_shots", [1, 4, 12])
+    def test_two_array_gradient_calls_per_batch(self, n_shots, cps_tw):
+        # the initial steps' two array calls; every stage goes through the
+        # float hook, which LoggingTripleWell does not log
+        p = LoggingTripleWell()
+        shots = (_saddle_shots_of(p, cps_tw) * 3)[:n_shots]
+        args = _integrator_inputs(cps_tw, shots)
+        p.log.clear()
+        out = _integrate(p, *args)
+        assert all(len(s.steps[0]) > 100 for s in out)
+        assert p.log == [("gradient", n_shots), ("gradient", n_shots)]
 
 
 class LoggingTripleWell(TripleWell):
@@ -635,7 +840,7 @@ class TestTransitionGraph:
     def test_dropped_connections_are_recorded(self):
         # the set omits the well at -1, so the shot that descends to it (sign
         # +1: the saddle's eigenvector is signed (-1,)) reaches no critical
-        # point of the set
+        # point of the set; it stops at T_MAX, and the message says where
         dw = DoubleWell1D()
         cps = CriticalPointSet([classify_point(dw, np.array([x])) for x in (0.0, 1.0)])
         graph = build_transition_graph(dw, cps)
@@ -645,7 +850,10 @@ class TestTransitionGraph:
             "mode": 0,
             "sign": 1,
             "error": "NotConvergedError",
-            "message": "gradient shot reached neither a critical point nor the escape radius",
+            "message": (
+                "gradient shot stopped at the time limit 2000, at x = [-0.9999999999641787], where"
+                " |grad V| = 7.16e-11: a critical point outside the set, so search a wider box (--box)"
+            ),
         }]
         doc = json.loads(json.dumps(graph.to_dict()))
         assert doc["failures"] == graph.failures
