@@ -19,7 +19,7 @@ from .critical import CriticalPoint, CriticalPointSet
 from .flow import TAU_MAX, FlowConfig, minimize
 from .functionals import _terms, eval_objective, row_sumsq
 from .paths import DiscretePath, interpolate
-from .potentials import PotentialModel
+from .potentials import DomainError, PotentialModel
 
 
 class EscapeError(RuntimeError):
@@ -140,6 +140,8 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 # a shot ends within CAPTURE of another critical point, or fails beyond
 # ESCAPE of the critical points' centre
 CAPTURE, ESCAPE = 1e-6, 10.0
+# _levels takes square roots only within sqrt(_NEAR) of a point, beyond sqrt(_FAR) of the centre
+_NEAR, _FAR = (2.0 * CAPTURE) ** 2, (0.9 * ESCAPE) ** 2
 # intervals of a saddle-saddle connection, and of the paths the CLI minimises
 DEFAULT_NODES = 4000
 # intervals of a gradient shot's resampled path
@@ -170,20 +172,21 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 def _dp_step(p: PotentialModel, y0: list, k1: list, dt: float) -> tuple:
     """One Dormand-Prince step of length dt from the point y0 (first stage
-    k1): the seven stages, the new point and the RMS error norm, on floats
-    through ``p.point_gradient``, with the array formulas' operations in order."""
+    k1): the seven stages (grad V), the new point and the RMS error norm, on
+    floats through ``p.point_gradient``.  A stage point x - (a g) dt is the
+    array formulas' x + (a (-g)) dt to the bit (IEEE negation is exact), but a
+    coordinate at -0.0 keeps -0.0 where they add zeros of both signs to +0.0."""
     grad = p.point_gradient
-    k2 = [-g for g in grad([x + (_A21 * s1) * dt for x, s1 in zip(y0, k1)])]
-    k3 = [-g for g in grad([x + (_A31 * s1 + _A32 * s2) * dt for x, s1, s2 in zip(y0, k1, k2)])]
-    k4 = [-g for g in grad([x + (_A41 * s1 + _A42 * s2 + _A43 * s3) * dt
-                            for x, s1, s2, s3 in zip(y0, k1, k2, k3)])]
-    k5 = [-g for g in grad([x + (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4) * dt
-                            for x, s1, s2, s3, s4 in zip(y0, k1, k2, k3, k4)])]
-    k6 = [-g for g in grad([x + (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5) * dt
-                            for x, s1, s2, s3, s4, s5 in zip(y0, k1, k2, k3, k4, k5)])]
-    end = [x + dt * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
+    k2 = grad([x - (_A21 * s1) * dt for x, s1 in zip(y0, k1)])
+    k3 = grad([x - (_A31 * s1 + _A32 * s2) * dt for x, s1, s2 in zip(y0, k1, k2)])
+    k4 = grad([x - (_A41 * s1 + _A42 * s2 + _A43 * s3) * dt for x, s1, s2, s3 in zip(y0, k1, k2, k3)])
+    k5 = grad([x - (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4) * dt
+               for x, s1, s2, s3, s4 in zip(y0, k1, k2, k3, k4)])
+    k6 = grad([x - (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5) * dt
+               for x, s1, s2, s3, s4, s5 in zip(y0, k1, k2, k3, k4, k5)])
+    end = [x - dt * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
            for x, s1, s3, s4, s5, s6 in zip(y0, k1, k3, k4, k5, k6)]
-    k7 = [-g for g in grad(end)]
+    k7 = grad(end)
     sq = 0.0
     for x, xe, s1, s3, s4, s5, s6, s7 in zip(y0, end, k1, k3, k4, k5, k6, k7):
         e = (_E1 * s1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * s7) * dt
@@ -192,17 +195,21 @@ def _dp_step(p: PotentialModel, y0: list, k1: list, dt: float) -> tuple:
     return (k1, k2, k3, k4, k5, k6, k7), end, math.sqrt(sq) / math.sqrt(len(y0))
 
 
-def _levels(y: list, pts: list) -> list:
-    """Event levels of the point y, one per row of pts, each >= 0 once its
-    event is reached: CAPTURE minus the distance to each critical point, then
-    the distance to the centre (the last row of pts) minus ESCAPE."""
-    dist = []
-    for c in pts:
+def _levels(y: list, cols: list) -> list:
+    """Event levels of the point y at the watched columns ``cols``, triples
+    (column, point, escape), each >= 0 once its event is reached: CAPTURE
+    minus the distance to the point, or the distance to the centre minus
+    ESCAPE.  A level that is surely negative reads -1.0: the signs are exact."""
+    out = []
+    for _, c, escape in cols:
         sq = 0.0
         for x, xc in zip(y, c):
             sq += (x - xc) * (x - xc)
-        dist.append(math.sqrt(sq))
-    return [CAPTURE - d for d in dist[:-1]] + [dist[-1] - ESCAPE]
+        if escape:
+            out.append(math.sqrt(sq) - ESCAPE if sq >= _FAR else -1.0)
+        else:
+            out.append(CAPTURE - math.sqrt(sq) if sq <= _NEAR else -1.0)
+    return out
 
 
 def _dense(y_old, q, h, x):
@@ -216,24 +223,12 @@ def _dense(y_old, q, h, x):
     return y_old + h * acc
 
 
-def _event_time(level, lo: float, hi: float) -> float:
-    """A time in [lo, hi] at which ``level`` turns >= 0, given that it is at
-    hi, bisected to a bracket of 4 ulp."""
-    while hi - lo > _ROOT_TOL * (1.0 + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if level(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @dataclass
 class _Shot:
-    """Where one shot ended: ``event`` is the column of _levels it reached
+    """Where one shot ended: ``event`` is the column of pts it reached
     (-1 for none, at T_MAX or on a step-size underflow) at time ``t``, at
     ``y`` if no event; ``steps`` holds its accepted steps' start times,
-    lengths, start points and dense-output coefficients."""
+    lengths, start points and dense-output coefficients (of the force)."""
 
     event: int = -1
     t: float = 0.0
@@ -244,19 +239,19 @@ class _Shot:
 def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.ndarray) -> list:
     """Integrate xdot = -grad V from each row of y0, each with its own
     adaptive Dormand-Prince 5(4) step, until it reaches one of the events
-    ``watch`` marks for it (columns of _levels) or time T_MAX.
-
-    Only the initial steps are computed on arrays, with two ``p.gradient``
-    calls; each shot then runs alone on Python floats (_shoot), so its
-    numbers do not depend on the others.
+    ``watch`` marks for it (columns of pts: critical points, then the centre)
+    or time T_MAX; the entry of a shot whose stage point is not finite is the
+    DomainError.  Only the initial steps are computed on arrays, with two
+    ``p.gradient`` calls; each shot then runs alone on Python floats
+    (_shoot), so its numbers do not depend on the others.
     """
-    f = -p.gradient(y0)
+    g = p.gradient(y0)
     # initial step of Hairer, Norsett & Wanner (Sec. II.4)
     scale = ATOL + np.abs(y0) * RTOL
-    d0, d1 = _rms(y0 / scale), _rms(f / scale)
+    d0, d1 = _rms(y0 / scale), _rms(g / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), T_MAX)
-        d2 = _rms((-p.gradient(y0 + h0[:, None] * f) - f) / scale) / h0
+        d2 = _rms((p.gradient(y0 - h0[:, None] * g) - g) / scale) / h0
         h1 = np.where(
             (d1 <= 1e-15) & (d2 <= 1e-15),
             np.maximum(1e-6, h0 * 1e-3),
@@ -264,16 +259,17 @@ def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.nda
         )
     h_abs = np.minimum(np.minimum(100.0 * h0, h1), T_MAX)
     pts = pts.tolist()
-    return [_shoot(p, *row, pts) for row in zip(y0.tolist(), f.tolist(), h_abs.tolist(), watch.tolist())]
+    return [_shoot(p, *row, pts) for row in zip(y0.tolist(), g.tolist(), h_abs.tolist(), watch.tolist())]
 
 
-def _shoot(p: PotentialModel, y: list, f: list, h_abs: float, watch: list, pts: list) -> _Shot:
-    """One shot of _integrate from the point y, with first stage f and
-    initial step h_abs, on floats.  Each operation is that of the array
-    formulas, in their order, so the bits are theirs.  The controller's power
-    goes through np.power on one element: Python's ** and a NumPy scalar
-    differ from the array power in the last bit."""
-    shot, t, rejected, level, steps = _Shot(), 0.0, False, _levels(y, pts), []
+def _shoot(p: PotentialModel, y: list, g: list, h_abs: float, watch: list, pts: list) -> _Shot | DomainError:
+    """One shot of _integrate from the point y (first stage g = grad V,
+    initial step h_abs) on floats, or the DomainError of a non-finite stage
+    point.  Each operation is the array formulas', in their order, so the bits
+    are theirs; the controller's power goes through np.power on a one-element
+    buffer, as Python's ** and a NumPy scalar differ from it in the last bit."""
+    cols = [(c, pt, c == len(pts) - 1) for c, (pt, w) in enumerate(zip(pts, watch)) if w]
+    shot, t, rejected, level, steps, buf = _Shot(), 0.0, False, _levels(y, cols), [], np.empty(1)
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if rejected and h_abs < min_step:
@@ -281,31 +277,40 @@ def _shoot(p: PotentialModel, y: list, f: list, h_abs: float, watch: list, pts: 
         # min and max pass a NaN first argument on, as np.minimum and np.maximum do
         t_new = min(t + max(h_abs, min_step), T_MAX)
         h = t_new - t
-        k, y_new, err = _dp_step(p, y, f, h)
+        try:
+            k, y_new, err = _dp_step(p, y, g, h)
+        except DomainError as stop:
+            return stop
         # the floor only keeps 0**-0.2 finite: every error below 6e-6 grows the
         # step by MAX_FACTOR, and a NaN error still shrinks it (np.fmax's NaN rule)
-        factor = SAFETY * np.power(np.array([max(err, 1e-10)]), -0.2).item()
+        buf[0] = max(err, 1e-10)
+        factor = SAFETY * np.power(buf, -0.2).item()
         ok = err < 1.0
         h_abs = h * (min(1.0 if rejected else MAX_FACTOR, factor) if ok else max(MIN_FACTOR, factor))
         rejected = not ok
         if rejected:
             continue
         steps.append((t, h, y, k))
-        t_old, y_old, t, y, f = t, y, t_new, y_new, k[-1]
-        new_level = _levels(y, pts)
-        crossed = [c for c, (a, b, w) in enumerate(zip(level, new_level, watch)) if a <= 0.0 <= b and w]
+        t_old, y_old, t, y, g = t, y, t_new, y_new, k[-1]
+        new_level = _levels(y, cols)
+        crossed = [col for col, a, b in zip(cols, level, new_level) if a <= 0.0 <= b]
         level = new_level
         if crossed:
-            # the earliest of the events this step crossed, on its dense output
-            qs = [[_weigh(c, s) for c in _DP_Q] for s in zip(*k)]
-
-            def at(col, te):
-                x = (te - t_old) / h
-                return _levels([_dense(yn, qn, h, x) for yn, qn in zip(y_old, qs)], pts)[col]
-
-            shot.t, shot.event = min(
-                (_event_time(lambda te: at(col, te), t_old, t), col) for col in crossed
-            )
+            # the earliest of the events this step crossed: each column's level
+            # on the dense output of the force, bisected to a bracket of 4 ulp
+            qs = [[_weigh(c, [-s for s in ks]) for c in _DP_Q] for ks in zip(*k)]
+            events = []
+            for col in crossed:
+                lo, hi = t_old, t
+                while hi - lo > _ROOT_TOL * (1.0 + abs(hi)):
+                    mid = 0.5 * (lo + hi)
+                    x = (mid - t_old) / h
+                    if _levels([_dense(yn, qn, h, x) for yn, qn in zip(y_old, qs)], [col])[0] >= 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                events.append((hi, col[0]))
+            shot.t, shot.event = min(events)
             break
         if t >= T_MAX:
             break
@@ -313,7 +318,7 @@ def _shoot(p: PotentialModel, y: list, f: list, h_abs: float, watch: list, pts: 
         shot.t, shot.y = t, np.array(y)
     if steps:
         t_old, h, y_old, k = zip(*steps)
-        stages = np.array(k).transpose(1, 0, 2)
+        stages = -np.array(k).transpose(1, 0, 2)
         shot.steps = (np.array(t_old), np.array(h), np.array(y_old), [_weigh(c, stages) for c in _DP_Q])
     return shot
 
@@ -377,10 +382,10 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
     beyond distance 10 from the centre of the critical points, and with
     NotConvergedError beyond time 2000, on a step below 10 ulp of its time
     (the message names the end point and |grad V| there), or when the
-    resampled path is longer than 100.  Each shot integrates alone, so it
-    gives the same numbers in any batch.  Returns one entry per shot: its
-    orbit, or the error that dropped it.
-    """
+    resampled path is longer than 100, and with DomainError at a non-finite
+    stage point.  Each shot integrates alone, so it gives the same numbers in
+    any batch.  Returns one entry per shot: its orbit, or the error that
+    dropped it."""
     for source, _, _ in shots:
         if source.index < 1:
             raise ValueError("source must be a saddle (index >= 1)")
@@ -397,7 +402,7 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
     out = []
     for (source, _, _), shot in zip(shots, _integrate(p, np.array(starts), pts, np.array(watch))):
         try:
-            out.append(_shot_orbit(p, source, cps, shot, n_nodes))
+            out.append(shot if isinstance(shot, DomainError) else _shot_orbit(p, source, cps, shot, n_nodes))
         except (EscapeError, NotConvergedError) as err:
             out.append(err)
     return out

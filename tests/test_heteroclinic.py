@@ -19,6 +19,7 @@ from ompath import (
     DoubleWell1D,
     EscapeError,
     NotConvergedError,
+    Quadratic,
     TripleWell,
     build_transition_graph,
     classify_point,
@@ -50,6 +51,7 @@ from ompath.heteroclinic import (
     T_MAX,
     _dp_step,
     _integrate,
+    _levels,
     _Shot,
     _orbit_record,
     gradient_shots,
@@ -440,7 +442,8 @@ class TestFloatStages:
 
     @pytest.mark.parametrize("hook", ["float formula", "array of one point"])
     def test_non_finite_stage_point_raises_domain_error(self, hook, tw):
-        # the second stage point is 0.5 + 2e308, which overflows to inf
+        # the second stage point is 0.5 - 2e308 (the stage is grad V; the
+        # oracle's force gives 0.5 + 2e308), which overflows
         p = tw if hook == "float formula" else CustomPotential(2, tw.value, tw.gradient)
         with pytest.raises(DomainError):
             _dp_step(p, [0.5, 0.5], [1e308, 0.0], 10.0)
@@ -494,6 +497,93 @@ class TestFloatStages:
         out = _integrate(p, *args)
         assert all(len(s.steps[0]) > 100 for s in out)
         assert p.log == [("gradient", n_shots), ("gradient", n_shots)]
+
+    def test_three_dimensional_shots(self):
+        # a saddle at 0 between wells at (+-1, 0, 0): the unstable-mode shots
+        # keep y = z = 0, the oblique ones start off the axis
+        p = CustomPotential(
+            3,
+            lambda x: (x[0] ** 2 - 1.0) ** 2 / 4.0 + x[1] ** 2 / 2.0 + x[2] ** 2,
+            lambda x: np.array([x[0] ** 3 - x[0], x[1], 2.0 * x[2]]),
+        )
+        cps = CriticalPointSet([classify_point(p, np.array([x, 0.0, 0.0])) for x in (0.0, 1.0, -1.0)])
+        saddle = cps[0]
+        oblique = [(saddle, np.array([1.0, 0.3, -0.2]), 1), (saddle, np.array([0.5, -1.0, 2.0]), -1)]
+        shots = saddle_shots(p, saddle) + oblique
+        got, want = _shots_against_the_oracle(p, cps, shots)
+        assert got == want
+        assert sorted(s[0] for s in got) == [1, 1, 2, 2] and all(len(s[3]) == 7 for s in got)
+        got, want = _shots_both_ways(p, cps, shots, 500)
+        assert got == want and not any(isinstance(o[0], str) for o in got)
+
+    def test_domain_error_drops_only_its_shot(self):
+        # the gradient is NaN beyond x = 0.5: the shot to the right meets a
+        # non-finite stage point, the one to the left escapes
+        hill = CustomPotential(1, lambda x: -0.5 * np.sum(x * x, axis=-1), lambda x: np.where(x > 0.5, np.nan, -x))
+        top = classify_point(hill, np.array([0.0]))
+        cps = CriticalPointSet([top])
+        escape, domain = gradient_shots(hill, cps, [(top, [1.0], -1), (top, [1.0], 1)])
+        assert isinstance(escape, EscapeError) and isinstance(domain, DomainError)
+        with pytest.raises(EscapeError):
+            gradient_connection(hill, top, [1.0], -1, cps)
+        with pytest.raises(DomainError):
+            gradient_connection(hill, top, [1.0], 1, cps)
+        graph = build_transition_graph(hill, cps)
+        assert sorted(f["error"] for f in graph.failures) == ["DomainError", "EscapeError"]
+        assert not graph.edges
+
+
+def _on_sphere(centre, radius, direction):
+    """Points at the float neighbours of ``radius`` from ``centre`` along
+    ``direction``, 3 ulp inside to 3 ulp outside."""
+    r = [radius]
+    for _ in range(3):
+        r = [np.nextafter(r[0], 0.0)] + r + [np.nextafter(r[-1], np.inf)]
+    return [(np.asarray(centre) + ri * np.asarray(direction)).tolist() for ri in r]
+
+
+class TestEventLevels:
+    """The levels of _levels, screened on squared distances, have the signs
+    of the exact ones, ``CAPTURE - sqrt(sq)`` and ``sqrt(sq) - ESCAPE``."""
+
+    PTS = [[0.0, 0.0], [1.0, 0.0], [0.3, -0.7], [0.4, -0.2]]  # the last is the centre
+
+    @pytest.mark.parametrize("col", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "factor, direction", [(1.0, [1.0, 0.0]), (1.0, [0.6, -0.8]), (2.0, [0.6, -0.8]), (0.9, [0.6, -0.8])]
+    )
+    def test_signs_at_the_event_radii(self, col, factor, direction):
+        # the event radius (factor 1), and where the square roots start: 2
+        # CAPTURE from a critical point, 0.9 ESCAPE from the centre
+        escape = col == len(self.PTS) - 1
+        radius = (ESCAPE if escape else CAPTURE) * factor
+        cols = [(c, self.PTS[c], c == len(self.PTS) - 1) for c in range(len(self.PTS))]
+        for y in _on_sphere(self.PTS[col], radius, direction):
+            got = _levels(y, cols)[col]
+            sq = _row_sumsq_frozen(np.subtract(y, self.PTS[col]))
+            want = np.sqrt(sq) - ESCAPE if escape else CAPTURE - np.sqrt(sq)
+            assert (got >= 0.0, got <= 0.0) == (want >= 0.0, want <= 0.0)
+            # exact near the event, else -1.0 where the level is surely negative
+            assert got == want or (got == -1.0 and want < 0.0 and factor != 1.0)
+
+    def test_exact_radius_reads_zero(self):
+        # sqrt(d * d) == d, so these points lie exactly on the event spheres
+        cols = [(0, [0.0, 0.0], False), (1, [0.0, 0.0], True)]
+        assert _levels([CAPTURE, 0.0], cols)[0] == 0.0
+        assert _levels([0.0, -ESCAPE], cols)[1] == 0.0
+        below = _levels([np.nextafter(CAPTURE, 0.0), 0.0], cols)[0]
+        above = _levels([np.nextafter(CAPTURE, 1.0), 0.0], cols)[0]
+        assert below > 0.0 > above
+
+    def test_old_level_of_exactly_zero_counts(self):
+        # a shot started exactly CAPTURE from the minimum of |x|^2 / 2: its
+        # first step crosses from a level of exactly 0, so the event comes then
+        y0, pts, watch = np.array([[CAPTURE]]), np.array([[0.0], [0.0]]), np.array([[True, True]])
+        assert _numpy_levels(y0, pts)[0, 0] == 0.0
+        (got,) = [_shot_bits(s) for s in _integrate(Quadratic(1), y0, pts, watch)]
+        (want,) = [_shot_bits(s) for s in _numpy_integrate(Quadratic(1), y0, pts, watch)]
+        assert got == want
+        assert got[0] == 0 and len(np.frombuffer(got[3][0])) == 1
 
 
 class LoggingTripleWell(TripleWell):
