@@ -225,10 +225,10 @@ def _dense(y_old, q, h, x):
 
 @dataclass
 class _Shot:
-    """Where one shot ended: ``event`` is the column of pts it reached
-    (-1 for none, at T_MAX or on a step-size underflow) at time ``t``, at
-    ``y`` if no event; ``steps`` holds its accepted steps' start times,
-    lengths, start points and dense-output coefficients (of the force)."""
+    """Where one shot ended: ``event`` is the column it reached (-1 for none,
+    at T_MAX or on a step-size underflow) at time ``t``, at ``y`` if no event;
+    ``steps`` holds its accepted steps' start times, lengths, start points and
+    dense-output coefficients (of the force)."""
 
     event: int = -1
     t: float = 0.0
@@ -236,15 +236,17 @@ class _Shot:
     steps: tuple = ()
 
 
-def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.ndarray) -> list:
-    """Integrate xdot = -grad V from each row of y0, each with its own
-    adaptive Dormand-Prince 5(4) step, until it reaches one of the events
-    ``watch`` marks for it (columns of pts: critical points, then the centre)
-    or time T_MAX; the entry of a shot whose stage point is not finite is the
-    DomainError.  Only the initial steps are computed on arrays, with two
-    ``p.gradient`` calls; each shot then runs alone on Python floats
-    (_shoot), so its numbers do not depend on the others.
-    """
+def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
+    """Integrate xdot = -grad V from the point y0 with an adaptive
+    Dormand-Prince 5(4) step until it reaches one of the events ``cols``
+    (triples (column, point, escape), as _levels takes them) or time T_MAX;
+    raises DomainError at a non-finite stage point.  The initial step is
+    computed on y0 as a one-row array, with two ``p.gradient`` calls, and the
+    steps on Python floats.  Each operation is the array formulas', in their
+    order, so the bits are theirs; the controller's power goes through
+    np.power on a one-element buffer, as Python's ** and a NumPy scalar differ
+    from it in the last bit."""
+    y0 = y0[None, :]
     g = p.gradient(y0)
     # initial step of Hairer, Norsett & Wanner (Sec. II.4)
     scale = ATOL + np.abs(y0) * RTOL
@@ -257,18 +259,8 @@ def _integrate(p: PotentialModel, y0: np.ndarray, pts: np.ndarray, watch: np.nda
             np.maximum(1e-6, h0 * 1e-3),
             (0.01 / np.maximum(d1, d2)) ** 0.2,
         )
-    h_abs = np.minimum(np.minimum(100.0 * h0, h1), T_MAX)
-    pts = pts.tolist()
-    return [_shoot(p, *row, pts) for row in zip(y0.tolist(), g.tolist(), h_abs.tolist(), watch.tolist())]
-
-
-def _shoot(p: PotentialModel, y: list, g: list, h_abs: float, watch: list, pts: list) -> _Shot | DomainError:
-    """One shot of _integrate from the point y (first stage g = grad V,
-    initial step h_abs) on floats, or the DomainError of a non-finite stage
-    point.  Each operation is the array formulas', in their order, so the bits
-    are theirs; the controller's power goes through np.power on a one-element
-    buffer, as Python's ** and a NumPy scalar differ from it in the last bit."""
-    cols = [(c, pt, c == len(pts) - 1) for c, (pt, w) in enumerate(zip(pts, watch)) if w]
+    h_abs = np.minimum(np.minimum(100.0 * h0, h1), T_MAX).item()
+    y, g = y0[0].tolist(), g[0].tolist()
     shot, t, rejected, level, steps, buf = _Shot(), 0.0, False, _levels(y, cols), [], np.empty(1)
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -277,10 +269,7 @@ def _shoot(p: PotentialModel, y: list, g: list, h_abs: float, watch: list, pts: 
         # min and max pass a NaN first argument on, as np.minimum and np.maximum do
         t_new = min(t + max(h_abs, min_step), T_MAX)
         h = t_new - t
-        try:
-            k, y_new, err = _dp_step(p, y, g, h)
-        except DomainError as stop:
-            return stop
+        k, y_new, err = _dp_step(p, y, g, h)
         # the floor only keeps 0**-0.2 finite: every error below 6e-6 grows the
         # step by MAX_FACTOR, and a NaN error still shrinks it (np.fmax's NaN rule)
         buf[0] = max(err, 1e-10)
@@ -383,27 +372,30 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
     NotConvergedError beyond time 2000, on a step below 10 ulp of its time
     (the message names the end point and |grad V| there), or when the
     resampled path is longer than 100, and with DomainError at a non-finite
-    stage point.  Each shot integrates alone, so it gives the same numbers in
+    stage point, its initial step's included.  Each shot integrates alone, so it gives the same numbers in
     any batch.  Returns one entry per shot: its orbit, or the error that
-    dropped it."""
-    for source, _, _ in shots:
+    dropped it.  A source that is not a saddle, an eig_dir that is not a
+    finite nonzero vector of p.dim numbers and a sign other than +1 or -1
+    raise ValueError before any shot runs."""
+    for source, eig_dir, sign in shots:
         if source.index < 1:
             raise ValueError("source must be a saddle (index >= 1)")
+        if np.shape(eig_dir) != (p.dim,) or not 0.0 < np.linalg.norm(eig_dir) < np.inf:
+            raise ValueError(f"eig_dir must be a finite nonzero vector of {p.dim} numbers, not {eig_dir!r}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, not {sign!r}")
     if not shots:
         return []
-    locs = [c.location for c in cps]
-    pts = np.vstack(locs + [np.mean(locs, axis=0)])
-    starts, watch = [], []
+    centre = np.mean([c.location for c in cps], axis=0).tolist()
+    out = []
     for source, eig_dir, sign in shots:
         eig_dir = np.asarray(eig_dir, dtype=float)
         eig_dir = eig_dir / np.linalg.norm(eig_dir)
-        starts.append(source.location + 1e-6 * float(sign) * eig_dir)
-        watch.append([c is not source for c in cps] + [True])
-    out = []
-    for (source, _, _), shot in zip(shots, _integrate(p, np.array(starts), pts, np.array(watch))):
+        start = source.location + 1e-6 * float(sign) * eig_dir
+        cols = [(k, c.location.tolist(), False) for k, c in enumerate(cps) if c is not source]
         try:
-            out.append(shot if isinstance(shot, DomainError) else _shot_orbit(p, source, cps, shot, n_nodes))
-        except (EscapeError, NotConvergedError) as err:
+            out.append(_shot_orbit(p, source, cps, _shoot(p, start, cols + [(len(cps), centre, True)]), n_nodes))
+        except (DomainError, EscapeError, NotConvergedError) as err:
             out.append(err)
     return out
 
@@ -628,14 +620,16 @@ def build_transition_graph(
     saddle-saddle orbit that passes within a tenth of the least distance
     between two critical points of a third one (ChainError): it is a chain
     through that point, whose own edges the graph already holds.  A ``ham_M``
-    below 3 intervals, with or without pairs, and a pair that names one point
-    twice or is listed twice, in either order, raise ValueError before any
-    shot runs.
+    below 3 intervals, with or without pairs, and a pair that names a point
+    outside range(len(cps)) or one point twice, or is listed twice in either
+    order, raise ValueError before any shot runs.
     """
     if ham_M < 3:
         raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
     pairs = []
     for i, j in hamiltonian_pairs:
+        if i not in range(len(cps)) or j not in range(len(cps)):
+            raise ValueError(f"saddle pair ({i}, {j}) names a point outside 0..{len(cps) - 1}")
         if i == j:
             raise ValueError(f"saddle pair ({i}, {j}) names one point twice")
         if any({i, j} == {k, l} for k, l, _ in pairs):

@@ -50,9 +50,9 @@ from ompath.heteroclinic import (
     SHOT_NODES,
     T_MAX,
     _dp_step,
-    _integrate,
     _levels,
     _Shot,
+    _shoot,
     _orbit_record,
     gradient_shots,
     saddle_shots,
@@ -240,7 +240,7 @@ def _numpy_event_time(level, lo, hi):
 
 def _numpy_integrate(p, y0, pts, watch, dp_step=_numpy_dp_step):
     """The shots' integrator as it was on arrays, kept as the oracle of
-    _integrate: all rows step together, with the step-size control, the
+    _shoot: all rows step together, with the step-size control, the
     events and the step log on arrays, and the stages of ``dp_step``."""
     K = y0.shape[0]
     rows = np.arange(K)
@@ -322,6 +322,18 @@ def _numpy_integrate(p, y0, pts, watch, dp_step=_numpy_dp_step):
     return shots
 
 
+def _oracle_shoot(p, y0, cols, dp_step=_numpy_dp_step):
+    """_shoot through the array oracle, on a batch of the one row y0: pts hold
+    the points of ``cols`` at their columns, the centre last, and a row of
+    zeros at each column the shot does not watch."""
+    pts = np.zeros((cols[-1][0] + 1, len(y0)))
+    watch = np.zeros((1, len(pts)), dtype=bool)
+    for c, pt, _ in cols:
+        pts[c], watch[0, c] = pt, True
+    (shot,) = _numpy_integrate(p, np.array([y0]), pts, watch, dp_step)
+    return shot
+
+
 def _orbit_bits(out):
     """Everything a gradient_shots entry holds, in bytes where it is an array."""
     if isinstance(out, Exception):
@@ -337,7 +349,7 @@ def _shots_both_ways(p, cps, shots, n_nodes=SHOT_NODES):
     """gradient_shots with the per-shot float integrator, then with the array oracle."""
     got = [_orbit_bits(o) for o in gradient_shots(p, cps, shots, n_nodes)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ompath.heteroclinic, "_integrate", _numpy_integrate)
+        mp.setattr(ompath.heteroclinic, "_shoot", _oracle_shoot)
         want = [_orbit_bits(o) for o in gradient_shots(p, cps, shots, n_nodes)]
     return got, want
 
@@ -347,7 +359,9 @@ def _saddle_shots_of(p, cps):
 
 
 def _integrator_inputs(cps, shots):
-    """The (y0, pts, watch) that gradient_shots hands to _integrate."""
+    """The oracle's (y0, pts, watch) for the starts of a batch of shots: pts
+    are the critical points, then their centre, and watch marks all but the
+    shot's source."""
     locs = [c.location for c in cps]
     starts = [s.location + 1e-6 * sign * np.asarray(d, float) / np.linalg.norm(d) for s, d, sign in shots]
     watch = [[c is not s for c in cps] + [True] for s, _, _ in shots]
@@ -361,10 +375,17 @@ def _shot_bits(shot):
     return int(shot.event), shot.t, None if shot.y is None else shot.y.tobytes(), steps
 
 
+def _cols(pts, watch):
+    """The event triples of _shoot for the oracle's pts and one row of watch."""
+    return [(c, pt.tolist(), c == len(pts) - 1) for c, pt in enumerate(pts) if watch[c]]
+
+
 def _shots_against_the_oracle(p, cps, shots):
-    """The _Shot bits of _integrate and of the array oracle on the same inputs."""
-    args = _integrator_inputs(cps, shots)
-    return [_shot_bits(s) for s in _integrate(p, *args)], [_shot_bits(s) for s in _numpy_integrate(p, *args)]
+    """The _Shot bits of _shoot, one call per shot, and of the array oracle
+    on the whole batch."""
+    y0, pts, watch = _integrator_inputs(cps, shots)
+    got = [_shoot(p, y, _cols(pts, w)) for y, w in zip(y0, watch)]
+    return [_shot_bits(s) for s in got], [_shot_bits(s) for s in _numpy_integrate(p, y0, pts, watch)]
 
 
 def _walled_hill():
@@ -374,6 +395,24 @@ def _walled_hill():
     hill = CustomPotential(1, lambda x: -0.5 * np.sum(x * x, axis=-1), wall)
     top = classify_point(hill, np.array([0.0]))
     return hill, CriticalPointSet([top]), [(top, np.array([1.0]), 1)]
+
+
+def _assert_domain_error_drops_only_its_shot(gradient):
+    """Off the top of the hill -x^2 / 2 with this gradient, NaN somewhere
+    right of 0, the shot to the left escapes and the one to the right ends in
+    DomainError, in one batch, alone and in the graph."""
+    hill = CustomPotential(1, lambda x: -0.5 * np.sum(x * x, axis=-1), gradient)
+    top = classify_point(hill, np.array([0.0]))
+    cps = CriticalPointSet([top])
+    escape, domain = gradient_shots(hill, cps, [(top, [1.0], -1), (top, [1.0], 1)])
+    assert isinstance(escape, EscapeError) and isinstance(domain, DomainError)
+    with pytest.raises(EscapeError):
+        gradient_connection(hill, top, [1.0], -1, cps)
+    with pytest.raises(DomainError):
+        gradient_connection(hill, top, [1.0], 1, cps)
+    graph = build_transition_graph(hill, cps)
+    assert sorted(f["error"] for f in graph.failures) == ["DomainError", "EscapeError"]
+    assert not graph.edges
 
 
 class TestFloatStages:
@@ -390,7 +429,7 @@ class TestFloatStages:
     def test_figure_2_files(self, tmp_path):
         run_figure(2, tmp_path / "floats")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ompath.heteroclinic, "_integrate", _numpy_integrate)
+            mp.setattr(ompath.heteroclinic, "_shoot", _oracle_shoot)
             run_figure(2, tmp_path / "arrays")
         names = sorted(f.name for f in (tmp_path / "arrays").iterdir())
         assert sum(name.startswith("gradient_") for name in names) == 4
@@ -478,8 +517,8 @@ class TestFloatStages:
             if integrator == "per-shot floats":
                 monkeypatch.setattr(ompath.heteroclinic, "_dp_step", recorded(_dp_step))
             else:
-                oracle = functools.partial(_numpy_integrate, dp_step=recorded(_numpy_dp_step))
-                monkeypatch.setattr(ompath.heteroclinic, "_integrate", oracle)
+                oracle = functools.partial(_oracle_shoot, dp_step=recorded(_numpy_dp_step))
+                monkeypatch.setattr(ompath.heteroclinic, "_shoot", oracle)
             runs.append(_orbit_bits(gradient_shots(p, cps_tw, [shot])[0]))
             assert np.isnan(steps[0][1]) and not np.isnan(steps[1][1])
             assert steps[1][0] == steps[0][0] * MIN_FACTOR
@@ -487,16 +526,17 @@ class TestFloatStages:
         assert not isinstance(runs[0][0], str)
 
     @pytest.mark.parametrize("n_shots", [1, 4, 12])
-    def test_two_array_gradient_calls_per_batch(self, n_shots, cps_tw):
-        # the initial steps' two array calls; every stage goes through the
-        # float hook, which LoggingTripleWell does not log
+    def test_two_one_point_gradient_calls_per_shot(self, n_shots, cps_tw):
+        # each shot's initial step makes two array calls on one point, in a
+        # batch of any size; every stage goes through the float hook, which
+        # LoggingTripleWell does not log
         p = LoggingTripleWell()
         shots = (_saddle_shots_of(p, cps_tw) * 3)[:n_shots]
-        args = _integrator_inputs(cps_tw, shots)
+        y0, pts, watch = _integrator_inputs(cps_tw, shots)
         p.log.clear()
-        out = _integrate(p, *args)
+        out = [_shoot(p, y, _cols(pts, w)) for y, w in zip(y0, watch)]
         assert all(len(s.steps[0]) > 100 for s in out)
-        assert p.log == [("gradient", n_shots), ("gradient", n_shots)]
+        assert p.log == [("gradient", 1)] * (2 * n_shots)
 
     def test_three_dimensional_shots(self):
         # a saddle at 0 between wells at (+-1, 0, 0): the unstable-mode shots
@@ -519,18 +559,29 @@ class TestFloatStages:
     def test_domain_error_drops_only_its_shot(self):
         # the gradient is NaN beyond x = 0.5: the shot to the right meets a
         # non-finite stage point, the one to the left escapes
-        hill = CustomPotential(1, lambda x: -0.5 * np.sum(x * x, axis=-1), lambda x: np.where(x > 0.5, np.nan, -x))
-        top = classify_point(hill, np.array([0.0]))
-        cps = CriticalPointSet([top])
-        escape, domain = gradient_shots(hill, cps, [(top, [1.0], -1), (top, [1.0], 1)])
-        assert isinstance(escape, EscapeError) and isinstance(domain, DomainError)
-        with pytest.raises(EscapeError):
-            gradient_connection(hill, top, [1.0], -1, cps)
-        with pytest.raises(DomainError):
-            gradient_connection(hill, top, [1.0], 1, cps)
-        graph = build_transition_graph(hill, cps)
-        assert sorted(f["error"] for f in graph.failures) == ["DomainError", "EscapeError"]
-        assert not graph.edges
+        _assert_domain_error_drops_only_its_shot(lambda x: np.where(x > 0.5, np.nan, -x))
+
+    def test_non_finite_start_gradient_drops_only_its_shot(self):
+        # the gradient is NaN for 5e-7 < x < 2e-6: the shot to the right
+        # starts at x = 1e-6, where its own initial step meets a non-finite
+        # point, the one to the left escapes
+        _assert_domain_error_drops_only_its_shot(lambda x: np.where((x > 5e-7) & (x < 2e-6), np.nan, -x))
+
+    @pytest.mark.parametrize("eig_dir, sign, what", [
+        ([1.0], 1, "eig_dir"), ([1.0, 0.0, 0.0], 1, "eig_dir"), ([0.0, 0.0], 1, "eig_dir"),
+        ([np.nan, 1.0], 1, "eig_dir"), ([np.inf, 1.0], -1, "eig_dir"),
+        ([1.0, 0.0], 0, "sign"), ([1.0, 0.0], 2, "sign"), ([1.0, 0.0], -0.5, "sign"),
+    ], ids=["short", "long", "zero", "nan", "inf", "sign-0", "sign-2", "sign-half"])
+    def test_malformed_shot_raises_before_any_shot(self, eig_dir, sign, what, tw, cps_tw, names_tw, monkeypatch):
+        # a one-number eig_dir would broadcast over both axes, sign 0 would
+        # start on the saddle, and a zero eig_dir would start at NaN
+        def no_shots(*args, **kwargs):
+            raise AssertionError("a shot ran")
+
+        monkeypatch.setattr(ompath.heteroclinic, "_shoot", no_shots)
+        good = saddle_shots(tw, cps_tw[cps_tw.nearest(names_tw["S1"])[0]])[0]
+        with pytest.raises(ValueError, match=f"^{what} must be"):
+            gradient_shots(tw, cps_tw, [good, (good[0], eig_dir, sign)])
 
 
 def _on_sphere(centre, radius, direction):
@@ -580,7 +631,7 @@ class TestEventLevels:
         # first step crosses from a level of exactly 0, so the event comes then
         y0, pts, watch = np.array([[CAPTURE]]), np.array([[0.0], [0.0]]), np.array([[True, True]])
         assert _numpy_levels(y0, pts)[0, 0] == 0.0
-        (got,) = [_shot_bits(s) for s in _integrate(Quadratic(1), y0, pts, watch)]
+        got = _shot_bits(_shoot(Quadratic(1), y0[0], _cols(pts, watch[0])))
         (want,) = [_shot_bits(s) for s in _numpy_integrate(Quadratic(1), y0, pts, watch)]
         assert got == want
         assert got[0] == 0 and len(np.frombuffer(got[3][0])) == 1
@@ -1046,6 +1097,15 @@ class TestTransitionGraph:
             monkeypatch.setattr(ompath.heteroclinic, name, no_shots)
         with pytest.raises(ValueError, match=r"saddle pair \(0, 0\) names one point twice"):
             build_transition_graph(dw, cps, hamiltonian_pairs=[(0, 0)])
+
+    @pytest.mark.parametrize("pairs", [[(3, -1)], [(3, 9)], [(3, 4), (3, -1)]], ids=["-1", "9", "4-and--1"])
+    def test_pair_index_outside_the_set_raises_before_any_shot(self, pairs, cps_tw):
+        # -1 would wrap to point 4, and 9 would raise IndexError
+        p = LoggingTripleWell()
+        assert len(cps_tw) == 5
+        with pytest.raises(ValueError, match=r"names a point outside 0\.\.4"):
+            build_transition_graph(p, cps_tw, hamiltonian_pairs=pairs)
+        assert p.log == []
 
     def test_pair_of_one_point_raises_before_any_shot(self, cps_tw, names_tw):
         # rejected by index before any kernel call
