@@ -76,7 +76,8 @@ class FlowTrace:
         self.objectives.append(obj)
         self.steps.append(tau)
         self.grad_norms.append(gnorm)
-        self.accepted.append(ok)
+        # bool: obj <= obj of NumPy floats is a numpy.bool, which array("b") refuses
+        self.accepted.append(bool(ok))
 
     @property
     def accepted_objectives(self) -> list:

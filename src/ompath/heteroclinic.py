@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import CriticalPoint, CriticalPointSet
-from .flow import TAU_MAX, FlowConfig, minimize
+from .flow import TAU_MAX, FlowConfig, NonFiniteObjectiveError, minimize
 from .functionals import _terms, eval_objective, row_sumsq
 from .paths import DiscretePath, interpolate
 from .potentials import DomainError, PotentialModel
@@ -674,7 +674,7 @@ def build_transition_graph(
             try:
                 orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
                 _check_chain(orbit, cps, (i, j), reach)
-            except (NotConvergedError, ChainError, ValueError) as err:
+            except (NotConvergedError, NonFiniteObjectiveError, ChainError, ValueError) as err:
                 graph.failures.append({"from": i, "to": j, "side": side, **_failure(err)})
                 continue
             graph.edges.append(GraphEdge(i, j, orbit.j_value, orbit.kind, orbit.stabilised))

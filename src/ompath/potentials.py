@@ -28,10 +28,17 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
 
 
 def _central_differences(f, x: np.ndarray) -> np.ndarray:
-    """Central differences of f at the single point x with step
-    1e-5*(1+|x|); row j is the derivative along axis j."""
-    h = 1e-5 * (1.0 + np.linalg.norm(x))
-    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(x.shape[0])])
+    """Central differences of f at each row x_k of the (K, N) batch x, step 1e-5*(1+|x_k|),
+    from one call of f on all 2KN displaced points: out[k, j] is along axis j at x_k."""
+    # |x_k| by one dot per contiguous row, as np.linalg.norm takes it, to the
+    # bit: a strided row of five or more sums in another order
+    x = np.ascontiguousarray(x)
+    k, n = x.shape
+    h = 1e-5 * (1.0 + np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]))
+    e = h[:, None, None] * np.eye(n)
+    d = np.asarray(f(np.concatenate([x[:, None] + e, x[:, None] - e]).reshape(-1, n)))
+    d = d.reshape((2, k, n) + d.shape[1:])
+    return (d[0] - d[1]) / (2 * h).reshape((k,) + (1,) * (d.ndim - 2))
 
 
 class PotentialModel:
@@ -39,8 +46,8 @@ class PotentialModel:
 
     Subclasses must provide ``value`` and ``gradient``.  ``hessian``,
     ``laplacian`` and ``grad_laplacian`` fall back to central finite
-    differences with step 1e-5*(1+|x|), which suffices when the Laplacian
-    is only needed at critical points.  ``hessian_vector`` contracts
+    differences with step 1e-5*(1+|x|) on the whole batch, one ``gradient``
+    call each, whatever the number of points.  ``hessian_vector`` contracts
     ``hessian``; the path flow calls it once per step, so a subclass with
     a cheaper closed form should override it.
     """
@@ -63,12 +70,8 @@ class PotentialModel:
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = _check_finite(x)
-        pts = np.atleast_2d(x)
-        out = np.empty((pts.shape[0], self.dim, self.dim))
-        for k, p in enumerate(pts):
-            d = _central_differences(self.gradient, p)
-            out[k] = 0.5 * (d + d.T)
-        return out[0] if x.ndim == 1 else out
+        d = _central_differences(self.gradient, x.reshape(-1, self.dim))
+        return (0.5 * (d + d.swapaxes(1, 2))).reshape(x.shape[:-1] + (self.dim, self.dim))
 
     def hessian_vector(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hessian times v at each point; override to skip the full Hessian."""
@@ -79,11 +82,7 @@ class PotentialModel:
 
     def grad_laplacian(self, x: np.ndarray) -> np.ndarray:
         x = _check_finite(x)
-        pts = np.atleast_2d(x)
-        out = np.empty_like(pts)
-        for k, p in enumerate(pts):
-            out[k] = _central_differences(self.laplacian, p)
-        return out[0] if x.ndim == 1 else out
+        return _central_differences(self.laplacian, x.reshape(-1, self.dim)).reshape(x.shape)
 
 
 def _pair(c0, c1) -> np.ndarray:
@@ -267,28 +266,32 @@ class Quadratic(PotentialModel):
 
 
 class CustomPotential(PotentialModel):
-    """User-supplied potential from value and gradient callables.
-
-    Hessian/Laplacian/third derivatives come from the finite-difference
-    fallbacks of the base class.
-    """
+    """User-supplied potential from callables on (K, N) batches of K points:
+    ``value_fn`` returns shape (K,) and ``gradient_fn`` shape (K, N); a single
+    point goes in as a batch of one.  Hessian/Laplacian/third derivatives come
+    from the finite-difference fallbacks of the base class."""
 
     def __init__(self, dim, value_fn, gradient_fn):
         self.dim = dim
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
 
-    def value(self, x):
+    def _call(self, fn, x, tail):
         x = _check_finite(x)
-        if x.ndim == 1:
-            return np.asarray(self._value_fn(x), dtype=float)
-        return np.array([self._value_fn(p) for p in x], dtype=float)
+        batch = x.reshape(-1, self.dim)
+        out = np.asarray(fn(batch), dtype=float)
+        if out.shape != batch.shape[:1] + tail:
+            raise ValueError(
+                "value_fn and gradient_fn take a (K, N) batch and return shapes (K,) "
+                f"and (K, N): got {out.shape} for a batch of shape {batch.shape}"
+            )
+        return out.reshape(x.shape[:-1] + tail)
+
+    def value(self, x):
+        return self._call(self._value_fn, x, ())
 
     def gradient(self, x):
-        x = _check_finite(x)
-        if x.ndim == 1:
-            return np.asarray(self._gradient_fn(x), dtype=float)
-        return np.array([self._gradient_fn(p) for p in x], dtype=float)
+        return self._call(self._gradient_fn, x, (self.dim,))
 
 
 @dataclass
@@ -315,9 +318,8 @@ def check_derivatives(p: PotentialModel, probes) -> DerivativeReport:
         raise ValueError("need at least one probe point")
     ge, he, le = 0.0, 0.0, 0.0
     for x in probes:
-        g_fd = _central_differences(p.value, x)
-        h_fd = _central_differences(p.gradient, x)
-        h_fd = 0.5 * (h_fd + h_fd.T)
+        g_fd = _central_differences(p.value, x[None])[0]
+        h_fd = PotentialModel.hessian(p, x)  # the fallback, whatever p overrides
         g, hs, lp = p.gradient(x), p.hessian(x), p.laplacian(x)
         ge = max(ge, np.max(np.abs(g - g_fd)) / (1.0 + np.max(np.abs(g))))
         he = max(he, np.max(np.abs(hs - h_fd)) / (1.0 + np.max(np.abs(hs))))
@@ -325,11 +327,7 @@ def check_derivatives(p: PotentialModel, probes) -> DerivativeReport:
     return DerivativeReport(ge, he, le)
 
 
-_BUILTINS = {
-    "triple-well": TripleWell,
-    "double-well-1d": DoubleWell1D,
-    "quadratic": Quadratic,
-}
+_BUILTINS = {"triple-well": TripleWell, "double-well-1d": DoubleWell1D, "quadratic": Quadratic}
 
 
 def get_potential(name: str) -> PotentialModel:

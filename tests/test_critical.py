@@ -340,7 +340,7 @@ class TestNamedPoints:
         "p, names",
         [
             (DoubleWell1D(), ["Mminus", "S", "Mplus"]),
-            (CustomPotential(1, lambda x: 0.5 * x @ x, lambda x: x), []),
+            (CustomPotential(1, lambda x: 0.5 * np.sum(x * x, axis=1), lambda x: x), []),
             (Quadratic(1), []),
         ],
         ids=["double-well-1d", "custom-1d", "quadratic-1d"],

@@ -181,6 +181,21 @@ class TestTrace:
         assert len(lines) >= 2
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
+    def test_numpy_float_interval_ends(self, tw):
+        # ends of type np.float64 make the objective one too, and each trial's
+        # obj_new <= obj a numpy.bool: the trace stores it as 0 or 1 all the same
+        runs = []
+        for a, b in ((-1.0, 1.0), (np.float64(-1.0), np.float64(1.0))):
+            path = DiscretePath.from_waypoints([[0.0, 0.0], [0.6, 0.6], [1.0, 0.0]], 20, a=a, b=b)
+            runs.append(minimize(tw, path, FlowConfig(objective="J", eps=1.0, max_iter=5)))
+        (out_f, trace_f), (out_np, trace_np) = runs
+        assert type(out_np.a) is np.float64 and type(out_f.a) is float
+        assert out_np.nodes.tobytes() == out_f.nodes.tobytes()
+        for field in ("iterations", "objectives", "steps", "grad_norms", "accepted"):
+            assert getattr(trace_np, field) == getattr(trace_f, field)
+        assert len(trace_f.accepted) >= 5
+        assert (trace_np.converged, trace_np.stop_reason) == (trace_f.converged, trace_f.stop_reason)
+
 
     def test_storage_and_csv(self):
         trace = FlowTrace()

@@ -106,7 +106,7 @@ class TestGradientOrbits:
             gradient_connection(tw, m0, np.array([1.0, 0.0]), 1, cps_tw)
 
     def test_escape_detected(self):
-        hill = CustomPotential(2, lambda x: -0.5 * x @ x, lambda x: -x)
+        hill = CustomPotential(2, lambda x: -0.5 * np.sum(x * x, axis=1), lambda x: -x)
         top = classify_point(hill, np.array([0.0, 0.0]))
         cps = CriticalPointSet([top])
         with pytest.raises(EscapeError):
@@ -500,7 +500,7 @@ class TestFloatStages:
 
         def gradient(x):
             calls[0] += 1
-            return np.full(2, np.nan) if calls[0] == 8 else tw.gradient(x)
+            return np.full_like(x, np.nan) if calls[0] == 8 else tw.gradient(x)
 
         def recorded(stepper):
             def step(p, y, f, h):
@@ -543,8 +543,8 @@ class TestFloatStages:
         # keep y = z = 0, the oblique ones start off the axis
         p = CustomPotential(
             3,
-            lambda x: (x[0] ** 2 - 1.0) ** 2 / 4.0 + x[1] ** 2 / 2.0 + x[2] ** 2,
-            lambda x: np.array([x[0] ** 3 - x[0], x[1], 2.0 * x[2]]),
+            lambda x: (x[:, 0] ** 2 - 1.0) ** 2 / 4.0 + x[:, 1] ** 2 / 2.0 + x[:, 2] ** 2,
+            lambda x: np.stack([x[:, 0] ** 3 - x[:, 0], x[:, 1], 2.0 * x[:, 2]], axis=1),
         )
         cps = CriticalPointSet([classify_point(p, np.array([x, 0.0, 0.0])) for x in (0.0, 1.0, -1.0)])
         saddle = cps[0]

@@ -165,6 +165,135 @@ class TestEdgesAndPlumbing:
             check_derivatives(tw, np.empty((0, 2)))
 
 
+def _frozen_central_differences(f, x):
+    """The one-point central differences the batched fallback replaced."""
+    h = 1e-5 * (1.0 + np.linalg.norm(x))
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(x.shape[0])])
+
+
+class FrozenFallbacks:
+    """Frozen copy of PotentialModel's finite-difference fallbacks as they
+    looped over points: the oracle of the batched ones, to the bit."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def hessian(self, x):
+        pts = np.atleast_2d(x)
+        out = np.empty((pts.shape[0], self.p.dim, self.p.dim))
+        for k, q in enumerate(pts):
+            d = _frozen_central_differences(self.p.gradient, q)
+            out[k] = 0.5 * (d + d.T)
+        return out[0] if x.ndim == 1 else out
+
+    def hessian_vector(self, x, v):
+        return np.einsum("...ij,...j->...i", self.hessian(x), v)
+
+    def laplacian(self, x):
+        return np.trace(self.hessian(x), axis1=-2, axis2=-1)
+
+    def grad_laplacian(self, x):
+        pts = np.atleast_2d(x)
+        out = np.empty_like(pts)
+        for k, q in enumerate(pts):
+            out[k] = _frozen_central_differences(self.laplacian, q)
+        return out[0] if x.ndim == 1 else out
+
+
+def _cubic_3d_value(x):
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    return (x0 * x0 - 1.0) ** 2 / 4.0 + x1 * x1 / 2.0 + x2 * x2 + 0.3 * x0 * x1 * x2
+
+
+def _cubic_3d_gradient(x):
+    # every entry of the Hessian is nonzero somewhere
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    return np.stack([x0 * x0 * x0 - x0 + 0.3 * x1 * x2, x1 + 0.3 * x0 * x2, 2.0 * x2 + 0.3 * x0 * x1], axis=1)
+
+
+def _chain_5d_value(x):
+    return np.sum(x * x * x * x, axis=1) / 4.0 + 0.1 * np.sum(x[:, 1:] * x[:, :-1], axis=1)
+
+
+def _chain_5d_gradient(x):
+    # five coordinates: a strided row of five sums |x| in another order
+    g = x * x * x
+    g[:, 1:] += 0.1 * x[:, :-1]
+    g[:, :-1] += 0.1 * x[:, 1:]
+    return g
+
+
+@pytest.fixture(params=["double-well-1d", "triple-well", "muller-brown", "cubic-3d", "chain-5d"])
+def custom(request):
+    """A CustomPotential on batch callables, in one, two, three and five dimensions."""
+    if request.param == "muller-brown":
+        return request.getfixturevalue("mb")
+    if request.param == "cubic-3d":
+        return CustomPotential(3, _cubic_3d_value, _cubic_3d_gradient)
+    if request.param == "chain-5d":
+        return CustomPotential(5, _chain_5d_value, _chain_5d_gradient)
+    p = DoubleWell1D() if request.param == "double-well-1d" else TripleWell()
+    return CustomPotential(p.dim, p.value, p.gradient)
+
+
+class TestBatchedFallbacks:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_same_bits_as_the_frozen_loop(self, custom, seed, order):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.5, 1.5, size=(9, custom.dim)) * rng.uniform(0.01, 3.0, size=(9, 1))
+        x[0], x[1] = 0.0, -0.0
+        x = np.array(x, order=order)
+        v = rng.normal(size=x.shape)
+        oracle = FrozenFallbacks(custom)
+        for pts, vec in ((x, v), (x[3], v[3]), (x[1], v[1])):
+            for name in ("hessian", "laplacian", "grad_laplacian"):
+                got, want = getattr(custom, name)(pts), getattr(oracle, name)(pts)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            got, want = custom.hessian_vector(pts, vec), oracle.hessian_vector(pts, vec)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_gradient_call_whatever_the_batch(self):
+        # the frozen loop called gradient_fn 2N times a point for a Hessian and
+        # 4N^2 times a point for grad Lap V; the batched fallbacks call it once
+        calls = []
+        tw = TripleWell()
+
+        def gradient(x):
+            calls.append(x.shape)
+            return tw.gradient(x)
+
+        p = CustomPotential(2, tw.value, gradient)
+        rng = np.random.default_rng(7)
+        counts = {}
+        for k in (1, 50):
+            x = rng.uniform(-1.0, 1.0, size=(k, 2))
+            for name in ("hessian", "grad_laplacian"):
+                calls.clear()
+                getattr(p, name)(x)
+                counts[k, name] = list(calls)
+        assert counts[1, "hessian"] == [(4, 2)] and counts[50, "hessian"] == [(200, 2)]
+        assert counts[1, "grad_laplacian"] == [(16, 2)] and counts[50, "grad_laplacian"] == [(800, 2)]
+
+    @pytest.mark.parametrize(
+        "value_fn, gradient_fn, method, k",
+        [
+            # one-point callables: x @ x of a batch of two points is a 2 x 2 matrix
+            (lambda x: 0.5 * x @ x, lambda x: x, "value", 2),
+            (lambda x: np.sum(x * x, axis=-1, keepdims=True), lambda x: x, "value", 2),
+            (lambda x: np.sum(x * x, axis=-1), lambda x: np.array([x[0], x[1]]), "gradient", 3),
+            (lambda x: np.sum(x * x, axis=-1), lambda x: x.ravel(), "gradient", 2),
+            (lambda x: np.sum(x * x, axis=-1), lambda x: x.ravel(), "hessian", 1),
+        ],
+        ids=["value-matrix", "value-column", "gradient-rows", "gradient-flat", "hessian"],
+    )
+    def test_callables_off_the_batch_contract_raise(self, value_fn, gradient_fn, method, k):
+        p = CustomPotential(2, value_fn, gradient_fn)
+        x = np.arange(1.0, 2 * k + 1).reshape(k, 2) / 10
+        with pytest.raises(ValueError, match=r"take a \(K, N\) batch and return shapes"):
+            getattr(p, method)(x)
+
+
 def _stacked_factors(x):
     """The triple well's factors with their gradients stacked column by column,
     the formulation the kernels used before they built them by arithmetic."""
