@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import CriticalPoint, CriticalPointSet
+from .critical import EIG_TOL, CriticalPoint, CriticalPointSet
 from .flow import TAU_MAX, FlowConfig, NonFiniteObjectiveError, minimize
 from .functionals import _terms, eval_objective, row_sumsq
 from .paths import DiscretePath, interpolate
@@ -137,11 +137,11 @@ _DP_Q = (
 # Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4)
 RTOL, ATOL, T_MAX = 1e-10, 1e-13, 2000.0
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-# a shot ends within CAPTURE of another critical point, or fails beyond
-# ESCAPE of the critical points' centre
+# a shot ends within CAPTURE (a graph shot: a landing radius) of another
+# critical point, or fails beyond ESCAPE of the critical points' centre
 CAPTURE, ESCAPE = 1e-6, 10.0
-# _levels takes square roots only within sqrt(_NEAR) of a point, beyond sqrt(_FAR) of the centre
-_NEAR, _FAR = (2.0 * CAPTURE) ** 2, (0.9 * ESCAPE) ** 2
+# a landing radius samples LAND_RADII radii, in LAND_DIRECTIONS[dim] directions
+LAND_RADII, LAND_DIRECTIONS = 16, {1: 2, 2: 16}
 # intervals of a saddle-saddle connection, and of the paths the CLI minimises
 DEFAULT_NODES = 4000
 # intervals of a gradient shot's resampled path
@@ -195,20 +195,26 @@ def _dp_step(p: PotentialModel, y0: list, k1: list, dt: float) -> tuple:
     return (k1, k2, k3, k4, k5, k6, k7), end, math.sqrt(sq) / math.sqrt(len(y0))
 
 
+def _col(k: int, point: list, radius: float | None) -> tuple:
+    """The event column k of _shoot: capture within radius of point, or if radius is None escape beyond
+    ESCAPE of the centre point; _levels takes square roots only within twice the radius, beyond 0.9 ESCAPE."""
+    return (k, point, radius, (0.9 * ESCAPE) ** 2 if radius is None else 4.0 * radius * radius)
+
+
 def _levels(y: list, cols: list) -> list:
-    """Event levels of the point y at the watched columns ``cols``, triples
-    (column, point, escape), each >= 0 once its event is reached: CAPTURE
-    minus the distance to the point, or the distance to the centre minus
-    ESCAPE.  A level that is surely negative reads -1.0: the signs are exact."""
+    """Event levels of the point y at the watched columns ``cols`` (as _col
+    makes them), each >= 0 once its event is reached: the radius minus the
+    distance to the point, or the distance to the centre minus ESCAPE.  Beyond
+    its screen a level is surely negative and reads -1.0: the signs are exact."""
     out = []
-    for _, c, escape in cols:
+    for _, c, radius, screen in cols:
         sq = 0.0
         for x, xc in zip(y, c):
             sq += (x - xc) * (x - xc)
-        if escape:
-            out.append(math.sqrt(sq) - ESCAPE if sq >= _FAR else -1.0)
+        if radius is None:
+            out.append(math.sqrt(sq) - ESCAPE if sq >= screen else -1.0)
         else:
-            out.append(CAPTURE - math.sqrt(sq) if sq <= _NEAR else -1.0)
+            out.append(radius - math.sqrt(sq) if sq <= screen else -1.0)
     return out
 
 
@@ -227,19 +233,18 @@ def _dense(y_old, q, h, x):
 class _Shot:
     """Where one shot ended: ``event`` is the column it reached (-1 for none,
     at T_MAX or on a step-size underflow) at time ``t``, at ``y`` if no event;
-    ``steps`` holds its accepted steps' start times, lengths, start points and
-    dense-output coefficients (of the force)."""
+    ``steps`` holds its accepted steps: start time, length, start point, stages (grad V)."""
 
     event: int = -1
     t: float = 0.0
     y: np.ndarray | None = None
-    steps: tuple = ()
+    steps: list = field(default_factory=list)
 
 
 def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
     """Integrate xdot = -grad V from the point y0 with an adaptive
     Dormand-Prince 5(4) step until it reaches one of the events ``cols``
-    (triples (column, point, escape), as _levels takes them) or time T_MAX;
+    (as _col makes them) or time T_MAX;
     raises DomainError at a non-finite stage point.  The initial step is
     computed on y0 as a one-row array, with two ``p.gradient`` calls, and the
     steps on Python floats.  Each operation is the array formulas', in their
@@ -261,7 +266,7 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
         )
     h_abs = np.minimum(np.minimum(100.0 * h0, h1), T_MAX).item()
     y, g = y0[0].tolist(), g[0].tolist()
-    shot, t, rejected, level, steps, buf = _Shot(), 0.0, False, _levels(y, cols), [], np.empty(1)
+    shot, t, rejected, level, buf = _Shot(), 0.0, False, _levels(y, cols), np.empty(1)
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if rejected and h_abs < min_step:
@@ -279,7 +284,7 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
         rejected = not ok
         if rejected:
             continue
-        steps.append((t, h, y, k))
+        shot.steps.append((t, h, y, k))
         t_old, y_old, t, y, g = t, y, t_new, y_new, k[-1]
         new_level = _levels(y, cols)
         crossed = [col for col, a, b in zip(cols, level, new_level) if a <= 0.0 <= b]
@@ -305,27 +310,23 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
             break
     if shot.event < 0:
         shot.t, shot.y = t, np.array(y)
-    if steps:
-        t_old, h, y_old, k = zip(*steps)
-        stages = -np.array(k).transpose(1, 0, 2)
-        shot.steps = (np.array(t_old), np.array(h), np.array(y_old), [_weigh(c, stages) for c in _DP_Q])
     return shot
 
 
 def _resample(shot: _Shot, n_nodes: int) -> np.ndarray:
     """The shot's dense output at n_nodes + 1 uniform times on [0, shot.t]; a
     time on a step boundary takes the earlier step."""
-    t_old, h, y_old, q = shot.steps
+    t_old, h, y_old, k = (np.array(a) for a in zip(*shot.steps))
+    stages = -k.transpose(1, 0, 2)
+    q = [_weigh(c, stages) for c in _DP_Q]
     ts = np.linspace(0.0, shot.t, n_nodes + 1)
     seg = np.searchsorted(t_old[1:], ts, side="left")
     x = (ts - t_old[seg]) / h[seg]
     return _dense(y_old[seg], [qj[seg] for qj in q], h[seg, None], x[:, None])
 
 
-def _shot_orbit(
-    p: PotentialModel, source: CriticalPoint, cps: CriticalPointSet, shot: _Shot, n_nodes: int
-) -> HeteroclinicOrbit:
-    """The orbit of a finished shot, or the EscapeError/NotConvergedError it ended in."""
+def _shot_end(p: PotentialModel, cps: CriticalPointSet, shot: _Shot) -> int:
+    """The index of the point a finished shot reached, or the EscapeError/NotConvergedError it ended in."""
     if shot.event == len(cps):
         raise EscapeError("trajectory left the search region")
     if shot.event < 0:
@@ -339,7 +340,14 @@ def _shot_orbit(
             f"gradient shot stopped at {why}, at x = {shot.y.tolist()}, where |grad V| = {g:.3g}{hint}",
             {"t_final": shot.t, "x_final": shot.y.tolist()},
         )
-    target = cps[shot.event]
+    return shot.event
+
+
+def _shot_orbit(
+    p: PotentialModel, source: CriticalPoint, cps: CriticalPointSet, shot: _Shot, n_nodes: int
+) -> HeteroclinicOrbit:
+    """The orbit of a finished shot, or the EscapeError/NotConvergedError it ended in."""
+    target = cps[_shot_end(p, cps, shot)]
     nodes = _resample(shot, n_nodes)
     arclength = float(np.sum(np.linalg.norm(np.diff(nodes, axis=0), axis=-1)))
     if arclength > 100.0:
@@ -359,6 +367,25 @@ def _shot_orbit(
         ),
         **fields,
     )
+
+
+def _run_shots(p: PotentialModel, cps: CriticalPointSet, shots, radii: list, finish) -> list:
+    """Run each shot alone with capture radius radii[k] at point k of cps: ``finish(source, shot)``
+    of its _Shot, or the error that dropped it."""
+    if not shots:
+        return []
+    centre = np.mean([c.location for c in cps], axis=0).tolist()
+    out = []
+    for source, eig_dir, sign in shots:
+        eig_dir = np.asarray(eig_dir, dtype=float)
+        eig_dir = eig_dir / np.linalg.norm(eig_dir)
+        start = source.location + 1e-6 * float(sign) * eig_dir
+        cols = [_col(k, c.location.tolist(), radii[k]) for k, c in enumerate(cps) if c is not source]
+        try:
+            out.append(finish(source, _shoot(p, start, cols + [_col(len(cps), centre, None)])))
+        except (DomainError, EscapeError, NotConvergedError) as err:
+            out.append(err)
+    return out
 
 
 def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int = SHOT_NODES) -> list:
@@ -384,19 +411,47 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
             raise ValueError(f"eig_dir must be a finite nonzero vector of {p.dim} numbers, not {eig_dir!r}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, not {sign!r}")
-    if not shots:
-        return []
-    centre = np.mean([c.location for c in cps], axis=0).tolist()
-    out = []
-    for source, eig_dir, sign in shots:
-        eig_dir = np.asarray(eig_dir, dtype=float)
-        eig_dir = eig_dir / np.linalg.norm(eig_dir)
-        start = source.location + 1e-6 * float(sign) * eig_dir
-        cols = [(k, c.location.tolist(), False) for k, c in enumerate(cps) if c is not source]
-        try:
-            out.append(_shot_orbit(p, source, cps, _shoot(p, start, cols + [(len(cps), centre, True)]), n_nodes))
-        except (DomainError, EscapeError, NotConvergedError) as err:
-            out.append(err)
+    return _run_shots(
+        p, cps, shots, [CAPTURE] * len(cps), lambda source, shot: _shot_orbit(p, source, cps, shot, n_nodes)
+    )
+
+
+def _reach(r: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Per row, the largest radius of r up to which ok holds at every radius; 0 if it fails at the first."""
+    return np.max(np.where(np.logical_and.accumulate(ok, axis=1), r, 0.0), axis=1)
+
+
+def landing_radii(p: PotentialModel, cps: CriticalPointSet) -> list:
+    """The capture radius of each point of cps for the graph's shots: the
+    landing radius r_m of a minimum m whose least Hessian eigenvalue is at
+    least critical.EIG_TOL, in one or two dimensions; else CAPTURE.
+
+    A sampled region-of-attraction estimate with V as the Lyapunov function
+    (Khalil, Nonlinear Systems, 3rd ed., Sec. 8.2), on a polar grid up to half
+    the distance to the nearest other critical point: R_m is 0.95 of the
+    largest radius up to which every sampled least eigenvalue is positive,
+    c_m the least V sampled at R_m, and r_m 0.95 of the largest radius up to
+    R_m up to which every sampled V is below c_m (README, "Fixed settings")."""
+    out = [CAPTURE] * len(cps)
+    locs = np.array([c.location for c in cps])
+    dist = np.linalg.norm(locs[:, None] - locs, axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    cap = 0.5 * np.min(dist, axis=1)
+    mins = [k for k, c in enumerate(cps) if c.index == 0 and c.eigenvalues[0] >= EIG_TOL and cap[k] < np.inf]
+    if not mins or p.dim not in LAND_DIRECTIONS:
+        return out
+    # equal angles, both ways in 1-D
+    th = 2.0 * np.pi * np.arange(LAND_DIRECTIONS[p.dim]) / LAND_DIRECTIONS[p.dim]
+    u = np.stack([np.cos(th), np.sin(th)], axis=-1)[:, : p.dim]
+    r = cap[mins, None] * (np.arange(1, LAND_RADII + 1) / LAND_RADII)
+    grid = locs[mins, None, None] + r[:, :, None, None] * u
+    lam = np.linalg.eigvalsh(p.hessian(grid.reshape(-1, p.dim)))[:, 0].reshape(grid.shape[:3])
+    R = 0.95 * _reach(r, np.all(lam > 0.0, axis=2))
+    pts = np.concatenate([grid, locs[mins, None, None] + R[:, None, None, None] * u], axis=1)
+    v = p.value(pts.reshape(-1, p.dim)).reshape(pts.shape[:3])
+    below = np.all(v[:, :-1] < np.min(v[:, -1], axis=1)[:, None, None], axis=2) & (r <= R[:, None])
+    for m, r_m in zip(mins, 0.95 * _reach(r, below)):
+        out[m] = max(CAPTURE, float(r_m))
     return out
 
 
@@ -556,8 +611,9 @@ class TransitionGraph:
     that was attempted and dropped: ``from`` and ``mode``/``sign`` for a
     gradient shot, ``from``/``to`` and ``side`` (+1 or -1, the homotopy class
     tried) for a saddle-saddle pair, then the ``error`` class name and its
-    ``message``.  ``build_transition_graph`` sets ``phi``; a graph built or
-    changed by hand calls ``recompute_phi``.
+    ``message``.  ``orbits`` holds the saddle-saddle orbits behind the
+    edges; gradient shots keep none.  ``build_transition_graph`` sets
+    ``phi``; a graph built or changed by hand calls ``recompute_phi``.
     """
 
     cps: CriticalPointSet
@@ -615,7 +671,9 @@ def build_transition_graph(
     mid + 0.4 perp, b, mid - 0.4 perp (boundary included), which puts the two
     starts in different homotopy classes; the triple well's S1-S2 pair is
     tried once.  Outside two dimensions the straight start is tried once.
-    All shots go through one ``gradient_shots`` call.  A shot or pair that
+    A shot stops at its target's landing radius (``landing_radii``), fails
+    as in ``gradient_shots`` but for the drawn orbits' arclength budget, and
+    its edge costs V(source) - V(target): no orbit is kept.  A shot or pair that
     fails is recorded in ``graph.failures`` and leaves no edge; so is a
     saddle-saddle orbit that passes within a tenth of the least distance
     between two critical points of a third one (ChainError): it is a chain
@@ -654,15 +712,13 @@ def build_transition_graph(
         for n, shot in enumerate(saddle_shots(p, c)):
             keys.append({"from": i, "mode": n // 2, "sign": shot[2]})
             shots.append(shot)
-    for key, orbit in zip(keys, gradient_shots(p, cps, shots)):
-        if isinstance(orbit, Exception):
-            graph.failures.append({**key, **_failure(orbit)})
+    # a gradient orbit costs exactly the potential drop along it
+    radii = landing_radii(p, cps) if shots else []
+    for key, end in zip(keys, _run_shots(p, cps, shots, radii, lambda source, shot: _shot_end(p, cps, shot))):
+        if isinstance(end, Exception):
+            graph.failures.append({**key, **_failure(end)})
             continue
-        # a gradient orbit costs exactly the potential drop along it
-        j_idx, _ = cps.nearest(orbit.target.location)
-        drop = cps[key["from"]].value - orbit.target.value
-        graph.edges.append(GraphEdge(key["from"], j_idx, drop, orbit.kind))
-        graph.orbits.append(orbit)
+        graph.edges.append(GraphEdge(key["from"], end, cps[key["from"]].value - cps[end].value, "gradient-forward"))
 
     if pairs:
         locs = np.array([c.location for c in cps])

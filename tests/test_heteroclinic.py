@@ -49,12 +49,17 @@ from ompath.heteroclinic import (
     SAFETY,
     SHOT_NODES,
     T_MAX,
+    _col,
     _dp_step,
     _levels,
+    _resample,
+    _run_shots,
     _Shot,
     _shoot,
+    _shot_end,
     _orbit_record,
     gradient_shots,
+    landing_radii,
     saddle_shots,
     shortest_paths,
 )
@@ -63,40 +68,46 @@ from ompath.paths import interpolate
 TWO27 = 2.0 / 27.0
 
 
-def _gradient_orbits(graph):
-    return [o for o in graph.orbits if o.kind.startswith("gradient")]
+def _gradient_orbits(p, cps):
+    """The orbits of every saddle shot, drawn to the 1e-6 capture by
+    gradient_shots: the graph keeps no gradient orbit."""
+    return [o for o in gradient_shots(p, cps, _saddle_shots_of(p, cps)) if not isinstance(o, Exception)]
+
+
+@pytest.fixture(scope="module")
+def orbits_tw(tw, cps_tw):
+    return _gradient_orbits(tw, cps_tw)
 
 
 class TestGradientOrbits:
-    def test_four_saddle_shots(self, graph_tw):
-        orbits = _gradient_orbits(graph_tw)
-        assert len(orbits) == 4
-        targets = sorted(tuple(np.round(o.target.location, 6)) for o in orbits)
+    def test_four_saddle_shots(self, orbits_tw):
+        assert len(orbits_tw) == 4
+        targets = sorted(tuple(np.round(o.target.location, 6)) for o in orbits_tw)
         assert targets == [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
 
-    def test_sum_rule_two_over_27(self, graph_tw):
-        for o in _gradient_orbits(graph_tw):
+    def test_sum_rule_two_over_27(self, orbits_tw):
+        for o in orbits_tw:
             assert abs(o.j_value - TWO27) <= 1e-3
 
-    def test_action_identity(self, tw, graph_tw):
+    def test_action_identity(self, tw, orbits_tw):
         # J equals the integral of |grad V|^2 along a zero-energy orbit
-        for o in _gradient_orbits(graph_tw):
+        for o in orbits_tw:
             rep = verify_orbit(tw, o)
             assert rep.action_identity_gap <= 1e-2
             assert rep.passed
 
-    def test_residuals(self, graph_tw):
-        for o in _gradient_orbits(graph_tw):
+    def test_residuals(self, orbits_tw):
+        for o in orbits_tw:
             assert o.energy_residual <= 1e-3
             assert o.gradient_residual <= 1e-3
             assert not o.endpoint_warning
 
-    def test_endpoints_on_critical_points(self, graph_tw):
-        for o in _gradient_orbits(graph_tw):
+    def test_endpoints_on_critical_points(self, orbits_tw):
+        for o in orbits_tw:
             assert max(o.endpoint_distances) <= 1e-5
 
-    def test_time_reversal_keeps_action(self, tw, graph_tw):
-        o = _gradient_orbits(graph_tw)[0]
+    def test_time_reversal_keeps_action(self, tw, orbits_tw):
+        o = orbits_tw[0]
         rev = DiscretePath(o.path.nodes[::-1], o.path.a, o.path.b)
         assert eval_I(tw, rev, 1.0).j_eps == pytest.approx(o.j_value, abs=1e-12)
 
@@ -113,9 +124,13 @@ class TestGradientOrbits:
             gradient_connection(hill, top, np.array([1.0, 0.0]), 1, cps)
 
 
-def _dw_graph():
+def _dw_points():
     dw = DoubleWell1D()
-    cps = CriticalPointSet([classify_point(dw, np.array([x])) for x in (0.0, 1.0, -1.0)])
+    return dw, CriticalPointSet([classify_point(dw, np.array([x])) for x in (0.0, 1.0, -1.0)])
+
+
+def _dw_graph():
+    dw, cps = _dw_points()
     return dw, cps, build_transition_graph(dw, cps)
 
 
@@ -151,9 +166,9 @@ def _solve_ivp_shot(p, source, eig_dir, sign, cps, n_nodes=2000):
 
 class TestBatchedShots:
     @pytest.mark.parametrize("landscape", ["triple-well", "double-well-1d"])
-    def test_shot_alone_equals_shot_in_batch(self, landscape, tw, cps_tw, graph_tw):
-        p, cps, graph = (tw, cps_tw, graph_tw) if landscape == "triple-well" else _dw_graph()
-        orbits = _gradient_orbits(graph)
+    def test_shot_alone_equals_shot_in_batch(self, landscape, tw, cps_tw):
+        p, cps = (tw, cps_tw) if landscape == "triple-well" else _dw_points()
+        orbits = _gradient_orbits(p, cps)
         assert len(orbits) == (4 if landscape == "triple-well" else 2)
         for o in orbits:
             alone = gradient_connection(p, o.source, *_shot_args(p, o), cps)
@@ -164,11 +179,11 @@ class TestBatchedShots:
             assert alone.el_residual == o.el_residual
 
     @pytest.mark.parametrize("landscape", ["triple-well", "double-well-1d"])
-    def test_matches_solve_ivp(self, landscape, tw, cps_tw, graph_tw):
+    def test_matches_solve_ivp(self, landscape, tw, cps_tw):
         # the same RK45 pair, controller and events; the stage sums and the
         # event roots differ from scipy's in the last bits
-        p, cps, graph = (tw, cps_tw, graph_tw) if landscape == "triple-well" else _dw_graph()
-        for o in _gradient_orbits(graph):
+        p, cps = (tw, cps_tw) if landscape == "triple-well" else _dw_points()
+        for o in _gradient_orbits(p, cps):
             target, t_end, nodes = _solve_ivp_shot(p, o.source, *_shot_args(p, o), cps)
             assert target is o.target
             assert abs(2.0 * o.path.b - t_end) <= 1e-6 * t_end
@@ -314,11 +329,11 @@ def _numpy_integrate(p, y0, pts, watch, dp_step=_numpy_dp_step):
         owner, *cols = (np.concatenate(c) for c in zip(*log))
         order = np.argsort(owner, kind="stable")
         t_old, h, y_old, *stages = (c[order] for c in cols)
-        q = [_weigh_frozen(c, stages) for c in _DP_Q]
         bounds = np.searchsorted(owner[order], np.arange(K + 1))
         for r, shot in enumerate(shots):
+            # _Shot.steps as _shoot logs them: the stages as grad V
             sl = slice(bounds[r], bounds[r + 1])
-            shot.steps = (t_old[sl], h[sl], y_old[sl], [qj[sl] for qj in q])
+            shot.steps = list(zip(t_old[sl], h[sl], y_old[sl], zip(*(-s[sl] for s in stages))))
     return shots
 
 
@@ -328,7 +343,7 @@ def _oracle_shoot(p, y0, cols, dp_step=_numpy_dp_step):
     zeros at each column the shot does not watch."""
     pts = np.zeros((cols[-1][0] + 1, len(y0)))
     watch = np.zeros((1, len(pts)), dtype=bool)
-    for c, pt, _ in cols:
+    for c, pt, *_ in cols:
         pts[c], watch[0, c] = pt, True
     (shot,) = _numpy_integrate(p, np.array([y0]), pts, watch, dp_step)
     return shot
@@ -368,16 +383,29 @@ def _integrator_inputs(cps, shots):
     return np.array(starts), np.vstack(locs + [np.mean(locs, axis=0)]), np.array(watch)
 
 
-def _shot_bits(shot):
-    """Everything a _Shot holds: the event, the time, the end point and every
-    step array and dense-output coefficient, in bytes."""
-    steps = [a.tobytes() for a in shot.steps[:3] + tuple(shot.steps[3])] if shot.steps else []
+def _numpy_resample(shot, n_nodes):
+    """_resample as the oracle's arrays gave it: the dense-output coefficients
+    of the force by _weigh_frozen, evaluated by _numpy_dense."""
+    t_old, h, y_old, k = (np.array(a) for a in zip(*shot.steps))
+    q = [_weigh_frozen(c, list(-k.transpose(1, 0, 2))) for c in _DP_Q]
+    ts = np.linspace(0.0, shot.t, n_nodes + 1)
+    seg = np.searchsorted(t_old[1:], ts, side="left")
+    return _numpy_dense(y_old[seg], [qj[seg] for qj in q], h[seg], (ts - t_old[seg]) / h[seg])
+
+
+def _shot_bits(shot, resample=_resample):
+    """Everything a _Shot holds: the event, the time, the end point and its
+    accepted steps' start times, lengths, start points and stages as arrays,
+    then, if it reached an event, its path resampled by ``resample``, in bytes."""
+    steps = [np.array(a).tobytes() for a in zip(*shot.steps)]
+    if shot.event >= 0:
+        steps.append(resample(shot, SHOT_NODES).tobytes())
     return int(shot.event), shot.t, None if shot.y is None else shot.y.tobytes(), steps
 
 
 def _cols(pts, watch):
-    """The event triples of _shoot for the oracle's pts and one row of watch."""
-    return [(c, pt.tolist(), c == len(pts) - 1) for c, pt in enumerate(pts) if watch[c]]
+    """The event columns of _shoot for the oracle's pts and one row of watch."""
+    return [_col(c, pt.tolist(), None if c == len(pts) - 1 else CAPTURE) for c, pt in enumerate(pts) if watch[c]]
 
 
 def _shots_against_the_oracle(p, cps, shots):
@@ -385,7 +413,7 @@ def _shots_against_the_oracle(p, cps, shots):
     on the whole batch."""
     y0, pts, watch = _integrator_inputs(cps, shots)
     got = [_shoot(p, y, _cols(pts, w)) for y, w in zip(y0, watch)]
-    return [_shot_bits(s) for s in got], [_shot_bits(s) for s in _numpy_integrate(p, y0, pts, watch)]
+    return [_shot_bits(s) for s in got], [_shot_bits(s, _numpy_resample) for s in _numpy_integrate(p, y0, pts, watch)]
 
 
 def _walled_hill():
@@ -395,6 +423,30 @@ def _walled_hill():
     hill = CustomPotential(1, lambda x: -0.5 * np.sum(x * x, axis=-1), wall)
     top = classify_point(hill, np.array([0.0]))
     return hill, CriticalPointSet([top]), [(top, np.array([1.0]), 1)]
+
+
+def _three_d_saddle():
+    """A saddle at 0 between wells at (+-1, 0, 0) in 3-D, and its unstable-mode
+    shots followed by two oblique ones."""
+    p = CustomPotential(
+        3,
+        lambda x: (x[:, 0] ** 2 - 1.0) ** 2 / 4.0 + x[:, 1] ** 2 / 2.0 + x[:, 2] ** 2,
+        lambda x: np.stack([x[:, 0] ** 3 - x[:, 0], x[:, 1], 2.0 * x[:, 2]], axis=1),
+    )
+    cps = CriticalPointSet([classify_point(p, np.array([x, 0.0, 0.0])) for x in (0.0, 1.0, -1.0)])
+    saddle = cps[0]
+    oblique = [(saddle, np.array([1.0, 0.3, -0.2]), 1), (saddle, np.array([0.5, -1.0, 2.0]), -1)]
+    return p, cps, saddle_shots(p, saddle) + oblique
+
+
+def _seeded_shots(cps):
+    """12 shots off the saddles of cps in random directions, from seed 2026."""
+    rng = np.random.default_rng(2026)
+    saddles = [c for c in cps if c.index >= 1]
+    return [
+        (saddles[rng.integers(len(saddles))], rng.normal(size=2), int(rng.choice([-1, 1])))
+        for _ in range(12)
+    ]
 
 
 def _assert_domain_error_drops_only_its_shot(gradient):
@@ -459,7 +511,7 @@ class TestFloatStages:
         got, want = _shots_against_the_oracle(hill, cps, shots)
         assert got == want
         ((event, t, y, steps),) = got
-        assert event == -1 and t < T_MAX and len(steps) == 7 and all(steps)
+        assert event == -1 and t < T_MAX and len(steps) == 4 and all(steps)
         assert np.frombuffer(y)[0] == pytest.approx(0.5, abs=1e-12)
         got, want = _shots_both_ways(hill, cps, shots)
         assert got == want and got[0][0] == "NotConvergedError" and "a step below 10 ulp" in got[0][1]
@@ -468,12 +520,7 @@ class TestFloatStages:
     def test_seeded_random_starts(self, hook, tw, cps_tw):
         # a batch of 12, started off the saddles in random directions
         p = tw if hook == "float formula" else CustomPotential(2, tw.value, tw.gradient)
-        rng = np.random.default_rng(2026)
-        saddles = [c for c in cps_tw if c.index >= 1]
-        shots = [
-            (saddles[rng.integers(len(saddles))], rng.normal(size=2), int(rng.choice([-1, 1])))
-            for _ in range(12)
-        ]
+        shots = _seeded_shots(cps_tw)
         got, want = _shots_both_ways(p, cps_tw, shots, 500)
         assert got == want
         got, want = _shots_against_the_oracle(p, cps_tw, shots)
@@ -535,24 +582,16 @@ class TestFloatStages:
         y0, pts, watch = _integrator_inputs(cps_tw, shots)
         p.log.clear()
         out = [_shoot(p, y, _cols(pts, w)) for y, w in zip(y0, watch)]
-        assert all(len(s.steps[0]) > 100 for s in out)
+        assert all(len(s.steps) > 100 for s in out)
         assert p.log == [("gradient", 1)] * (2 * n_shots)
 
     def test_three_dimensional_shots(self):
         # a saddle at 0 between wells at (+-1, 0, 0): the unstable-mode shots
         # keep y = z = 0, the oblique ones start off the axis
-        p = CustomPotential(
-            3,
-            lambda x: (x[:, 0] ** 2 - 1.0) ** 2 / 4.0 + x[:, 1] ** 2 / 2.0 + x[:, 2] ** 2,
-            lambda x: np.stack([x[:, 0] ** 3 - x[:, 0], x[:, 1], 2.0 * x[:, 2]], axis=1),
-        )
-        cps = CriticalPointSet([classify_point(p, np.array([x, 0.0, 0.0])) for x in (0.0, 1.0, -1.0)])
-        saddle = cps[0]
-        oblique = [(saddle, np.array([1.0, 0.3, -0.2]), 1), (saddle, np.array([0.5, -1.0, 2.0]), -1)]
-        shots = saddle_shots(p, saddle) + oblique
+        p, cps, shots = _three_d_saddle()
         got, want = _shots_against_the_oracle(p, cps, shots)
         assert got == want
-        assert sorted(s[0] for s in got) == [1, 1, 2, 2] and all(len(s[3]) == 7 for s in got)
+        assert sorted(s[0] for s in got) == [1, 1, 2, 2] and all(len(s[3]) == 5 for s in got)
         got, want = _shots_both_ways(p, cps, shots, 500)
         assert got == want and not any(isinstance(o[0], str) for o in got)
 
@@ -608,7 +647,7 @@ class TestEventLevels:
         # CAPTURE from a critical point, 0.9 ESCAPE from the centre
         escape = col == len(self.PTS) - 1
         radius = (ESCAPE if escape else CAPTURE) * factor
-        cols = [(c, self.PTS[c], c == len(self.PTS) - 1) for c in range(len(self.PTS))]
+        cols = [_col(c, self.PTS[c], None if c == len(self.PTS) - 1 else CAPTURE) for c in range(len(self.PTS))]
         for y in _on_sphere(self.PTS[col], radius, direction):
             got = _levels(y, cols)[col]
             sq = _row_sumsq_frozen(np.subtract(y, self.PTS[col]))
@@ -619,12 +658,24 @@ class TestEventLevels:
 
     def test_exact_radius_reads_zero(self):
         # sqrt(d * d) == d, so these points lie exactly on the event spheres
-        cols = [(0, [0.0, 0.0], False), (1, [0.0, 0.0], True)]
+        cols = [_col(0, [0.0, 0.0], CAPTURE), _col(1, [0.0, 0.0], None)]
         assert _levels([CAPTURE, 0.0], cols)[0] == 0.0
         assert _levels([0.0, -ESCAPE], cols)[1] == 0.0
         below = _levels([np.nextafter(CAPTURE, 0.0), 0.0], cols)[0]
         above = _levels([np.nextafter(CAPTURE, 1.0), 0.0], cols)[0]
         assert below > 0.0 > above
+
+    @pytest.mark.parametrize("radius", [0.12, 0.0918291778057771])
+    def test_signs_at_a_landing_radius(self, radius):
+        # the triple well's landing radii at M0 and M1: exact within twice
+        # the radius, else -1.0 where the level is surely negative
+        cols = [_col(0, self.PTS[0], radius)]
+        for factor in (1.0, 2.0, 3.0):
+            for y in _on_sphere(self.PTS[0], radius * factor, [0.6, -0.8]):
+                got = _levels(y, cols)[0]
+                want = radius - np.sqrt(_row_sumsq_frozen(np.subtract(y, self.PTS[0])))
+                assert (got >= 0.0, got <= 0.0) == (want >= 0.0, want <= 0.0)
+                assert got == want or (got == -1.0 and want < 0.0 and factor != 1.0)
 
     def test_old_level_of_exactly_zero_counts(self):
         # a shot started exactly CAPTURE from the minimum of |x|^2 / 2: its
@@ -632,9 +683,187 @@ class TestEventLevels:
         y0, pts, watch = np.array([[CAPTURE]]), np.array([[0.0], [0.0]]), np.array([[True, True]])
         assert _numpy_levels(y0, pts)[0, 0] == 0.0
         got = _shot_bits(_shoot(Quadratic(1), y0[0], _cols(pts, watch[0])))
-        (want,) = [_shot_bits(s) for s in _numpy_integrate(Quadratic(1), y0, pts, watch)]
+        (want,) = [_shot_bits(s, _numpy_resample) for s in _numpy_integrate(Quadratic(1), y0, pts, watch)]
         assert got == want
         assert got[0] == 0 and len(np.frombuffer(got[3][0])) == 1
+
+
+def _capture_cols(cps, radii):
+    """_shoot's event columns for a start at no critical point: every point of
+    cps at its capture radius, then the escape column."""
+    centre = np.mean([c.location for c in cps], axis=0).tolist()
+    return [_col(k, c.location.tolist(), radii[k]) for k, c in enumerate(cps)] + [_col(len(cps), centre, None)]
+
+
+def _landings(p, cps, shots):
+    """The landing radii, and per shot: its landing target, its landing point
+    continued to the 1e-6 capture (the event reached), the target of the
+    shot run to the 1e-6 capture from its start, and the landing point; or,
+    where a shot failed, the (class, message) of both runs' errors.  A shot
+    that ends at the 1e-6 capture is its own continuation."""
+    radii = landing_radii(p, cps)
+
+    def end(source, shot):
+        return _shot_end(p, cps, shot), shot
+
+    out = []
+    landed = _run_shots(p, cps, shots, radii, end)
+    for got, want in zip(landed, _run_shots(p, cps, shots, [CAPTURE] * len(cps), end)):
+        if isinstance(got, Exception) or isinstance(want, Exception):
+            out.append(((type(got).__name__, str(got)), (type(want).__name__, str(want))))
+            continue
+        y = _resample(got[1], 1)[-1]
+        continued = _shoot(p, y, _capture_cols(cps, [CAPTURE] * len(cps))).event if radii[got[0]] > CAPTURE else got[0]
+        out.append((got[0], continued, want[0], y))
+    return radii, out
+
+
+def _graph_bytes_both_ways(build):
+    """json.dumps of build()'s graph with the landing radii, then with every
+    point at the 1e-6 capture."""
+    on = json.dumps(build().to_dict())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ompath.heteroclinic, "landing_radii", lambda p, cps: [CAPTURE] * len(cps))
+        off = json.dumps(build().to_dict())
+    return on, off
+
+
+class TestLanding:
+    """A graph shot stops at its target's landing radius.  Every landing,
+    continued to the 1e-6 capture, reaches the target that the shot run to
+    the 1e-6 capture reaches, and a failed shot fails alike both ways."""
+
+    @staticmethod
+    def _check(p, cps, shots, certified):
+        radii, out = _landings(p, cps, shots)
+        landed = 0
+        for entry in out:
+            if isinstance(entry[0], tuple):
+                assert entry[0] == entry[1]
+                continue
+            target, continued, want, y = entry
+            assert target == continued == want
+            if radii[target] > CAPTURE:
+                landed += 1
+                dist = np.linalg.norm(y - cps[target].location)
+                assert dist == pytest.approx(radii[target], rel=1e-9, abs=0.0)
+        assert landed == certified
+
+    def test_triple_well(self, tw, cps_tw):
+        self._check(tw, cps_tw, _saddle_shots_of(tw, cps_tw), 4)
+
+    def test_double_well(self):
+        dw, cps = _dw_points()
+        self._check(dw, cps, _saddle_shots_of(dw, cps), 2)
+
+    def test_three_dimensional_saddle(self):
+        # no radius in 3-D: every shot keeps the 1e-6 capture
+        self._check(*_three_d_saddle(), 0)
+
+    def test_walled_hill(self):
+        hill, cps, shots = _walled_hill()
+        self._check(hill, cps, shots, 0)
+
+    def test_seeded_random_starts(self, tw, cps_tw):
+        self._check(tw, cps_tw, _seeded_shots(cps_tw), 12)
+
+    def test_muller_brown(self, mb, cps_mb):
+        self._check(mb, cps_mb, _saddle_shots_of(mb, cps_mb), 4)
+
+    def test_shot_past_a_saddle_lands_after_it(self, tw, cps_tw, names_tw):
+        # started 0.02 along S1's stable eigenvector, 1e-7 either side of its
+        # stable manifold: each shot passes within 1e-4 of S1, and lands at
+        # the minimum its 1e-6 capture reaches, on its own side, after the pass
+        s1 = cps_tw[cps_tw.nearest(names_tw["S1"])[0]]
+        vec = np.linalg.eigh(tw.hessian(s1.location))[1]
+        vec = vec * -np.sign(vec[np.argmax(np.abs(vec), axis=0), [0, 1]])
+        radii = landing_radii(tw, cps_tw)
+        targets = []
+        for b in (-1.5675e-4, -1.5655e-4):
+            y0 = s1.location + 0.02 * vec[:, 1] + b * vec[:, 0]
+            full = _shoot(tw, y0, _capture_cols(cps_tw, [CAPTURE] * len(cps_tw)))
+            d = np.linalg.norm(_resample(full, 20000) - s1.location, axis=-1)
+            assert CAPTURE < np.min(d) <= 1e-4
+            landed = _shoot(tw, y0, _capture_cols(cps_tw, radii))
+            assert landed.event == full.event and radii[landed.event] > CAPTURE
+            assert landed.t > full.t * np.argmin(d) / 20000
+            y = _resample(landed, 1)[-1]
+            assert np.linalg.norm(y - cps_tw[landed.event].location) == pytest.approx(radii[landed.event])
+            targets.append(landed.event)
+        assert targets[0] != targets[1]
+
+    def test_degenerate_minimum_keeps_the_1e6_capture(self):
+        # V = x^4 / 4 - x^5 / 5: a well like x^4 at 0, whose finite-difference
+        # Hessian reads 1e-10 < EIG_TOL, and a saddle at 1.  The shot into
+        # the well is still algebraically slow at T_MAX; the other escapes
+        p = CustomPotential(1, lambda x: x[:, 0] ** 4 / 4.0 - x[:, 0] ** 5 / 5.0, lambda x: x**3 - x**4)
+        cps = CriticalPointSet([classify_point(p, np.array([x])) for x in (0.0, 1.0)])
+        assert [c.index for c in cps] == [0, 1] and 0.0 < cps[0].eigenvalues[0] < 1e-8
+        assert landing_radii(p, cps) == [CAPTURE, CAPTURE]
+        on, off = _graph_bytes_both_ways(lambda: build_transition_graph(p, cps))
+        assert on == off
+        assert sorted(f["error"] for f in json.loads(on)["failures"]) == ["EscapeError", "NotConvergedError"]
+
+    def test_no_radius_above_two_dimensions(self):
+        # the double well along the first axis, in 3-D and 4-D; the same in 2-D gets radii
+        for dim, certified in ((2, 2), (3, 0), (4, 0)):
+            p = CustomPotential(
+                dim,
+                lambda x: (x[:, 0] ** 2 - 1.0) ** 2 / 4.0 + np.sum(x[:, 1:] ** 2, axis=1) / 2.0,
+                lambda x: np.concatenate([x[:, :1] ** 3 - x[:, :1], x[:, 1:]], axis=1),
+            )
+            cps = CriticalPointSet([classify_point(p, np.eye(dim)[0] * x) for x in (0.0, 1.0, -1.0)])
+            assert sum(r > CAPTURE for r in landing_radii(p, cps)) == certified
+
+    def test_one_hessian_call_for_all_minima(self, cps_tw):
+        p = LoggingTripleWell()
+        radii = landing_radii(p, cps_tw)
+        assert [name for name, _ in p.log] == ["hessian"]
+        assert [r > CAPTURE for r in radii] == [c.index == 0 for c in cps_tw]
+        # each within 0.95 of half the distance to the nearest other point
+        for c, r in zip(cps_tw, radii):
+            others = [np.linalg.norm(c.location - o.location) for o in cps_tw if o is not c]
+            assert r <= 0.95 * 0.5 * min(others)
+
+    def test_accepted_step_budget(self, tw, cps_tw, monkeypatch):
+        # the triple-well graph's shots took 1,232 accepted steps to the 1e-6
+        # capture; a step regression fails here without any clock
+        accepted = []
+        step = ompath.heteroclinic._dp_step
+
+        def counted(*args):
+            out = step(*args)
+            accepted.append(out[2] < 1.0)
+            return out
+
+        monkeypatch.setattr(ompath.heteroclinic, "_dp_step", counted)
+        build_transition_graph(tw, cps_tw)
+        assert sum(accepted) <= 500
+        del accepted[:]
+        monkeypatch.setattr(ompath.heteroclinic, "landing_radii", lambda p, cps: [CAPTURE] * len(cps))
+        build_transition_graph(tw, cps_tw)
+        assert sum(accepted) == 1232
+
+    @pytest.mark.parametrize("case", [
+        "triple-well-S1-S2", "double-well", "double-well-without--1", "muller-brown", "muller-brown-3-4",
+        "three-dimensional-saddle",
+    ])
+    def test_graph_bytes_with_and_without_landing(self, case, tw, cps_tw, mb, cps_mb):
+        if case == "triple-well-S1-S2":
+            build = functools.partial(triple_well_graph, tw, cps_tw, ham_M=1000)
+        elif case.startswith("double-well"):
+            dw, cps = _dw_points()
+            if case.endswith("-1"):
+                cps = CriticalPointSet(cps.points[:2])
+            build = functools.partial(build_transition_graph, dw, cps)
+        elif case.startswith("muller-brown"):
+            pairs = [(3, 4)] if case.endswith("3-4") else []
+            build = functools.partial(build_transition_graph, mb, cps_mb, hamiltonian_pairs=pairs)
+        else:
+            p, cps, _ = _three_d_saddle()
+            build = functools.partial(build_transition_graph, p, cps)
+        on, off = _graph_bytes_both_ways(build)
+        assert on == off
 
 
 class LoggingTripleWell(TripleWell):
@@ -860,7 +1089,7 @@ class TestStabilised:
                 assert edge["stabilised"] is True
             else:
                 assert "stabilised" not in edge
-        assert all(o.stabilised is None for o in _gradient_orbits(graph_full))
+        assert all(o.stabilised is None for o in _gradient_orbits(tw, graph_full.cps))
 
 
 def _shot_key(shots):
@@ -911,7 +1140,7 @@ class TestExactGradientEdges:
             drop = cps[s].value - cps[m].value
             assert graph.phi[s, m] == graph.phi[m, s] == drop
         # each orbit keeps its own integrated action, which verify_orbit checks
-        for o in _gradient_orbits(graph):
+        for o in _gradient_orbits(p, cps):
             assert o.j_value != o.source.value - o.target.value
             assert verify_orbit(p, o).passed
 
@@ -1056,7 +1285,7 @@ class TestTransitionGraph:
         assert failure["message"].startswith("the orbit passes within 4.98e-08 of critical point ")
         assert f"critical point {m0} at" in failure["message"]
         assert [e.kind for e in graph.edges] == ["gradient-forward"] * 4
-        assert len(graph.orbits) == 4
+        assert len(_gradient_orbits(tw, cps_tw)) == 4 and graph.orbits == []
         # S1 to S2 then costs the chain's own edges, through M0
         assert graph.phi[i, j] == graph.phi[i, m0] + graph.phi[m0, j]
 
