@@ -7,6 +7,7 @@ exact analytic Hessian.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,18 +87,35 @@ NEWTON_ITER = 100
 MERGE_TOL = 1e-6
 COND_TOL = 1e-8
 STEP_SIZES = 0.5 ** np.arange(40)
+# a 2 x 2 Hessian whose |det| is further than BAND |H|_F^2 + 1e-300 from COND_TOL |H|_F^2 is decided from
+# its entries: BAND is 32 ulp, and the closed form and np.linalg.det part by a few ulp at most (0.8 seen)
+BAND = 2.0**-48
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """-H^+ g for each row.  A Hessian with |det H| > COND_TOL |H|_F^N has
     sigma_min / sigma_max > COND_TOL, so pinv's 1e-15 cutoff would truncate
     nothing: it is solved by LU, which may differ from pinv in the last bit.
-    Every other Hessian, singular or near it, takes the pseudo-inverse."""
-    lu = np.abs(np.linalg.det(H)) > COND_TOL * np.linalg.norm(H, axis=(1, 2)) ** H.shape[-1]
+    Every other Hessian, singular or near it, takes the pseudo-inverse.  In 2-D
+    the test is made on h00 h11 - h01 h10 and the squares of the entries, and
+    by np.linalg.det only within BAND of the threshold or where a product or
+    square is not finite, so every row takes the determinant's branch.  An
+    overflow reads inf, and inf - inf NaN, without a warning."""
+    lu, near = np.zeros(len(H), dtype=bool), np.ones(len(H), dtype=bool)
+    if H.shape[-1] == 2:
+        h00, h01, h10, h11 = H.reshape(-1, 4).T
+        fro2 = h00 * h00 + h01 * h01 + h10 * h10 + h11 * h11
+        margin = np.abs(h00 * h11 - h01 * h10) - COND_TOL * fro2
+        lu, near = margin > 0.0, ~(np.abs(margin) > BAND * fro2 + 1e-300)
+    if near.any():
+        A = H if near.all() else H[near]
+        lu[near] = np.abs(np.linalg.det(A)) > COND_TOL * np.linalg.norm(A, axis=(1, 2)) ** H.shape[-1]
+    if lu.all():
+        return -np.linalg.solve(H, g[..., None])[..., 0]
     step = np.empty_like(g)
     step[lu] = -np.linalg.solve(H[lu], g[lu, :, None])[..., 0]
-    if not np.all(lu):
-        step[~lu] = -np.einsum("kij,kj->ki", np.linalg.pinv(H[~lu]), g[~lu])
+    step[~lu] = -np.einsum("kij,kj->ki", np.linalg.pinv(H[~lu]), g[~lu])
     return step
 
 
@@ -106,13 +124,12 @@ def _newton_batch(p: PotentialModel, seeds):
     """Damped Newton on grad V = 0, run on all seeds at once.
 
     Armijo backtracking on |grad V|^2 takes the first of STEP_SIZES that
-    decreases it enough: one gradient call tries t = 1 on every seed, and a
-    second all other t at once on the seeds the first rejected.  Each t is an
-    exact power of two, so every trial point has the bits that halving t one
-    round at a time gives.  An overflow reads inf, and inf - inf (in the
-    determinant of a huge Hessian) NaN, without a warning.  Returns
-    (points, converged_mask); seeds that stagnate are reported unconverged
-    and dropped by the caller.
+    decreases it enough, in three gradient calls at most: t = 1 on every seed,
+    t = 1/2 on the seeds t = 1 rejects, and the other 38 t at once on the seeds
+    t = 1/2 rejects.  Each t is an exact power of two, so every trial point has
+    the bits that halving t one round at a time gives.  An overflow reads inf
+    without a warning.  Returns (points, converged_mask); seeds that stagnate
+    are reported unconverged and dropped by the caller.
     """
     x = np.array(seeds, dtype=float)
     g = p.gradient(x)
@@ -124,10 +141,11 @@ def _newton_batch(p: PotentialModel, seeds):
             break
         step = _newton_step(p.hessian(x[idx]), g[idx])
         # seeds with no finite step, or no decrease along it, are abandoned
-        finite = np.all(np.isfinite(step), axis=-1)
-        alive[idx[~finite]] = False
-        idx, step = idx[finite], step[finite]
-        for t in (STEP_SIZES[:1], STEP_SIZES[1:]):
+        finite = functools.reduce(np.logical_and, np.isfinite(step).T)
+        if not finite.all():
+            alive[idx[~finite]] = False
+            idx, step = idx[finite], step[finite]
+        for t in (STEP_SIZES[:1], STEP_SIZES[1:2], STEP_SIZES[2:]):
             if not len(idx):
                 break
             trial = x[idx, None] + t[:, None] * step[:, None]

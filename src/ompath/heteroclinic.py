@@ -333,8 +333,12 @@ def _shot_end(p: PotentialModel, cps: CriticalPointSet, shot: _Shot) -> int:
         # the same 1e-3 on |grad V| as the orbits' endpoint warning
         g = float(np.linalg.norm(p.gradient(shot.y)))
         hint = ""
-        if g <= 1e-3 and cps.nearest(shot.y)[1] > CAPTURE:
+        i, d = cps.nearest(shot.y)
+        if g <= 1e-3 and d > CAPTURE:
             hint = ": a critical point outside the set, so search a wider box (--box)"
+            if cps[i].index == 0 and cps[i].eigenvalues[0] < EIG_TOL:
+                lam = cps[i].eigenvalues[0]
+                hint = f": still creeping into the degenerate minimum {i} of the set (least eigenvalue {lam:.3g})"
         why = f"the time limit {T_MAX:g}" if shot.t >= T_MAX else f"a step below 10 ulp of t = {shot.t:.12g}"
         raise NotConvergedError(
             f"gradient shot stopped at {why}, at x = {shot.y.tolist()}, where |grad V| = {g:.3g}{hint}",

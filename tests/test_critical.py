@@ -21,6 +21,8 @@ from ompath import (
 )
 from ompath import critical
 from ompath.critical import (
+    BAND,
+    COND_TOL,
     MERGE_TOL,
     NEWTON_ITER,
     RESIDUAL_TOL,
@@ -37,7 +39,9 @@ from ompath.experiments import (
     write_json,
 )
 from ompath.functionals import row_sumsq
+from conftest import MB_BOX
 from test_flow import CountingTripleWell
+from test_heteroclinic import LoggingTripleWell
 
 SQ2 = np.sqrt(2.0)
 SADDLES = np.array(
@@ -295,6 +299,203 @@ class TestNewtonOracle:
             with pytest.raises(ValueError, match="box edges and widths must be finite"):
                 find_critical_points(p, box, 3)
         assert not any(p.calls.values())
+
+
+def _det_lu(H):
+    """The LU rows by the determinant and the Frobenius norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(np.linalg.det(H)) > COND_TOL * np.linalg.norm(H, axis=(1, 2)) ** H.shape[-1]
+
+
+def _det_step(H, g):
+    """_newton_step before it decided 2 x 2 rows from their entries: the
+    determinant and the Frobenius norm of every row, and masked copies even
+    when every row is solved by LU; frozen as the oracle."""
+    lu = _det_lu(H)
+    step = np.empty_like(g)
+    step[lu] = -np.linalg.solve(H[lu], g[lu, :, None])[..., 0]
+    if not np.all(lu):
+        step[~lu] = -np.einsum("kij,kj->ki", np.linalg.pinv(H[~lu]), g[~lu])
+    return step
+
+
+def _at_threshold(rng, ratio, symmetric):
+    """A 2 x 2 matrix with random h00, h01, h10 (h10 = h01 if symmetric) and
+    h11 the root of h00 h11 - h01 h10 = ratio |H|_F^2 nearest 0."""
+    h00, h01, h10 = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+    if symmetric:
+        h10 = h01
+    c = ratio * (h00 * h00 + h01 * h01 + h10 * h10) + h01 * h10
+    h11 = 2.0 * c / (h00 + np.copysign(np.sqrt(h00 * h00 - 4.0 * ratio * c), h00))
+    return np.array([[h00, h01], [h10, h11]])
+
+
+def _assert_steps_equal(H, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _newton_step(H, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _det_step(H, g)
+    assert got.tobytes() == want.tobytes()
+
+
+# the box shift of the benchmark's limit_graph workload (perfbench/workloads.py)
+BOX_SHIFT = 0.02
+
+
+class TestNewtonStepFromEntries:
+    """The 2 x 2 branch decided from the entries is the determinant's, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-155, 1e150, 1e160], ids=["unit", "tiny", "large", "squares-overflow"])
+    def test_rows_straddling_the_threshold(self, scale):
+        # |det| / |H|_F^2 = 1e-8 (1 +- 2^-k) for k = 20 ... 52, both signs of
+        # det, general and symmetric; the rounding of h11 blurs k > 26
+        rng = np.random.default_rng(7)
+        H = np.array([
+            _at_threshold(rng, sign * COND_TOL * (1.0 + side * 2.0**-k), symmetric)
+            for k in range(20, 53)
+            for sign in (1.0, -1.0)
+            for side in (1.0, -1.0)
+            for symmetric in (False, True)
+        ]) * scale
+        g = rng.standard_normal((len(H), 2)) * scale
+        lu = _det_lu(H)
+        if scale < 1e154:
+            assert np.any(lu) and not np.all(lu)
+        else:  # |H|_F^2 overflows, and the threshold with it
+            assert not np.any(lu)
+        if scale == 1.0:
+            # both ways of deciding are exercised: from the entries, and by the determinant
+            h00, h01, h10, h11 = H.reshape(-1, 4).T
+            fro2 = h00**2 + h01**2 + h10**2 + h11**2
+            near = np.abs(np.abs(h00 * h11 - h01 * h10) - COND_TOL * fro2) <= BAND * fro2
+            assert np.any(near) and not np.all(near)
+        _assert_steps_equal(H, g)
+
+    def test_singular_zero_infinite_and_huge_rows(self):
+        H = np.array([
+            [[1.0, 2.0], [2.0, 4.0]],
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[1.0, 0.0], [0.0, 1e-20]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[-0.0, 0.0], [0.0, -0.0]],
+            [[5e-324, 0.0], [0.0, 5e-324]],
+            [[np.inf, 1.0], [1.0, 1.0]],
+            [[-np.inf, 1.0], [1.0, 2.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[1e200, 3e199], [3e199, 2e200]],
+            [[1e200, 1e200], [1e200, 1e200]],
+            [[-1e200, 2e199], [2e199, 1e200]],
+            [[1e308, 1e308], [1e308, -1e308]],
+            [[2.0, 1.0], [1.0, 3.0]],
+        ])
+        g = np.array([[0.3, -0.7], [0.5, 0.25], [1e200, -1e200], [np.nan, 1.0], [np.inf, -np.inf]] * 3)[: len(H)]
+        _assert_steps_equal(H, g)
+        # every row alone, and the LU rows as a batch of their own
+        for k in range(len(H)):
+            _assert_steps_equal(H[k : k + 1], g[k : k + 1])
+        lu = _det_lu(H)
+        _assert_steps_equal(H[lu], g[lu])
+
+    def test_nan_rows(self):
+        # a NaN Hessian takes the pseudo-inverse, whose SVD fails either way;
+        # a NaN gradient goes through the solve
+        H = np.array([[[np.nan, 1.0], [1.0, 2.0]], [[2.0, 1.0], [1.0, 3.0]]])
+        g = np.array([[1.0, 2.0], [np.nan, 1.0]])
+        for rule in (_newton_step, _det_step):
+            with pytest.raises(np.linalg.LinAlgError):
+                rule(H, g)
+        _assert_steps_equal(H[1:], g[1:])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_symmetric_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2000, 2, 2)) * 10.0 ** rng.uniform(-100, 100, size=(2000, 1, 1))
+        H = a + a.swapaxes(1, 2)
+        _assert_steps_equal(H, rng.standard_normal((2000, 2)))
+
+    def test_three_dimensions_keep_the_determinant(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((500, 3, 3))
+        H = a + a.swapaxes(1, 2)
+        H[::5, 2] = H[::5, 0] + H[::5, 1]  # singular rows
+        H[::5, :, 2] = H[::5, :, 0] + H[::5, :, 1]
+        _assert_steps_equal(H, rng.standard_normal((500, 3)))
+
+
+def _shifted_tw(seed):
+    rng = np.random.default_rng(seed)
+    return TripleWell(), np.asarray(DEFAULT_BOX) + rng.uniform(-BOX_SHIFT, BOX_SHIFT, size=(2, 2)), DEFAULT_GRID
+
+
+class TestNewtonBatchOracle:
+    """_newton_batch equals the one-halving-per-round loop with the determinant step."""
+
+    @staticmethod
+    def _assert_equal_to_the_loop(p, box, grid):
+        seeds = _seed_grid(np.asarray(box, dtype=float), grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_x, want_ok = _newton_batch_loop(p, seeds, _det_step)
+        got_x, got_ok = _newton_batch(p, seeds)
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_ok.tobytes() == want_ok.tobytes()
+        return got_ok
+
+    @_ORACLE_CASES
+    def test_oracle_cases(self, p, box, grid):
+        assert np.any(self._assert_equal_to_the_loop(p, box, grid))
+
+    def test_muller_brown(self, mb):
+        assert np.any(self._assert_equal_to_the_loop(mb, MB_BOX, 30))
+
+    @pytest.mark.parametrize("seed", range(100, 110))
+    def test_shifted_benchmark_boxes(self, seed):
+        assert np.any(self._assert_equal_to_the_loop(*_shifted_tw(seed)))
+
+    @pytest.mark.parametrize(
+        "box, grid, converged",
+        [(((-50.0, 50.0),) * 2, 30, 900), (((-1e20, 1e20),) * 2, 17, 1), (((0.0, 1e308),) * 2, 3, 1)],
+        ids=["50", "1e20", "1e308"],
+    )
+    def test_far_and_divergent_seeds(self, box, grid, converged):
+        # far seeds backtrack often; beyond about 1e20 every seed but the
+        # origin overflows and is abandoned
+        assert np.sum(self._assert_equal_to_the_loop(TripleWell(), box, grid)) == converged
+
+
+class TestNewtonWork:
+    def test_three_backtracking_rounds(self, monkeypatch):
+        # one Newton iteration on the benchmark's grid: t = 1 on every active
+        # seed, t = 1/2 on those it rejects, and the other 38 t on the rest
+        tw, box, grid = _shifted_tw(100)
+        seeds = _seed_grid(box, grid)
+        g = tw.gradient(seeds)
+        phi = row_sumsq(g)
+        active = np.sqrt(phi) > RESIDUAL_TOL
+        x, g, phi = seeds[active], g[active], phi[active]
+        step = _det_step(tw.hessian(x), g)
+        assert np.all(np.isfinite(step))
+
+        def rejects(t):
+            pt = row_sumsq(tw.gradient(x + t * step))
+            return ~(np.isfinite(pt) & (pt <= phi * (1.0 - 1e-4 * t)))
+
+        n_active, n_rej1 = len(x), int(np.sum(rejects(1.0)))
+        n_rej2 = int(np.sum(rejects(1.0) & rejects(0.5)))
+        assert 0 < n_rej2 < n_rej1 < n_active
+
+        p = LoggingTripleWell()
+        monkeypatch.setattr(critical, "NEWTON_ITER", 1)
+        _newton_batch(p, seeds)
+        assert p.log == [
+            ("gradient", len(seeds)),
+            ("hessian", n_active),
+            ("gradient", n_active),
+            ("gradient", n_rej1),
+            ("gradient", 38 * n_rej2),
+        ]
+        # the two-round search tried all 39 other t on every seed t = 1 rejects
+        assert sum(k for _, k in p.log[2:]) == n_active + n_rej1 + 38 * n_rej2 < n_active + 39 * n_rej1
 
 
 class TestClassification:

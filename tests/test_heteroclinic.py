@@ -803,6 +803,12 @@ class TestLanding:
         on, off = _graph_bytes_both_ways(lambda: build_transition_graph(p, cps))
         assert on == off
         assert sorted(f["error"] for f in json.loads(on)["failures"]) == ["EscapeError", "NotConvergedError"]
+        # the slow shot is named as such, not as one that needs a wider box
+        (slow,) = [f["message"] for f in json.loads(on)["failures"] if f["error"] == "NotConvergedError"]
+        assert slow.endswith(
+            "where |grad V| = 4.13e-06: still creeping into the degenerate minimum 0 of the set (least eigenvalue 1e-10)"
+        )
+        assert "--box" not in slow
 
     def test_no_radius_above_two_dimensions(self):
         # the double well along the first axis, in 3-D and 4-D; the same in 2-D gets radii
