@@ -220,13 +220,7 @@ def cmd_heteroclinic(args) -> str:
 
 def cmd_graph(args) -> str:
     p, cps = _critical_points(args)
-    pairs = []
-    for spec in args.hamiltonian.split(";") if args.hamiltonian else []:
-        ends = spec.split(":")
-        if len(ends) != 2:
-            raise ValueError(f"--hamiltonian pair {spec!r} is not of the form X:Y")
-        pairs.append(tuple(critical_index(cps, t, p) for t in ends))
-    graph = build_transition_graph(p, cps, hamiltonian_pairs=pairs, ham_M=args.nodes)
+    graph = build_transition_graph(p, cps, ham_M=args.nodes)
     return write_json(args.out, "transition_graph.json", graph.to_dict())
 
 
@@ -290,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("graph", help="build the transition graph")
     _add_common(sp)
     _add_box(sp)
-    sp.add_argument("--hamiltonian", default="", help="extra saddle pairs, e.g. 'S1:S2'")
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     sp.set_defaults(func=cmd_graph)
 
@@ -318,7 +311,7 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         print(args.func(args))
         return 0
-    except (ValueError, NoCriticalPointsError, EscapeError, OSError) as exc:
+    except (ValueError, NoCriticalPointsError, EscapeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotConvergedError, NonFiniteObjectiveError) as exc:

@@ -239,7 +239,8 @@ COERCIVITY_TOL = 1e-3
 
 
 def check_admissibility(p: PotentialModel, cps: CriticalPointSet, R: float) -> AdmissibilityReport:
-    """Report on nondegeneracy and sampled weak coercivity."""
+    """Report on nondegeneracy and sampled weak coercivity.  A radius at which
+    a sampled point or |grad V| is not a finite float raises ValueError."""
     if not 0.0 < R < np.inf:
         raise ValueError(f"radius must be positive and finite, not {R!r}")
     if len(cps) == 0:
@@ -249,15 +250,19 @@ def check_admissibility(p: PotentialModel, cps: CriticalPointSet, R: float) -> A
     rng = np.random.default_rng(SPHERE_SEED)
     inf_grad = np.inf
     for radius in (R, 1.5 * R, 2.0 * R, 4.0 * R):
-        if p.dim == 1:
-            pts = np.array([[-radius], [radius]])
-        elif p.dim == 2:
-            th = np.linspace(0.0, 2.0 * np.pi, N_SPHERE, endpoint=False)
-            pts = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        else:
-            u = rng.standard_normal((N_SPHERE, p.dim))
-            pts = radius * u / np.linalg.norm(u, axis=1, keepdims=True)
-        gn = np.linalg.norm(p.gradient(pts), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if p.dim == 1:
+                pts = np.array([[-radius], [radius]])
+            elif p.dim == 2:
+                th = np.linspace(0.0, 2.0 * np.pi, N_SPHERE, endpoint=False)
+                pts = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
+            else:
+                u = rng.standard_normal((N_SPHERE, p.dim))
+                pts = radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+            gn = np.linalg.norm(p.gradient(pts), axis=-1) if np.all(np.isfinite(pts)) else pts
+        if not np.all(np.isfinite(gn)):
+            where = f"a point or |grad V| sampled at radius {radius!r}"
+            raise ValueError(f"radius {R!r} cannot be checked: {where} is not finite")
         inf_grad = min(inf_grad, float(np.min(gn)))
 
     admissible = min_eig >= EIG_TOL and inf_grad > COERCIVITY_TOL

@@ -124,11 +124,11 @@ def minimize_to_files(outdir, prefix: str, *args, **kwargs):
 
 
 def triple_well_graph(p, cps: CriticalPointSet | None = None, ham_M: int = DEFAULT_NODES) -> TransitionGraph:
-    """Transition graph of the triple well with the direct saddle-saddle edge."""
+    """Transition graph of the triple well, its direct S1-S2 edge included;
+    cps defaults to the critical points of the default box and grid."""
     if cps is None:
         cps = find_critical_points(p, DEFAULT_BOX, DEFAULT_GRID)
-    pair = (critical_index(cps, "S1", p), critical_index(cps, "S2", p))
-    return build_transition_graph(p, cps, hamiltonian_pairs=[pair], ham_M=ham_M)
+    return build_transition_graph(p, cps, ham_M=ham_M)
 
 
 def route_limit(graph: TransitionGraph, route, p: PotentialModel) -> tuple:

@@ -10,6 +10,7 @@ critical points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -662,40 +663,33 @@ def _check_chain(orbit: HeteroclinicOrbit, cps: CriticalPointSet, ends, reach: f
 def build_transition_graph(
     p: PotentialModel,
     cps: CriticalPointSet,
-    hamiltonian_pairs=(),
     ham_M: int = DEFAULT_NODES,
 ) -> TransitionGraph:
-    """Assemble connection costs from all saddle gradient shots.
+    """Assemble connection costs from all saddle gradient shots and from a
+    direct connection of every pair of index-1 saddles of cps.
 
-    Every unstable mode of every saddle is shot in both signs.  Pairs listed
-    in ``hamiltonian_pairs`` (as index pairs into cps) additionally get a
-    direct saddle-saddle connection, started bent through mid + 0.4 perp
-    (side +1, perp the chord's unit normal).  Side -1, through mid - 0.4 perp,
-    is tried too only when another point of cps lies in the rhombus a,
-    mid + 0.4 perp, b, mid - 0.4 perp (boundary included), which puts the two
-    starts in different homotopy classes; the triple well's S1-S2 pair is
-    tried once.  Outside two dimensions the straight start is tried once.
-    A shot stops at its target's landing radius (``landing_radii``), fails
-    as in ``gradient_shots`` but for the drawn orbits' arclength budget, and
-    its edge costs V(source) - V(target): no orbit is kept.  A shot or pair that
-    fails is recorded in ``graph.failures`` and leaves no edge; so is a
-    saddle-saddle orbit that passes within a tenth of the least distance
-    between two critical points of a third one (ChainError): it is a chain
-    through that point, whose own edges the graph already holds.  A ``ham_M``
-    below 3 intervals, with or without pairs, and a pair that names a point
-    outside range(len(cps)) or one point twice, or is listed twice in either
-    order, raise ValueError before any shot runs.
+    Every unstable mode of every saddle is shot in both signs.  Each pair of
+    index-1 saddles is flowed from the later index to the earlier, started
+    bent through mid + 0.4 perp (side +1, perp the chord's unit normal).
+    Side -1, through mid - 0.4 perp, is tried too only when another point of
+    cps lies in the rhombus a, mid + 0.4 perp, b, mid - 0.4 perp (boundary
+    included), which puts the two starts in different homotopy classes; the
+    triple well's S1-S2 pair is tried once.  Outside two dimensions the
+    straight start is tried once.  A shot stops at its target's landing
+    radius (``landing_radii``), fails as in ``gradient_shots`` but for the
+    drawn orbits' arclength budget, and its edge costs V(source) - V(target):
+    no orbit is kept.  A shot or pair that fails is recorded in
+    ``graph.failures`` and leaves no edge; so is a saddle-saddle orbit that
+    passes within a tenth of the least distance between two critical points
+    of a third one (ChainError): it is a chain through that point, whose own
+    edges the graph already holds.  A ``ham_M`` below 3 intervals raises
+    ValueError before any shot runs.
     """
     if ham_M < 3:
         raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
     pairs = []
-    for i, j in hamiltonian_pairs:
-        if i not in range(len(cps)) or j not in range(len(cps)):
-            raise ValueError(f"saddle pair ({i}, {j}) names a point outside 0..{len(cps) - 1}")
-        if i == j:
-            raise ValueError(f"saddle pair ({i}, {j}) names one point twice")
-        if any({i, j} == {k, l} for k, l, _ in pairs):
-            raise ValueError(f"saddle pair ({i}, {j}) is listed twice")
+    saddles = [k for k, c in enumerate(cps) if c.index == 1]
+    for i, j in itertools.combinations(saddles[::-1], 2):
         starts = [(+1, None)]
         if p.dim == 2:
             mid = 0.5 * (cps[i].location + cps[j].location)

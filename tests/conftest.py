@@ -23,17 +23,9 @@ def names_tw(tw):
 
 
 @pytest.fixture(scope="session")
-def graph_tw(tw, cps_tw):
-    """Gradient-edge-only transition graph of the triple well."""
-    return build_transition_graph(tw, cps_tw)
-
-
-@pytest.fixture(scope="session")
-def graph_full(tw, cps_tw, names_tw):
-    """Transition graph including the direct saddle-saddle connection."""
-    i1, _ = cps_tw.nearest(names_tw["S1"])
-    i2, _ = cps_tw.nearest(names_tw["S2"])
-    return build_transition_graph(tw, cps_tw, hamiltonian_pairs=[(i1, i2)], ham_M=2000)
+def graph_full(tw, cps_tw):
+    """Transition graph of the triple well, the direct S1-S2 connection included."""
+    return build_transition_graph(tw, cps_tw, ham_M=2000)
 
 
 # Muller-Brown: V = sum_i A_i exp(a_i dx^2 + b_i dx dy + c_i dy^2), with

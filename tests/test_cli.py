@@ -21,6 +21,14 @@ def run(argv):
     return main(argv)
 
 
+def run_child(*args):
+    """``python *args`` in a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ompath.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
 class TestCriticalPoints:
     def test_writes_five_point_set(self, tmp_path):
         code = run(["critical-points", "--potential", "triple-well", "--out", str(tmp_path)])
@@ -62,6 +70,28 @@ class TestCriticalPoints:
         assert run(["critical-points", "--radius", radius, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: radius must be positive and finite, not {float(radius)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["1e60", "1e308"])
+    def test_radius_beyond_the_floats_is_usage_error(self, radius, tmp_path):
+        # |grad V| overflows on the first sampled sphere, which once wrote
+        # "coercivity_inf": Infinity, not JSON (1e60), or failed on the
+        # non-finite point 2R (1e308); in a child where every warning is an
+        # error, nothing warns first
+        out = tmp_path / "out"
+        argv = ["critical-points", "--radius", radius, "--out", str(out)]
+        done = run_child("-W", "error", "-m", "ompath.cli", *argv)
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: radius {float(radius)!r} cannot be checked: ")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
+        # NumPy refuses the 7.28 TiB seed axis before it allocates anything
+        out = tmp_path / "out"
+        assert run(["critical-points", "--grid", "1000000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 7.28 TiB") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -176,13 +206,7 @@ class TestMinimize:
         argv = ["minimize", "--from", "M1", "--to", "M2", "--waypoints", "1e40,1e40", "--nodes", "50"]
         assert run(argv + ["--out", str(tmp_path / "here")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "objective non-finite at the starting path"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ompath.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "ompath.cli", *argv, "--out", str(tmp_path / "plain")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = run_child("-m", "ompath.cli", *argv, "--out", str(tmp_path / "plain"))
         assert done.returncode == 3
         assert "Warning" not in done.stderr
         assert json.loads(done.stderr)["error"] == "objective non-finite at the starting path"
@@ -282,54 +306,22 @@ class TestGraphAndGamma:
         assert code == 0
         doc = json.loads((tmp_path / "transition_graph.json").read_text())
         assert len(doc["nodes"]) == 5
-        assert len(doc["edges"]) == 4  # gradient shots only
+        # four gradient shots and the one saddle pair, S1 (4) to S2 (3)
+        assert len(doc["edges"]) == 5 and doc["failures"] == []
+        (edge,) = [e for e in doc["edges"] if e["kind"] == "hamiltonian"]
+        assert (edge["from"], edge["to"]) == (4, 3)
         phi = np.array([[np.inf if v is None else v for v in row] for row in doc["phi"]])
         np.testing.assert_allclose(phi, phi.T, atol=1e-12)
-
-    def test_graph_hamiltonian_ends_must_be_critical(self, tmp_path, capsys):
-        # (0.3, 0.3) is about 0.34 from S1; it must not snap to it
-        argv = ["graph", "--hamiltonian", "0.3,0.3:S2", "--nodes", "200", "--out", str(tmp_path)]
-        assert run(argv) == 2
-        assert "not a critical point" in capsys.readouterr().err
-        assert not (tmp_path / "transition_graph.json").exists()
-
-    def test_graph_pair_of_one_point_is_usage_error(self, tmp_path):
-        # rejected before any shot or flow runs: exit 2, nothing written and
-        # no warning even when warnings are errors
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ompath.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["graph", "--hamiltonian", "S1:S1", "--nodes", "200", "--out", str(tmp_path)]
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "ompath.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 2
-        assert done.stderr == "error: saddle pair (4, 4) names one point twice\n"
-        assert not (tmp_path / "transition_graph.json").exists()
-
-    @pytest.mark.parametrize("pairs", ["S1:S2;S2:S1", "S1:S2;S1:S2"])
-    def test_graph_pair_listed_twice_is_usage_error(self, pairs, tmp_path, capsys, monkeypatch):
-        # refused before any shot or connection runs, in either order
-        def no_shots(*args, **kwargs):
-            raise AssertionError("a shot ran")
-
-        for name in ("gradient_shots", "hamiltonian_connection_adaptive"):
-            monkeypatch.setattr(ompath.heteroclinic, name, no_shots)
-        out = tmp_path / "out"
-        assert run(["graph", "--hamiltonian", pairs, "--nodes", "200", "--out", str(out)]) == 2
-        pair = "(3, 4)" if pairs == "S1:S2;S2:S1" else "(4, 3)"
-        assert capsys.readouterr().err == f"error: saddle pair {pair} is listed twice\n"
-        assert not out.exists()
+        # the direct orbit, not the chain through M0 (4/27)
+        assert phi[4, 3] == phi[3, 4] == edge["J"]
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["gamma", "--route", "S1;nan,nan;S2"],
             ["heteroclinic", "--from", "S1", "--hamiltonian", "--to", "nan,nan"],
-            ["graph", "--hamiltonian", "nan,nan:S1"],
         ],
-        ids=["gamma", "heteroclinic", "graph"],
+        ids=["gamma", "heteroclinic"],
     )
     def test_nan_point_is_usage_error(self, argv, tmp_path, capsys):
         # a NaN coordinate is at a NaN distance from every point: no match
@@ -356,25 +348,20 @@ class TestGraphAndGamma:
         assert err == f"error: {token!r} is not a critical point (nearest is inf away)\n"
         assert not out.exists()
 
-    def test_graph_pair_without_colon_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run(["graph", "--hamiltonian", "S1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --hamiltonian pair 'S1' is not of the form X:Y\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--hamiltonian", "S1:S2", "--nodes", "2"],
-            ["--hamiltonian", "S1:S2", "--nodes=-5"],
             ["--nodes", "2"],
             ["--nodes=-5"],
+            ["--potential", "double-well-1d", "--nodes", "2"],
+            ["--potential", "double-well-1d", "--nodes=-5"],
         ],
         ids=["2", "-5", "no-pair-2", "no-pair--5"],
     )
     def test_graph_pair_with_too_few_nodes_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
         # refused before any shot runs, not recorded as a dropped connection,
-        # and not ignored when no pair would use it
+        # and not ignored where no saddle pair would use it (the 1-D double
+        # well has one saddle)
         def no_shots(*args):
             raise AssertionError("a shot ran")
 
@@ -447,8 +434,9 @@ class TestFigure:
             ["figure", "3", "--potential", "double-well-1d"],
             ["graph", "--seed", "3"],
             ["figure", "1", "--jobs", "2"],
+            ["graph", "--hamiltonian", "S1:S2"],
         ],
-        ids=["gamma-potential", "figure-potential", "graph-seed", "figure-jobs"],
+        ids=["gamma-potential", "figure-potential", "graph-seed", "figure-jobs", "graph-hamiltonian"],
     )
     def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -498,6 +486,13 @@ class TestNegativeValues:
 # SHA-1 of every file each command writes, as recorded before the commands
 # and the figures shared one file writer and one set of experiment steps
 OUTPUT_GOLDEN = {
+    "critical-points": (
+        ["critical-points"],
+        {
+            "admissibility.json": "79463f3f475e8a9fb9c4eb01bf51251550ebbb48",
+            "critical_points.json": "dfe01d33e0ac2a4e708b3cb6356608378e27397c",
+        },
+    ),
     "figure-2": (
         ["figure", "2", "--nodes", "200"],
         {
@@ -629,6 +624,15 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wibble = 3\n")
         assert run(["critical-points", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_hamiltonian_is_a_heteroclinic_key_only(self, tmp_path, capsys):
+        # graph works out its own saddle pairs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hamiltonian = S1:S2\n")
+        out = tmp_path / "out"
+        assert run(["graph", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'hamiltonian'\n"
+        assert not out.exists()
 
 
 # arguments each command needs before a config file can be read

@@ -1,6 +1,7 @@
 """Critical-point search, classification and admissibility checks."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -526,6 +527,15 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             check_admissibility(p, cps_tw, radius)
         assert p.calls["gradient"] == 0
+
+    def test_sample_point_beyond_the_floats_is_refused(self):
+        # |grad V| = |tanh x| <= 1 is finite on the sphere of radius 1e308,
+        # but the sphere of radius 2e308 is no float: nothing is evaluated there
+        p = CustomPotential(1, lambda x: np.log(np.cosh(x[:, 0])), np.tanh)
+        cps = CriticalPointSet([classify_point(p, np.array([0.0]))])
+        want = "radius 1e+308 cannot be checked: a point or |grad V| sampled at radius inf is not finite"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            check_admissibility(p, cps, 1e308)
 
 
 class TestNamedPoints:

@@ -134,6 +134,15 @@ def _dw_graph():
     return dw, cps, build_transition_graph(dw, cps)
 
 
+@pytest.fixture(scope="module")
+def quartic():
+    """V = (x1^2 - 1)^2 + (x2^2 - 1)^2 on (K, 2) batches and its critical points
+    in the box +-1.5: the minima (+-1, +-1), the index-1 saddles (0, +-1) and
+    (+-1, 0), and the maximum at 0."""
+    q = CustomPotential(2, lambda x: np.sum((x * x - 1.0) ** 2, axis=1), lambda x: 4.0 * x * (x * x - 1.0))
+    return q, find_critical_points(q, [(-1.5, 1.5)] * 2, 20)
+
+
 def _shot_args(p, orbit):
     """(eig_dir, sign) that reproduce a graph shot: its first step leaves the
     saddle along sign * eig_dir."""
@@ -863,8 +872,9 @@ class TestLanding:
                 cps = CriticalPointSet(cps.points[:2])
             build = functools.partial(build_transition_graph, dw, cps)
         elif case.startswith("muller-brown"):
-            pairs = [(3, 4)] if case.endswith("3-4") else []
-            build = functools.partial(build_transition_graph, mb, cps_mb, hamiltonian_pairs=pairs)
+            # -3-4: saddles 3 and 4 trade places, so the pair is tried from the other end
+            order = [0, 1, 2, 4, 3] if case.endswith("3-4") else range(len(cps_mb))
+            build = functools.partial(build_transition_graph, mb, CriticalPointSet([cps_mb[k] for k in order]))
         else:
             p, cps, _ = _three_d_saddle()
             build = functools.partial(build_transition_graph, p, cps)
@@ -1138,8 +1148,8 @@ class TestSaddleShotSigns:
 
 class TestExactGradientEdges:
     @pytest.mark.parametrize("landscape", ["triple-well", "double-well-1d"])
-    def test_phi_is_the_potential_drop(self, landscape, tw, cps_tw, graph_tw):
-        p, cps, graph = (tw, cps_tw, graph_tw) if landscape == "triple-well" else _dw_graph()
+    def test_phi_is_the_potential_drop(self, landscape, tw, cps_tw, graph_full):
+        p, cps, graph = (tw, cps_tw, graph_full) if landscape == "triple-well" else _dw_graph()
         pairs = [(e.i, e.j) for e in graph.edges if e.kind.startswith("gradient")]
         assert len(pairs) == (4 if landscape == "triple-well" else 2)
         for s, m in pairs:
@@ -1235,29 +1245,38 @@ class TestTransitionGraph:
         assert doc["failures"] == graph.failures
 
     @pytest.mark.parametrize("landscape, pair, sides", [
-        ("double-well-1d", (1, 2), 1),
+        ("inverted-1d", ([1.0], [-1.0]), 1),
         ("triple-well", ("S1", "S2"), 1),
-        ("triple-well", ("M0", "M1"), 2),
-    ], ids=["double-well-1d-1", "triple-well-1", "triple-well-2"])
-    def test_pair_tried_once_per_side(self, landscape, pair, sides, tw, cps_tw, names_tw, monkeypatch):
+        ("quartic", ([0.0, 1.0], [0.0, -1.0]), 2),
+    ], ids=["inverted-1d-1", "triple-well-1", "quartic-2"])
+    def test_pair_tried_once_per_side(self, landscape, pair, sides, tw, cps_tw, names_tw, quartic, monkeypatch):
         # in 2-D the start bends through mid + 0.4 perp, and through
         # mid - 0.4 perp too only when another point lies between the bends:
-        # none does for S1-S2, S1 does for M0-M1.  In 1-D there is no side to
-        # bend to, and the one straight start is tried once
+        # none does for S1-S2, the maximum at 0 does for the quartic's
+        # (0, 1)-(0, -1).  In 1-D there is no side to bend to, and the one
+        # straight start is tried once.  A pair runs from its later index to
+        # its earlier one
         calls = []
 
         def no_connection(p, a, b, M, waypoints):
-            calls.append(waypoints)
+            calls.append((a, b, waypoints))
             raise NotConvergedError("no connection")
 
         monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection_adaptive", no_connection)
         if landscape == "triple-well":
             p, cps = tw, cps_tw
-            i, j = (cps.nearest(names_tw[name])[0] for name in pair)
+            pair = [names_tw[name] for name in pair]
+        elif landscape == "quartic":
+            p, cps = quartic
         else:
-            (p, cps, _), (i, j) = _dw_graph(), pair
-        graph = build_transition_graph(p, cps, hamiltonian_pairs=[(i, j)], ham_M=50)
-        if landscape == "double-well-1d":
+            # V = -(x^2 - 1)^2 / 4: a saddle (a maximum) at each of +-1, a minimum at 0
+            p = CustomPotential(1, lambda x: -((x[:, 0] ** 2 - 1.0) ** 2) / 4.0, lambda x: x * (1.0 - x * x))
+            cps = CriticalPointSet([classify_point(p, np.array([x])) for x in (0.0, 1.0, -1.0)])
+            assert [c.index for c in cps] == [0, 1, 1]
+        j, i = sorted(cps.nearest(np.array(x))[0] for x in pair)
+        graph = build_transition_graph(p, cps, ham_M=50)
+        calls = [wp for a, b, wp in calls if a is cps[i] and b is cps[j]]
+        if landscape.endswith("1d"):
             assert calls == [None]
         else:
             chord = cps[j].location - cps[i].location
@@ -1266,10 +1285,29 @@ class TestTransitionGraph:
             assert len(calls) == sides
             for (wp,), side in zip(calls, (1, -1)):
                 np.testing.assert_allclose(wp, mid + 0.4 * side * perp, atol=1e-15)
-        assert [f for f in graph.failures if "to" in f] == [
+        assert [f for f in graph.failures if (f.get("from"), f.get("to")) == (i, j)] == [
             {"from": i, "to": j, "side": side, "error": "NotConvergedError", "message": "no connection"}
             for side in (1, -1)[:sides]
         ]
+
+    def test_every_saddle_pair_is_an_edge_or_a_failure(self, quartic):
+        # four index-1 saddles make six pairs; the maximum at 0 lies between
+        # the bends of the two opposite pairs, which are tried on both sides.
+        # No pair with a minimum or the maximum is tried
+        q, cps = quartic
+        assert [c.index for c in cps] == [0] * 4 + [1] * 4 + [2]
+        saddles = [k for k, c in enumerate(cps) if c.index == 1]
+        want = []
+        for j, i in itertools.combinations(saddles, 2):
+            want += [(i, j)] * (2 if np.allclose(cps[i].location, -cps[j].location) else 1)
+        assert len(want) == 8
+        graph = build_transition_graph(q, cps, ham_M=1000)
+        tried = [(e.i, e.j) for e in graph.edges if e.kind == "hamiltonian"]
+        tried += [(f["from"], f["to"]) for f in graph.failures if "to" in f]
+        assert sorted(tried) == sorted(want)
+        # at these settings none of the eight passes its residual checks
+        assert len(graph.failures) == 8
+        assert {f["error"] for f in graph.failures} == {"NotConvergedError"}
 
     def test_chain_through_a_third_point_is_a_failure(self, tw, cps_tw, names_tw, monkeypatch):
         # a lone connection started at T = 24 passes every residual check, but
@@ -1285,7 +1323,7 @@ class TestTransitionGraph:
         assert np.min(np.linalg.norm(chain.path.nodes - names_tw["M0"], axis=-1)) <= 1e-7
 
         monkeypatch.setattr(ompath.heteroclinic, "hamiltonian_connection_adaptive", lone_at_24)
-        graph = build_transition_graph(tw, cps_tw, hamiltonian_pairs=[(i, j)], ham_M=1000)
+        graph = build_transition_graph(tw, cps_tw, ham_M=1000)
         (failure,) = graph.failures
         assert (failure["from"], failure["to"], failure["side"], failure["error"]) == (i, j, 1, "ChainError")
         assert failure["message"].startswith("the orbit passes within 4.98e-08 of critical point ")
@@ -1302,17 +1340,6 @@ class TestTransitionGraph:
         (orbit,) = [o for o in graph_full.orbits if o.kind == "hamiltonian"]
         assert np.min(np.linalg.norm(orbit.path.nodes - names_tw["M0"], axis=-1)) > 0.4
 
-    def test_pair_listed_twice_raises_before_any_shot(self, tw, cps_tw, names_tw, monkeypatch):
-        def no_shots(*args, **kwargs):
-            raise AssertionError("a shot ran")
-
-        (i, _), (j, _) = cps_tw.nearest(names_tw["S1"]), cps_tw.nearest(names_tw["S2"])
-        for name in ("saddle_shots", "gradient_shots", "hamiltonian_connection_adaptive"):
-            monkeypatch.setattr(ompath.heteroclinic, name, no_shots)
-        for k, l in ((i, j), (j, i)):
-            with pytest.raises(ValueError, match=rf"saddle pair \({k}, {l}\) is listed twice"):
-                build_transition_graph(tw, cps_tw, hamiltonian_pairs=[(i, j), (k, l)])
-
     def test_skipped_side_reaches_the_graph_orbit(self, tw, cps_tw, names_tw, graph_full):
         # side -1 of S1-S2 lands on the orbit side +1 found: nothing is lost
         # by not trying it (measured: nodes 2.3e-12 apart, J bitwise equal)
@@ -1322,33 +1349,6 @@ class TestTransitionGraph:
         assert other.path.nodes.shape == orbit.path.nodes.shape
         assert np.max(np.abs(other.path.nodes - orbit.path.nodes)) <= 1e-6
         assert other.j_value >= orbit.j_value * (1.0 - 1e-12)
-
-    def test_one_dimensional_pair_of_one_point_raises_before_any_shot(self, monkeypatch):
-        def no_shots(*args, **kwargs):
-            raise AssertionError("a shot ran")
-
-        dw, cps, _ = _dw_graph()
-        for name in ("saddle_shots", "gradient_shots", "hamiltonian_connection_adaptive"):
-            monkeypatch.setattr(ompath.heteroclinic, name, no_shots)
-        with pytest.raises(ValueError, match=r"saddle pair \(0, 0\) names one point twice"):
-            build_transition_graph(dw, cps, hamiltonian_pairs=[(0, 0)])
-
-    @pytest.mark.parametrize("pairs", [[(3, -1)], [(3, 9)], [(3, 4), (3, -1)]], ids=["-1", "9", "4-and--1"])
-    def test_pair_index_outside_the_set_raises_before_any_shot(self, pairs, cps_tw):
-        # -1 would wrap to point 4, and 9 would raise IndexError
-        p = LoggingTripleWell()
-        assert len(cps_tw) == 5
-        with pytest.raises(ValueError, match=r"names a point outside 0\.\.4"):
-            build_transition_graph(p, cps_tw, hamiltonian_pairs=pairs)
-        assert p.log == []
-
-    def test_pair_of_one_point_raises_before_any_shot(self, cps_tw, names_tw):
-        # rejected by index before any kernel call
-        i, _ = cps_tw.nearest(names_tw["S1"])
-        p = LoggingTripleWell()
-        with pytest.raises(ValueError, match="names one point twice"):
-            build_transition_graph(p, cps_tw, hamiltonian_pairs=[(i, i)])
-        assert p.log == []
 
     def test_phi_bytes_equal_csgraph(self, graph_full):
         n = len(graph_full.cps)
