@@ -221,7 +221,7 @@ def minimize(
     path = start
     # grad V at the nodes of the current path, from its objective evaluation;
     # its interior rows feed the next grad_objective
-    obj, grad_v = eval_objective(p, path, cfg.eps, cfg.objective, with_grad_v=True)
+    obj, grad_v = eval_objective(p, path, cfg.eps, cfg.objective)
     if not np.isfinite(obj):
         raise NonFiniteObjectiveError("objective non-finite at the starting path")
 
@@ -256,7 +256,7 @@ def minimize(
             ab[1, :] = 1.0 + 2.0 * tau * kappa
             # ab and rhs are rebuilt every trial, so LAPACK may work in place
             cand = path.with_interior(solveh_banded(ab, rhs))
-            obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective, with_grad_v=True)
+            obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective)
             if not np.isfinite(obj_new):
                 raise NonFiniteObjectiveError(
                     f"objective non-finite at iteration {it} (tau={tau:.3g})"

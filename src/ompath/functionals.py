@@ -108,9 +108,9 @@ def grad_objective(
 
     objective "I" includes the third-derivative term from the Laplacian;
     objective "J" drops it.  Shape (M-1, N).  ``grad_v``, if given, is
-    grad V at the interior nodes (rows 1..M-1 of what
-    ``eval_objective(..., with_grad_v=True)`` returns) and is not computed
-    again; so is ``kin``, the kinetic part ``(eps/h) (2 x_i - x_{i-1} - x_{i+1})``.
+    grad V at the interior nodes (rows 1..M-1 of what ``eval_objective``
+    returns) and is not computed again; so is ``kin``, the kinetic part
+    ``(eps/h) (2 x_i - x_{i-1} - x_{i+1})``.
 
     The result is row-major, so a reduction in memory order over it (such as
     ``np.linalg.norm``) sums as it always has; with ``kin`` handed in it takes
@@ -134,13 +134,10 @@ def eval_objective(
     path: DiscretePath,
     eps: float,
     objective: str = "I",
-    *,
-    with_grad_v: bool = False,
-) -> float | tuple[float, np.ndarray]:
-    """Scalar objective matching grad_objective, bitwise equal to the
-    matching field of ``eval_I``; objective "J" skips the Laplacian.  With
-    ``with_grad_v`` it returns ``(value, grad V at every node)``."""
+) -> tuple[float, np.ndarray]:
+    """The objective matching grad_objective, bitwise equal to the matching
+    field of ``eval_I``, and grad V at every node; objective "J" skips the
+    Laplacian."""
     _check(eps, objective)
     kinetic, force, lap, g = _terms(p, path, eps, laplacian=objective == "I")
-    value = kinetic + force - lap
-    return (value, g) if with_grad_v else value
+    return kinetic + force - lap, g

@@ -18,7 +18,7 @@ import numpy as np
 
 from .critical import EIG_TOL, CriticalPoint, CriticalPointSet
 from .flow import TAU_MAX, FlowConfig, NonFiniteObjectiveError, minimize
-from .functionals import _terms, eval_objective, row_sumsq
+from .functionals import eval_I, eval_objective, row_sumsq
 from .paths import DiscretePath, interpolate
 from .potentials import DomainError, PotentialModel
 
@@ -33,11 +33,13 @@ class ChainError(RuntimeError):
 
 
 class NotConvergedError(RuntimeError):
-    """A connection failed its residual checks; diagnostics attached."""
+    """A connection failed its residual checks; diagnostics attached, and the
+    flowed path of a saddle connection."""
 
-    def __init__(self, msg, diagnostics=None):
+    def __init__(self, msg, diagnostics=None, path=None):
         super().__init__(msg)
         self.diagnostics = diagnostics or {}
+        self.path = path
 
 
 @dataclass
@@ -76,7 +78,7 @@ def _orbit_record(p: PotentialModel, path: DiscretePath) -> tuple[dict, str]:
     centered differences; one-sided differences at the ends are excluded as
     discretization artifacts.
     """
-    j_value, g_nodes = eval_objective(p, path, 1.0, "J", with_grad_v=True)
+    j_value, g_nodes = eval_objective(p, path, 1.0, "J")
     x = path.nodes
     h = path.h
     v = (x[2:] - x[:-2]) / (2.0 * h)  # centered velocities at interior nodes
@@ -134,9 +136,9 @@ _DP_Q = (
         -1453857185 / 822651844, 69997945 / 29380423,
     ),
 )
-# tolerances and time limit of every shot, and the step-size controller of
-# Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4)
-RTOL, ATOL, T_MAX = 1e-10, 1e-13, 2000.0
+# tolerances, time limit and accepted-step budget of every shot, and the
+# step-size controller of Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4)
+RTOL, ATOL, T_MAX, MAX_STEPS = 1e-10, 1e-13, 2000.0, 10_000
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 # a shot ends within CAPTURE (a graph shot: a landing radius) of another
 # critical point, or fails beyond ESCAPE of the critical points' centre
@@ -232,9 +234,10 @@ def _dense(y_old, q, h, x):
 
 @dataclass
 class _Shot:
-    """Where one shot ended: ``event`` is the column it reached (-1 for none,
-    at T_MAX or on a step-size underflow) at time ``t``, at ``y`` if no event;
-    ``steps`` holds its accepted steps: start time, length, start point, stages (grad V)."""
+    """Where one shot ended: ``event`` is the column it reached (-1 for none:
+    at T_MAX, after MAX_STEPS accepted steps or on a step-size underflow) at
+    time ``t``, at ``y`` if no event; ``steps`` holds its accepted steps:
+    start time, length, start point, stages (grad V)."""
 
     event: int = -1
     t: float = 0.0
@@ -245,7 +248,7 @@ class _Shot:
 def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
     """Integrate xdot = -grad V from the point y0 with an adaptive
     Dormand-Prince 5(4) step until it reaches one of the events ``cols``
-    (as _col makes them) or time T_MAX;
+    (as _col makes them), time T_MAX or MAX_STEPS accepted steps;
     raises DomainError at a non-finite stage point.  The initial step is
     computed on y0 as a one-row array, with two ``p.gradient`` calls, and the
     steps on Python floats.  Each operation is the array formulas', in their
@@ -307,7 +310,7 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
                 events.append((hi, col[0]))
             shot.t, shot.event = min(events)
             break
-        if t >= T_MAX:
+        if t >= T_MAX or len(shot.steps) >= MAX_STEPS:
             break
     if shot.event < 0:
         shot.t, shot.y = t, np.array(y)
@@ -341,6 +344,8 @@ def _shot_end(p: PotentialModel, cps: CriticalPointSet, shot: _Shot) -> int:
                 lam = cps[i].eigenvalues[0]
                 hint = f": still creeping into the degenerate minimum {i} of the set (least eigenvalue {lam:.3g})"
         why = f"the time limit {T_MAX:g}" if shot.t >= T_MAX else f"a step below 10 ulp of t = {shot.t:.12g}"
+        if shot.t < T_MAX and len(shot.steps) >= MAX_STEPS:
+            why = f"the step budget {MAX_STEPS} (t = {shot.t:.12g})"
         raise NotConvergedError(
             f"gradient shot stopped at {why}, at x = {shot.y.tolist()}, where |grad V| = {g:.3g}{hint}",
             {"t_final": shot.t, "x_final": shot.y.tolist()},
@@ -401,12 +406,12 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
     comes within 1e-6 of another critical point of the set, then resamples it
     to a uniform-step path centered on [-T, T].  It fails with EscapeError
     beyond distance 10 from the centre of the critical points, and with
-    NotConvergedError beyond time 2000, on a step below 10 ulp of its time
-    (the message names the end point and |grad V| there), or when the
-    resampled path is longer than 100, and with DomainError at a non-finite
-    stage point, its initial step's included.  Each shot integrates alone, so it gives the same numbers in
-    any batch.  Returns one entry per shot: its orbit, or the error that
-    dropped it.  A source that is not a saddle, an eig_dir that is not a
+    NotConvergedError beyond time 2000 or 10,000 accepted steps, on a step
+    below 10 ulp of its time (the message names the end point and |grad V|
+    there), or when the resampled path is longer than 100, and with
+    DomainError at a non-finite stage point, its initial step's included.
+    Each shot integrates alone, so it gives the same numbers in any batch.
+    Returns one entry per shot: its orbit, or the error that dropped it.  A source that is not a saddle, an eig_dir that is not a
     finite nonzero vector of p.dim numbers and a sign other than +1 or -1
     raise ValueError before any shot runs."""
     for source, eig_dir, sign in shots:
@@ -526,6 +531,7 @@ def hamiltonian_connection(
                 "stop_reason": trace.stop_reason,
                 "final_objective": trace.final_objective,
             },
+            path,
         )
     kind = grad_kind if fields["gradient_residual"] <= 1e-3 else "hamiltonian"
     return HeteroclinicOrbit(
@@ -615,15 +621,14 @@ class TransitionGraph:
     missing connections stay infinite.  ``failures`` records each connection
     that was attempted and dropped: ``from`` and ``mode``/``sign`` for a
     gradient shot, ``from``/``to`` and ``side`` (+1 or -1, the homotopy class
-    tried) for a saddle-saddle pair, then the ``error`` class name and its
-    ``message``.  ``orbits`` holds the saddle-saddle orbits behind the
-    edges; gradient shots keep none.  ``build_transition_graph`` sets
-    ``phi``; a graph built or changed by hand calls ``recompute_phi``.
+    tried) for a saddle-saddle pair, then the ``error`` class name, its
+    ``message`` and, if it has any, its ``diagnostics``.  No orbit is kept.
+    ``build_transition_graph`` sets ``phi``; a graph built or changed by hand
+    calls ``recompute_phi``.
     """
 
     cps: CriticalPointSet
     edges: list[GraphEdge] = field(default_factory=list)
-    orbits: list[HeteroclinicOrbit] = field(default_factory=list)
     phi: np.ndarray | None = None
     failures: list[dict] = field(default_factory=list)
 
@@ -645,16 +650,18 @@ class TransitionGraph:
 
 
 def _failure(err: Exception) -> dict:
-    return {"error": type(err).__name__, "message": str(err)}
+    diagnostics = getattr(err, "diagnostics", None)
+    out = {"error": type(err).__name__, "message": str(err)}
+    return {**out, "diagnostics": diagnostics} if diagnostics else out
 
 
-def _check_chain(orbit: HeteroclinicOrbit, cps: CriticalPointSet, ends, reach: float) -> None:
-    """Raise ChainError if the orbit comes within ``reach`` of a critical
+def _check_chain(path: DiscretePath, cps: CriticalPointSet, ends, reach: float) -> None:
+    """Raise ChainError if the path comes within ``reach`` of a critical
     point of cps other than its ends."""
     for k, c in enumerate(cps):
         if k in ends:
             continue
-        d = float(np.min(np.linalg.norm(orbit.path.nodes - c.location, axis=-1)))
+        d = float(np.min(np.linalg.norm(path.nodes - c.location, axis=-1)))
         if d <= reach:
             where = f"critical point {k} at {c.location.tolist()}"
             raise ChainError(f"the orbit passes within {d:.3g} of {where}")
@@ -677,13 +684,14 @@ def build_transition_graph(
     triple well's S1-S2 pair is tried once.  Outside two dimensions the
     straight start is tried once.  A shot stops at its target's landing
     radius (``landing_radii``), fails as in ``gradient_shots`` but for the
-    drawn orbits' arclength budget, and its edge costs V(source) - V(target):
-    no orbit is kept.  A shot or pair that fails is recorded in
-    ``graph.failures`` and leaves no edge; so is a saddle-saddle orbit that
-    passes within a tenth of the least distance between two critical points
-    of a third one (ChainError): it is a chain through that point, whose own
-    edges the graph already holds.  A ``ham_M`` below 3 intervals raises
-    ValueError before any shot runs.
+    drawn orbits' arclength budget, and its edge costs V(source) - V(target).
+    No orbit is kept.  A shot or pair that fails is recorded in
+    ``graph.failures`` and leaves no edge; so is a saddle-saddle orbit, or a
+    flowed path that failed its residual checks, that passes within a tenth
+    of the least distance between two critical points of a third one
+    (ChainError): it is a chain through that point, whose own edges the graph
+    already holds.  A ``ham_M`` below 3 intervals raises ValueError before
+    any shot runs.
     """
     if ham_M < 3:
         raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
@@ -726,13 +734,18 @@ def build_transition_graph(
         a, b = cps[i], cps[j]
         for side, wp in starts:
             try:
-                orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
-                _check_chain(orbit, cps, (i, j), reach)
+                try:
+                    orbit = hamiltonian_connection_adaptive(p, a, b, M=ham_M, waypoints=wp)
+                except NotConvergedError as err:
+                    # a chain can fail the residual checks before it is seen to be one
+                    if err.path is not None:
+                        _check_chain(err.path, cps, (i, j), reach)
+                    raise
+                _check_chain(orbit.path, cps, (i, j), reach)
             except (NotConvergedError, NonFiniteObjectiveError, ChainError, ValueError) as err:
                 graph.failures.append({"from": i, "to": j, "side": side, **_failure(err)})
                 continue
             graph.edges.append(GraphEdge(i, j, orbit.j_value, orbit.kind, orbit.stabilised))
-            graph.orbits.append(orbit)
 
     graph.recompute_phi()
     return graph
@@ -760,7 +773,7 @@ def verify_orbit(p: PotentialModel, orbit: HeteroclinicOrbit) -> OrbitVerificati
     """Check the conserved-energy level, the action identity and, for gradient
     kinds, the endpoint sum rule."""
     # the unit-temperature force term is half the grad-squared integral
-    grad_sq_integral = 2.0 * _terms(p, orbit.path, 1.0, laplacian=False)[1]
+    grad_sq_integral = 2.0 * eval_I(p, orbit.path, 1.0).force
     scale = max(abs(orbit.j_value), 1e-12)
     identity_gap = abs(orbit.j_value - grad_sq_integral) / scale
     sum_rule = None

@@ -313,8 +313,8 @@ class TestCriterion9PropertySuites:
             up[k, j] += d
             dn[k, j] -= d
             fd = (
-                eval_objective(tw, path.with_interior(up), eps, objective)
-                - eval_objective(tw, path.with_interior(dn), eps, objective)
+                eval_objective(tw, path.with_interior(up), eps, objective)[0]
+                - eval_objective(tw, path.with_interior(dn), eps, objective)[0]
             ) / (2 * d)
             assert abs(g[k, j] - fd) <= 1e-6 * (1.0 + abs(fd))
             cases += 1

@@ -50,7 +50,7 @@ class TestMonotonicity:
         path = DiscretePath.from_waypoints([[0.0, 0.0], [0.6, 0.6], [1.0, 0.0]], 40)
         cfg = FlowConfig(objective="J", eps=0.05, max_iter=200)
         out, trace = minimize(tw, path, cfg)
-        assert trace.final_objective <= eval_objective(tw, path, 0.05, "J")
+        assert trace.final_objective <= eval_objective(tw, path, 0.05, "J")[0]
 
 
 class TestPinnedEndpoints:
@@ -347,7 +347,7 @@ def frozen_minimize(p, start, cfg):
     kappa = cfg.eps / h
     x0, x1 = start.left, start.right
     path = start
-    obj, grad_v = eval_objective(p, path, cfg.eps, cfg.objective, with_grad_v=True)
+    obj, grad_v = eval_objective(p, path, cfg.eps, cfg.objective)
     ab = np.zeros((2, start.M - 1))
     trace = FlowTrace()
     tau = cfg.tau0
@@ -372,7 +372,7 @@ def frozen_minimize(p, start, cfg):
             cand = path.with_interior(
                 scipy_solveh_banded(ab, rhs, overwrite_ab=True, overwrite_b=True)
             )
-            obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective, with_grad_v=True)
+            obj_new, grad_v_new = eval_objective(p, cand, cfg.eps, cfg.objective)
             ok = obj_new <= obj
             trace.record(it, obj_new, tau, gnorm, ok)
             if ok:

@@ -177,16 +177,15 @@ class TestGradientOracle:
                 up[k, j] += delta
                 dn[k, j] -= delta
                 fd[k, j] = (
-                    eval_objective(tw, path.with_interior(up), eps, objective)
-                    - eval_objective(tw, path.with_interior(dn), eps, objective)
+                    eval_objective(tw, path.with_interior(up), eps, objective)[0]
+                    - eval_objective(tw, path.with_interior(dn), eps, objective)[0]
                 ) / (2 * delta)
         np.testing.assert_allclose(g, fd, atol=1e-6 * (1 + np.max(np.abs(fd))))
 
     @pytest.mark.parametrize("objective", ["I", "J"])
     def test_handed_in_gradient_changes_nothing(self, tw, rng, objective):
         path = DiscretePath(rng.uniform(-0.3, 1.2, size=(40, 2)))
-        value, grad_v = eval_objective(tw, path, 0.05, objective, with_grad_v=True)
-        assert value == eval_objective(tw, path, 0.05, objective)
+        _, grad_v = eval_objective(tw, path, 0.05, objective)
         np.testing.assert_array_equal(grad_v, tw.gradient(path.nodes))
         np.testing.assert_array_equal(
             grad_objective(tw, path, 0.05, objective, grad_v=grad_v[1:-1]),
@@ -245,8 +244,8 @@ class TestObjectiveValue:
         tw = TripleWell()
         path = DiscretePath(np.random.default_rng(seed).uniform(-0.5, 1.5, size=(m + 1, 2)))
         rep = eval_I(tw, path, eps)
-        assert eval_objective(tw, path, eps, "J") == rep.j_eps
-        assert eval_objective(tw, path, eps, "I") == rep.i_eps
+        assert eval_objective(tw, path, eps, "J")[0] == rep.j_eps
+        assert eval_objective(tw, path, eps, "I")[0] == rep.i_eps
 
 
 class TestQuadraticClosedForm:

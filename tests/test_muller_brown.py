@@ -4,7 +4,10 @@ pipeline: critical points and the transition graph, its saddle pair included."""
 import numpy as np
 import pytest
 
+import ompath.heteroclinic
 from ompath import build_transition_graph
+from ompath.critical import CriticalPointSet
+from ompath.heteroclinic import MAX_STEPS, T_MAX
 
 # (index, V) of the five critical points in the box, as find_critical_points
 # sorts them: by index, then by coordinates (E, Ren & Vanden-Eijnden,
@@ -44,3 +47,27 @@ def test_non_finite_saddle_pair_is_a_failure(graph_mb):
     ]
     assert "objective non-finite" in graph_mb.failures[0]["message"]
     assert np.isfinite(graph_mb.phi[3, 4])
+
+
+def test_shot_into_a_missing_minimum_stops_at_the_step_budget(mb, cps_mb, monkeypatch):
+    # without minimum 0, the shot that flows into its stiff well creeps in at
+    # the integrator's stability limit (steps near 8.5e-4) and would run on
+    # to T_MAX; it stops after MAX_STEPS accepted steps, and the failure says
+    # where and why, with the --box hint. Steps are counted, not timed
+    steps = []
+    shoot = ompath.heteroclinic._shoot
+
+    def counted(p, y0, cols):
+        shot = shoot(p, y0, cols)
+        steps.append(len(shot.steps))
+        return shot
+
+    monkeypatch.setattr(ompath.heteroclinic, "_shoot", counted)
+    graph = build_transition_graph(mb, CriticalPointSet(cps_mb.points[1:]))
+    assert max(steps) == MAX_STEPS and steps.count(MAX_STEPS) == 1
+    (failure,) = [f for f in graph.failures if "to" not in f]
+    assert failure["error"] == "NotConvergedError"
+    assert failure["message"].startswith(f"gradient shot stopped at the step budget {MAX_STEPS} (t = ")
+    assert failure["message"].endswith("a critical point outside the set, so search a wider box (--box)")
+    assert failure["diagnostics"]["t_final"] < T_MAX
+    assert cps_mb.nearest(failure["diagnostics"]["x_final"])[0] == 0
