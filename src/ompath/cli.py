@@ -2,7 +2,7 @@
 
 Subcommands: critical-points, minimize, heteroclinic, graph, gamma, figure.
 Traces and paths go to CSV, summaries to JSON.  Exit codes: 0 success,
-2 usage error, 3 numerical non-convergence (with a FlowTrace dump).
+2 usage error, 3 numerical failure (its diagnostics go to ``failure.json``).
 """
 
 from __future__ import annotations
@@ -54,21 +54,14 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _config_argv(flags: dict, path: str) -> list[str]:
+def _config_argv(flags: set, path: str) -> list[str]:
     """Config entries as the flags they stand for, so the parser itself types
-    and checks them.  A key is a flag's name without its leading dashes; a
-    switch takes ``true`` or ``false``."""
+    and checks them.  A key is a flag's name without its leading dashes."""
     out = []
     for key, raw in _read_config(path).items():
-        action = flags.get(key)
-        if action is None:
+        if key not in flags:
             raise ValueError(f"unknown config key {key!r}")
-        if action.nargs != 0:
-            out.append(f"--{key}={raw}")
-        elif raw not in ("true", "false"):
-            raise ValueError(f"config key {key!r} takes true or false, not {raw!r}")
-        elif raw == "true":
-            out.append(f"--{key}")
+        out.append(f"--{key}={raw}")
     return out
 
 
@@ -81,9 +74,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap = build_parser()
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     i = next((k + 1 for k, tok in enumerate(argv) if tok in sub.choices), 0)
-    # the command's flags by name without their leading dashes, as a config file names them
+    # the command's flags by name without their leading dashes, as a config
+    # file names them; each takes a value
     flags = {
-        opt[2:]: a
+        opt[2:]
         for a in (sub.choices[argv[i - 1]]._actions if i else [])
         if a.dest not in ("help", "config")
         for opt in a.option_strings
@@ -91,8 +85,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     }
     head, rest = argv[:i], []
     for tok in argv[i:]:
-        action = flags.get(rest[-1][2:]) if rest and rest[-1].startswith("--") else None
-        if action is not None and action.nargs != 0 and not tok.startswith("--"):
+        if rest and rest[-1].startswith("--") and rest[-1][2:] in flags and not tok.startswith("--"):
             rest[-1] += f"={tok}"
         else:
             rest.append(tok)
@@ -180,18 +173,16 @@ def cmd_minimize(args) -> str:
 
 
 def cmd_heteroclinic(args) -> str:
-    # a gradient shot ends wherever it flows, and a saddle-saddle connection
-    # has no shooting sign: a flag the chosen kind would ignore is refused
-    if args.hamiltonian and args.sign is not None:
-        raise ValueError("--sign picks a gradient shot and does not apply with --hamiltonian")
-    if args.hamiltonian and not args.end:
-        raise ValueError("--hamiltonian needs --to, the other end of the connection")
-    for flag, value in (("--to", args.end), ("--waypoints", args.waypoints)):
-        if value and not args.hamiltonian:
-            raise ValueError(f"{flag} needs --hamiltonian: a gradient shot ends wherever it flows")
+    # --to picks a saddle-saddle connection, which has no shooting sign; a
+    # gradient shot ends wherever it flows: a flag the chosen kind would
+    # ignore is refused
+    if args.end and args.sign is not None:
+        raise ValueError("--sign picks a gradient shot and does not apply with --to")
+    if args.waypoints and not args.end:
+        raise ValueError("--waypoints needs --to: a gradient shot ends wherever it flows")
     p, cps = _critical_points(args)
     src = cps[critical_index(cps, args.start, p)]
-    if args.hamiltonian:
+    if args.end:
         dst = cps[critical_index(cps, args.end, p)]
         wp = _point_list(args.waypoints, p)
         orbit = hamiltonian_connection_adaptive(p, src, dst, M=args.nodes, waypoints=wp)
@@ -213,7 +204,7 @@ def cmd_heteroclinic(args) -> str:
             "gradient_residual": orbit.gradient_residual,
             "el_residual": orbit.el_residual,
             # whether J settled under interval doubling; a shot has no doubling
-            **({"stabilised": orbit.stabilised} if args.hamiltonian else {}),
+            **({"stabilised": orbit.stabilised} if args.end else {}),
         },
     )
 
@@ -275,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="start", required=True)
     sp.add_argument("--to", dest="end", default="")
     sp.add_argument("--sign", type=int, choices=[-1, 1], default=None, help="gradient shot only; 1 when unset")
-    sp.add_argument("--hamiltonian", action="store_true")
     sp.add_argument("--waypoints", default="")
     sp.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     _add_box(sp)
@@ -311,10 +301,10 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         print(args.func(args))
         return 0
-    except (ValueError, NoCriticalPointsError, EscapeError, OSError, MemoryError) as exc:
+    except (ValueError, NoCriticalPointsError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotConvergedError, NonFiniteObjectiveError) as exc:
+    except (NotConvergedError, NonFiniteObjectiveError, EscapeError) as exc:
         diag = {"error": str(exc), "diagnostics": getattr(exc, "diagnostics", {})}
         out = getattr(args, "out", ".")
         try:

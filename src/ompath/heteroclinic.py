@@ -29,7 +29,12 @@ class EscapeError(RuntimeError):
 
 class ChainError(RuntimeError):
     """A saddle-saddle orbit passed by a third critical point: it is a chain of
-    connections through that point, not a direct one."""
+    connections through that point, not a direct one.  A flowed path that also
+    failed its residual checks keeps their diagnostics."""
+
+    def __init__(self, msg, diagnostics=None):
+        super().__init__(msg)
+        self.diagnostics = diagnostics or {}
 
 
 class NotConvergedError(RuntimeError):
@@ -655,16 +660,14 @@ def _failure(err: Exception) -> dict:
     return {**out, "diagnostics": diagnostics} if diagnostics else out
 
 
-def _check_chain(path: DiscretePath, cps: CriticalPointSet, ends, reach: float) -> None:
-    """Raise ChainError if the path comes within ``reach`` of a critical
-    point of cps other than its ends."""
-    for k, c in enumerate(cps):
-        if k in ends:
-            continue
-        d = float(np.min(np.linalg.norm(path.nodes - c.location, axis=-1)))
-        if d <= reach:
-            where = f"critical point {k} at {c.location.tolist()}"
-            raise ChainError(f"the orbit passes within {d:.3g} of {where}")
+def _check_chain(path: DiscretePath, locs: np.ndarray, ends, reach: float, diagnostics=None) -> None:
+    """Raise ChainError, with ``diagnostics``, if the path comes within
+    ``reach`` of a critical point, of locations ``locs``, other than its ends."""
+    d = np.min(np.linalg.norm(locs[:, None] - path.nodes, axis=-1), axis=1)
+    for k in np.flatnonzero(d <= reach):
+        if k not in ends:
+            where = f"critical point {k} at {locs[k].tolist()}"
+            raise ChainError(f"the orbit passes within {d[k]:.3g} of {where}", diagnostics)
 
 
 def build_transition_graph(
@@ -689,9 +692,9 @@ def build_transition_graph(
     ``graph.failures`` and leaves no edge; so is a saddle-saddle orbit, or a
     flowed path that failed its residual checks, that passes within a tenth
     of the least distance between two critical points of a third one
-    (ChainError): it is a chain through that point, whose own edges the graph
-    already holds.  A ``ham_M`` below 3 intervals raises ValueError before
-    any shot runs.
+    (ChainError, with the failed checks' diagnostics): it is a chain through
+    that point, whose own edges the graph already holds.  A ``ham_M`` below
+    3 intervals raises ValueError before any shot runs.
     """
     if ham_M < 3:
         raise ValueError(f"a saddle-saddle connection needs at least 3 intervals, not {ham_M}")
@@ -739,9 +742,9 @@ def build_transition_graph(
                 except NotConvergedError as err:
                     # a chain can fail the residual checks before it is seen to be one
                     if err.path is not None:
-                        _check_chain(err.path, cps, (i, j), reach)
+                        _check_chain(err.path, locs, (i, j), reach, err.diagnostics)
                     raise
-                _check_chain(orbit.path, cps, (i, j), reach)
+                _check_chain(orbit.path, locs, (i, j), reach)
             except (NotConvergedError, NonFiniteObjectiveError, ChainError, ValueError) as err:
                 graph.failures.append({"from": i, "to": j, "side": side, **_failure(err)})
                 continue

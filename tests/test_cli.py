@@ -4,6 +4,8 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import ompath
-from ompath import TripleWell
+from ompath import CustomPotential, TripleWell
 from ompath.cli import build_parser, main, parse_args
 from ompath.experiments import named_points
 from test_flow import NaNHessianTripleWell
@@ -251,11 +253,10 @@ class TestHeteroclinic:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--to", "M1"], "--to needs --hamiltonian"),
-            (["--waypoints", "0.5,0.5"], "--waypoints needs --hamiltonian"),
-            (["--sign", "1", "--to", "S2", "--hamiltonian"], "--sign picks a gradient shot"),
-            (["--sign", "-1", "--to", "S2", "--hamiltonian"], "--sign picks a gradient shot"),
-            (["--hamiltonian"], "--hamiltonian needs --to"),
+            (["--waypoints", "0.5,0.5"], "--waypoints needs --to"),
+            (["--sign", "-1", "--waypoints", "0.5,0.5"], "--waypoints needs --to"),
+            (["--sign", "1", "--to", "S2"], "--sign picks a gradient shot"),
+            (["--sign", "-1", "--to", "S2"], "--sign picks a gradient shot"),
         ],
     )
     def test_ignored_flag_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -269,7 +270,7 @@ class TestHeteroclinic:
     def test_saddle_connection_reports_stabilised(self, tmp_path):
         # only a saddle-saddle connection doubles its interval, so only its
         # summary says whether J settled
-        argv = ["heteroclinic", "--from", "S1", "--to", "S2", "--hamiltonian", "--nodes", "1000"]
+        argv = ["heteroclinic", "--from", "S1", "--to", "S2", "--nodes", "1000"]
         assert run([*argv, "--out", str(tmp_path / "ham")]) == 0
         assert json.loads((tmp_path / "ham" / "orbit_summary.json").read_text())["stabilised"] is True
         assert run(["heteroclinic", "--from", "S1", "--nodes", "300", "--out", str(tmp_path / "shot")]) == 0
@@ -299,6 +300,20 @@ class TestHeteroclinic:
         doc = json.loads((tmp_path / "wide" / "orbit_summary.json").read_text())
         assert doc["target"]["location"] == pytest.approx([-1.0], abs=1e-9)
 
+    def test_shot_that_escapes_exits_3(self, tmp_path, monkeypatch, capsys):
+        # V = x1^2 - x2^2 has one critical point, the saddle at 0, and no
+        # minimum: its shot leaves the box, a numerical failure, not a usage
+        # error
+        saddle = CustomPotential(
+            2, lambda x: x[:, 0] ** 2 - x[:, 1] ** 2, lambda x: np.stack([2 * x[:, 0], -2 * x[:, 1]], axis=1)
+        )
+        monkeypatch.setattr(ompath.cli, "get_potential", lambda name: saddle)
+        assert run(["heteroclinic", "--from", "0,0", "--box", "-1,1", "--out", str(tmp_path)]) == 3
+        doc = json.loads((tmp_path / "failure.json").read_text())
+        assert doc == {"error": "trajectory left the search region", "diagnostics": {}}
+        assert json.loads(capsys.readouterr().err) == doc
+        assert os.listdir(tmp_path) == ["failure.json"]
+
 
 class TestGraphAndGamma:
     def test_graph_json(self, tmp_path):
@@ -319,7 +334,7 @@ class TestGraphAndGamma:
         "argv",
         [
             ["gamma", "--route", "S1;nan,nan;S2"],
-            ["heteroclinic", "--from", "S1", "--hamiltonian", "--to", "nan,nan"],
+            ["heteroclinic", "--from", "S1", "--to", "nan,nan"],
         ],
         ids=["gamma", "heteroclinic"],
     )
@@ -334,7 +349,7 @@ class TestGraphAndGamma:
         "argv, token",
         [
             (["gamma", "--route", "S1;1e200,1e200;S2"], "1e200,1e200"),
-            (["heteroclinic", "--from", "S1", "--hamiltonian", "--to", "1e300,0"], "1e300,0"),
+            (["heteroclinic", "--from", "S1", "--to", "1e300,0"], "1e300,0"),
         ],
         ids=["gamma", "heteroclinic"],
     )
@@ -435,8 +450,12 @@ class TestFigure:
             ["graph", "--seed", "3"],
             ["figure", "1", "--jobs", "2"],
             ["graph", "--hamiltonian", "S1:S2"],
+            ["heteroclinic", "--from", "S1", "--to", "S2", "--hamiltonian"],
         ],
-        ids=["gamma-potential", "figure-potential", "graph-seed", "figure-jobs", "graph-hamiltonian"],
+        ids=[
+            "gamma-potential", "figure-potential", "graph-seed", "figure-jobs", "graph-hamiltonian",
+            "heteroclinic-hamiltonian",
+        ],
     )
     def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -561,6 +580,26 @@ class TestReportLine:
         assert capsys.readouterr().out == f"{tmp_path / name if name else tmp_path}\n"
 
 
+def _readme_commands():
+    """The arguments of each ``ompath`` line in the README's ``sh`` blocks,
+    split as a shell splits them: continuations joined, comments dropped."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        blocks = re.findall(r"^```sh\n(.*?)^```", f.read(), flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [argv[1:] for argv in (shlex.split(line, comments=True) for line in lines) if argv[:1] == ["ompath"]]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        try:
+            parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README's `ompath {shlex.join(argv)}` does not parse")
+
+
 class TestConfigFile:
     def test_config_fills_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -625,12 +664,18 @@ class TestConfigFile:
         cfg.write_text("wibble = 3\n")
         assert run(["critical-points", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
-    def test_hamiltonian_is_a_heteroclinic_key_only(self, tmp_path, capsys):
-        # graph works out its own saddle pairs
+    @pytest.mark.parametrize(
+        "argv, value",
+        [(["graph"], "S1:S2"), (["heteroclinic", "--from", "S1", "--to", "S2"], "true")],
+        ids=["graph", "heteroclinic"],
+    )
+    def test_hamiltonian_is_an_unknown_key(self, tmp_path, capsys, argv, value):
+        # graph works out its own saddle pairs, and heteroclinic --to picks
+        # the saddle-saddle connection
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("hamiltonian = S1:S2\n")
+        cfg.write_text(f"hamiltonian = {value}\n")
         out = tmp_path / "out"
-        assert run(["graph", "--config", str(cfg), "--out", str(out)]) == 2
+        assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: unknown config key 'hamiltonian'\n"
         assert not out.exists()
 
@@ -670,11 +715,8 @@ class TestConfigRoundTrip:
     )
     def test_config_key_equals_flag(self, tmp_path, command, action):
         key = action.option_strings[-1][2:]
-        if action.nargs == 0:
-            value, flag = "true", f"--{key}"
-        else:
-            value = _other_value(action)
-            flag = f"--{key}={value}"
+        value = _other_value(action)
+        flag = f"--{key}={value}"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
         base = [command, *_REQUIRED.get(command, [])]

@@ -1318,6 +1318,12 @@ class TestTransitionGraph:
         assert len(graph.failures) == 8
         assert {f["error"] for f in graph.failures} == {"ChainError"}
         assert all(f["message"].startswith("the orbit passes within ") for f in graph.failures)
+        # each record keeps the failed flow's diagnostics
+        for f in graph.failures:
+            diag = f["diagnostics"]
+            assert diag["flow_converged"] is True and diag["stop_reason"] == "gradient tolerance reached"
+            assert diag["el_residual"] <= 1e-7 and 2.48e-3 <= diag["energy_residual"] <= 2.5e-3
+            assert diag["final_objective"] == pytest.approx(1.99962, abs=1e-5)
 
     def test_chain_through_a_third_point_is_a_failure(self, tw, cps_tw, names_tw, monkeypatch):
         # a lone connection started at T = 24 passes every residual check, but
