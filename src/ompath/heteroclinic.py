@@ -10,6 +10,7 @@ critical points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -144,6 +145,8 @@ _DP_Q = (
 # tolerances, time limit and accepted-step budget of every shot, and the
 # step-size controller of Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4)
 RTOL, ATOL, T_MAX, MAX_STEPS = 1e-10, 1e-13, 2000.0, 10_000
+# the tolerances of a graph shot's first flight, which only has to reach a basin
+LAND_RTOL, LAND_ATOL = 1e-6, 1e-9
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 # a shot ends within CAPTURE (a graph shot: a landing radius) of another
 # critical point, or fails beyond ESCAPE of the critical points' centre
@@ -178,10 +181,10 @@ _B1, _, _B3, _B4, _B5, _B6 = _DP_B
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
-def _dp_step(p: PotentialModel, y0: list, k1: list, dt: float) -> tuple:
+def _dp_step(p: PotentialModel, y0: list, k1: list, dt: float, rtol: float = RTOL, atol: float = ATOL) -> tuple:
     """One Dormand-Prince step of length dt from the point y0 (first stage
-    k1): the seven stages (grad V), the new point and the RMS error norm, on
-    floats through ``p.point_gradient``.  A stage point x - (a g) dt is the
+    k1): the seven stages (grad V), the new point and the RMS error norm at
+    rtol, atol, on floats through ``p.point_gradient``.  A stage point x - (a g) dt is the
     array formulas' x + (a (-g)) dt to the bit (IEEE negation is exact), but a
     coordinate at -0.0 keeps -0.0 where they add zeros of both signs to +0.0."""
     grad = p.point_gradient
@@ -198,7 +201,7 @@ def _dp_step(p: PotentialModel, y0: list, k1: list, dt: float) -> tuple:
     sq = 0.0
     for x, xe, s1, s3, s4, s5, s6, s7 in zip(y0, end, k1, k3, k4, k5, k6, k7):
         e = (_E1 * s1 + _E3 * s3 + _E4 * s4 + _E5 * s5 + _E6 * s6 + _E7 * s7) * dt
-        e = e / (ATOL + max(abs(x), abs(xe)) * RTOL)
+        e = e / (atol + max(abs(x), abs(xe)) * rtol)
         sq += e * e
     return (k1, k2, k3, k4, k5, k6, k7), end, math.sqrt(sq) / math.sqrt(len(y0))
 
@@ -241,20 +244,23 @@ def _dense(y_old, q, h, x):
 class _Shot:
     """Where one shot ended: ``event`` is the column it reached (-1 for none:
     at T_MAX, after MAX_STEPS accepted steps or on a step-size underflow) at
-    time ``t``, at ``y`` if no event; ``steps`` holds its accepted steps:
-    start time, length, start point, stages (grad V)."""
+    time ``t``, at ``y`` if no event, after ``n`` accepted steps; ``steps``
+    holds them, if recorded: start time, length, start point, stages (grad V)."""
 
     event: int = -1
     t: float = 0.0
     y: np.ndarray | None = None
+    n: int = 0
     steps: list = field(default_factory=list)
 
 
-def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
+def _shoot(p: PotentialModel, y0: np.ndarray, cols: list, record: bool = True, rtol=RTOL, atol=ATOL) -> _Shot:
     """Integrate xdot = -grad V from the point y0 with an adaptive
-    Dormand-Prince 5(4) step until it reaches one of the events ``cols``
-    (as _col makes them), time T_MAX or MAX_STEPS accepted steps;
-    raises DomainError at a non-finite stage point.  The initial step is
+    Dormand-Prince 5(4) step at tolerances rtol, atol until it reaches one
+    of the events ``cols`` (as _col makes them), time T_MAX or MAX_STEPS
+    accepted steps; raises DomainError at a non-finite stage point.  It keeps
+    its steps if ``record``, else ends at the end of a step that crosses one
+    event (one that crosses more is bisected).  The initial step is
     computed on y0 as a one-row array, with two ``p.gradient`` calls, and the
     steps on Python floats.  Each operation is the array formulas', in their
     order, so the bits are theirs; the controller's power goes through
@@ -263,7 +269,7 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
     y0 = y0[None, :]
     g = p.gradient(y0)
     # initial step of Hairer, Norsett & Wanner (Sec. II.4)
-    scale = ATOL + np.abs(y0) * RTOL
+    scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(g / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), T_MAX)
@@ -283,7 +289,7 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
         # min and max pass a NaN first argument on, as np.minimum and np.maximum do
         t_new = min(t + max(h_abs, min_step), T_MAX)
         h = t_new - t
-        k, y_new, err = _dp_step(p, y, g, h)
+        k, y_new, err = _dp_step(p, y, g, h, rtol, atol)
         # the floor only keeps 0**-0.2 finite: every error below 6e-6 grows the
         # step by MAX_FACTOR, and a NaN error still shrinks it (np.fmax's NaN rule)
         buf[0] = max(err, 1e-10)
@@ -293,11 +299,16 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
         rejected = not ok
         if rejected:
             continue
-        shot.steps.append((t, h, y, k))
+        shot.n += 1
+        if record:
+            shot.steps.append((t, h, y, k))
         t_old, y_old, t, y, g = t, y, t_new, y_new, k[-1]
         new_level = _levels(y, cols)
         crossed = [col for col, a, b in zip(cols, level, new_level) if a <= 0.0 <= b]
         level = new_level
+        if len(crossed) == 1 and not record:
+            shot.t, shot.event = t, crossed[0][0]
+            break
         if crossed:
             # the earliest of the events this step crossed: each column's level
             # on the dense output of the force, bisected to a bracket of 4 ulp
@@ -315,7 +326,7 @@ def _shoot(p: PotentialModel, y0: np.ndarray, cols: list) -> _Shot:
                 events.append((hi, col[0]))
             shot.t, shot.event = min(events)
             break
-        if t >= T_MAX or len(shot.steps) >= MAX_STEPS:
+        if t >= T_MAX or shot.n >= MAX_STEPS:
             break
     if shot.event < 0:
         shot.t, shot.y = t, np.array(y)
@@ -349,7 +360,7 @@ def _shot_end(p: PotentialModel, cps: CriticalPointSet, shot: _Shot) -> int:
                 lam = cps[i].eigenvalues[0]
                 hint = f": still creeping into the degenerate minimum {i} of the set (least eigenvalue {lam:.3g})"
         why = f"the time limit {T_MAX:g}" if shot.t >= T_MAX else f"a step below 10 ulp of t = {shot.t:.12g}"
-        if shot.t < T_MAX and len(shot.steps) >= MAX_STEPS:
+        if shot.t < T_MAX and shot.n >= MAX_STEPS:
             why = f"the step budget {MAX_STEPS} (t = {shot.t:.12g})"
         raise NotConvergedError(
             f"gradient shot stopped at {why}, at x = {shot.y.tolist()}, where |grad V| = {g:.3g}{hint}",
@@ -359,9 +370,10 @@ def _shot_end(p: PotentialModel, cps: CriticalPointSet, shot: _Shot) -> int:
 
 
 def _shot_orbit(
-    p: PotentialModel, source: CriticalPoint, cps: CriticalPointSet, shot: _Shot, n_nodes: int
+    p: PotentialModel, cps: CriticalPointSet, n_nodes: int, source: CriticalPoint, start: np.ndarray, cols: list
 ) -> HeteroclinicOrbit:
-    """The orbit of a finished shot, or the EscapeError/NotConvergedError it ended in."""
+    """The orbit of the shot from start to the events cols, or the EscapeError/NotConvergedError it ended in."""
+    shot = _shoot(p, start, cols)
     target = cps[_shot_end(p, cps, shot)]
     nodes = _resample(shot, n_nodes)
     arclength = float(np.sum(np.linalg.norm(np.diff(nodes, axis=0), axis=-1)))
@@ -384,9 +396,9 @@ def _shot_orbit(
     )
 
 
-def _run_shots(p: PotentialModel, cps: CriticalPointSet, shots, radii: list, finish) -> list:
-    """Run each shot alone with capture radius radii[k] at point k of cps: ``finish(source, shot)``
-    of its _Shot, or the error that dropped it."""
+def _run_shots(p: PotentialModel, cps: CriticalPointSet, shots, radii: list, fly) -> list:
+    """Run each shot alone with capture radius radii[k] at point k of cps: ``fly(source, start, cols)``
+    of its start point and event columns, or the error that dropped it."""
     if not shots:
         return []
     centre = np.mean([c.location for c in cps], axis=0).tolist()
@@ -397,7 +409,7 @@ def _run_shots(p: PotentialModel, cps: CriticalPointSet, shots, radii: list, fin
         start = source.location + 1e-6 * float(sign) * eig_dir
         cols = [_col(k, c.location.tolist(), radii[k]) for k, c in enumerate(cps) if c is not source]
         try:
-            out.append(finish(source, _shoot(p, start, cols + [_col(len(cps), centre, None)])))
+            out.append(fly(source, start, cols + [_col(len(cps), centre, None)]))
         except (DomainError, EscapeError, NotConvergedError) as err:
             out.append(err)
     return out
@@ -426,9 +438,21 @@ def gradient_shots(p: PotentialModel, cps: CriticalPointSet, shots, n_nodes: int
             raise ValueError(f"eig_dir must be a finite nonzero vector of {p.dim} numbers, not {eig_dir!r}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, not {sign!r}")
-    return _run_shots(
-        p, cps, shots, [CAPTURE] * len(cps), lambda source, shot: _shot_orbit(p, source, cps, shot, n_nodes)
-    )
+    return _run_shots(p, cps, shots, [CAPTURE] * len(cps), functools.partial(_shot_orbit, p, cps, n_nodes))
+
+
+def _graph_end(p: PotentialModel, cps: CriticalPointSet, source: CriticalPoint, start: np.ndarray, cols: list) -> int:
+    """The point a graph shot reaches: a flight's at LAND_RTOL, LAND_ATOL if it ends at a landing radius
+    above CAPTURE, else a flight's at RTOL, ATOL, or the error it ends in; neither keeps its steps."""
+    landed = {k for k, _, radius, _ in cols if (radius or 0.0) > CAPTURE}
+    if landed:
+        try:
+            shot = _shoot(p, start, cols, False, LAND_RTOL, LAND_ATOL)
+            if shot.event in landed:
+                return shot.event
+        except DomainError:
+            pass
+    return _shot_end(p, cps, _shoot(p, start, cols, False))
 
 
 def _reach(r: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -685,10 +709,11 @@ def build_transition_graph(
     cps lies in the rhombus a, mid + 0.4 perp, b, mid - 0.4 perp (boundary
     included), which puts the two starts in different homotopy classes; the
     triple well's S1-S2 pair is tried once.  Outside two dimensions the
-    straight start is tried once.  A shot stops at its target's landing
-    radius (``landing_radii``), fails as in ``gradient_shots`` but for the
-    drawn orbits' arclength budget, and its edge costs V(source) - V(target).
-    No orbit is kept.  A shot or pair that fails is recorded in
+    straight start is tried once.  A shot flies first at LAND_RTOL,
+    LAND_ATOL and stops at its target's landing radius (``landing_radii``);
+    ending anywhere else, it is flown again at RTOL, ATOL, and fails as in
+    ``gradient_shots`` but for the drawn orbits' arclength budget.  Its edge
+    costs V(source) - V(target).  No orbit is kept.  A shot or pair that fails is recorded in
     ``graph.failures`` and leaves no edge; so is a saddle-saddle orbit, or a
     flowed path that failed its residual checks, that passes within a tenth
     of the least distance between two critical points of a third one
@@ -723,7 +748,7 @@ def build_transition_graph(
             shots.append(shot)
     # a gradient orbit costs exactly the potential drop along it
     radii = landing_radii(p, cps) if shots else []
-    for key, end in zip(keys, _run_shots(p, cps, shots, radii, lambda source, shot: _shot_end(p, cps, shot))):
+    for key, end in zip(keys, _run_shots(p, cps, shots, radii, functools.partial(_graph_end, p, cps))):
         if isinstance(end, Exception):
             graph.failures.append({**key, **_failure(end)})
             continue

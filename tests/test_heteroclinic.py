@@ -43,6 +43,7 @@ from ompath.heteroclinic import (
     ATOL,
     CAPTURE,
     ESCAPE,
+    LAND_RTOL,
     MAX_FACTOR,
     MIN_FACTOR,
     RTOL,
@@ -559,8 +560,8 @@ class TestFloatStages:
             return np.full_like(x, np.nan) if calls[0] == 8 else tw.gradient(x)
 
         def recorded(stepper):
-            def step(p, y, f, h):
-                k, y_new, err = stepper(p, y, f, h)
+            def step(p, y, f, h, *tol):
+                k, y_new, err = stepper(p, y, f, h, *tol)
                 steps.append((np.ravel(h)[0], np.ravel(err)[0]))
                 return k, y_new, err
 
@@ -712,7 +713,8 @@ def _landings(p, cps, shots):
     that ends at the 1e-6 capture is its own continuation."""
     radii = landing_radii(p, cps)
 
-    def end(source, shot):
+    def end(source, start, cols):
+        shot = _shoot(p, start, cols)
         return _shot_end(p, cps, shot), shot
 
     out = []
@@ -735,6 +737,41 @@ def _graph_bytes_both_ways(build):
         mp.setattr(ompath.heteroclinic, "landing_radii", lambda p, cps: [CAPTURE] * len(cps))
         off = json.dumps(build().to_dict())
     return on, off
+
+
+def _graph_bytes_at_both_tolerances(build):
+    """json.dumps of build()'s graph, then with its landing flights at RTOL, ATOL."""
+    on = json.dumps(build().to_dict())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ompath.heteroclinic, "LAND_RTOL", RTOL)
+        mp.setattr(ompath.heteroclinic, "LAND_ATOL", ATOL)
+        off = json.dumps(build().to_dict())
+    return on, off
+
+
+GRAPH_CASES = [
+    "triple-well-S1-S2", "double-well", "double-well-without--1", "muller-brown", "muller-brown-3-4",
+    "three-dimensional-saddle",
+]
+
+
+def _graph_case(case, tw, cps_tw, mb, cps_mb, quartic=None):
+    """A build of the transition graph of one of GRAPH_CASES, or of the quartic."""
+    if case == "triple-well-S1-S2":
+        return functools.partial(triple_well_graph, tw, cps_tw, ham_M=1000)
+    if case.startswith("double-well"):
+        dw, cps = _dw_points()
+        if case.endswith("-1"):
+            cps = CriticalPointSet(cps.points[:2])
+        return functools.partial(build_transition_graph, dw, cps)
+    if case.startswith("muller-brown"):
+        # -3-4: saddles 3 and 4 trade places, so the pair is tried from the other end
+        order = [0, 1, 2, 4, 3] if case.endswith("3-4") else range(len(cps_mb))
+        return functools.partial(build_transition_graph, mb, CriticalPointSet([cps_mb[k] for k in order]))
+    if case == "quartic":
+        return functools.partial(build_transition_graph, *quartic, ham_M=400)
+    p, cps, _ = _three_d_saddle()
+    return functools.partial(build_transition_graph, p, cps)
 
 
 class TestLanding:
@@ -841,45 +878,109 @@ class TestLanding:
             assert r <= 0.95 * 0.5 * min(others)
 
     def test_accepted_step_budget(self, tw, cps_tw, monkeypatch):
-        # the triple-well graph's shots took 1,232 accepted steps to the 1e-6
-        # capture; a step regression fails here without any clock
-        accepted = []
+        # the triple-well graph's four shots land in 74 accepted steps at
+        # LAND_RTOL, LAND_ATOL (482 at RTOL, ATOL); at the 1e-6 capture no
+        # point can be landed on, so no landing flight runs and the shots
+        # take 1,232 steps at RTOL, ATOL.  A step regression fails here
+        # without any clock
+        accepted = {RTOL: 0, LAND_RTOL: 0}
         step = ompath.heteroclinic._dp_step
 
-        def counted(*args):
-            out = step(*args)
-            accepted.append(out[2] < 1.0)
+        def counted(p, y, f, h, rtol, atol):
+            out = step(p, y, f, h, rtol, atol)
+            accepted[rtol] += out[2] < 1.0
             return out
 
         monkeypatch.setattr(ompath.heteroclinic, "_dp_step", counted)
         build_transition_graph(tw, cps_tw)
-        assert sum(accepted) <= 500
-        del accepted[:]
+        assert accepted == {RTOL: 0, LAND_RTOL: 74}
+        accepted.update({RTOL: 0, LAND_RTOL: 0})
         monkeypatch.setattr(ompath.heteroclinic, "landing_radii", lambda p, cps: [CAPTURE] * len(cps))
         build_transition_graph(tw, cps_tw)
-        assert sum(accepted) == 1232
+        assert accepted == {RTOL: 1232, LAND_RTOL: 0}
 
-    @pytest.mark.parametrize("case", [
-        "triple-well-S1-S2", "double-well", "double-well-without--1", "muller-brown", "muller-brown-3-4",
-        "three-dimensional-saddle",
-    ])
+    @pytest.mark.parametrize("case", GRAPH_CASES)
     def test_graph_bytes_with_and_without_landing(self, case, tw, cps_tw, mb, cps_mb):
-        if case == "triple-well-S1-S2":
-            build = functools.partial(triple_well_graph, tw, cps_tw, ham_M=1000)
-        elif case.startswith("double-well"):
-            dw, cps = _dw_points()
-            if case.endswith("-1"):
-                cps = CriticalPointSet(cps.points[:2])
-            build = functools.partial(build_transition_graph, dw, cps)
-        elif case.startswith("muller-brown"):
-            # -3-4: saddles 3 and 4 trade places, so the pair is tried from the other end
-            order = [0, 1, 2, 4, 3] if case.endswith("3-4") else range(len(cps_mb))
-            build = functools.partial(build_transition_graph, mb, CriticalPointSet([cps_mb[k] for k in order]))
-        else:
-            p, cps, _ = _three_d_saddle()
-            build = functools.partial(build_transition_graph, p, cps)
-        on, off = _graph_bytes_both_ways(build)
+        on, off = _graph_bytes_both_ways(_graph_case(case, tw, cps_tw, mb, cps_mb))
         assert on == off
+
+
+class TestLandingTolerance:
+    """A graph shot flies first at LAND_RTOL, LAND_ATOL, and its answer
+    stands only where it lands at a landing radius; every other outcome is
+    flown again at RTOL, ATOL.  Either way the graph writes the bytes it
+    writes with every flight at RTOL, ATOL."""
+
+    @pytest.mark.parametrize("case", GRAPH_CASES + ["quartic"])
+    def test_graph_bytes_at_both_tolerances(self, case, tw, cps_tw, mb, cps_mb, quartic):
+        on, off = _graph_bytes_at_both_tolerances(_graph_case(case, tw, cps_tw, mb, cps_mb, quartic))
+        assert on == off
+
+    def test_benchmark_boxes_at_both_tolerances(self, tw):
+        # the boxes of the limit_graph benchmark's seeds 0-29, shifted as it
+        # shifts them (up to 0.02 per edge), at its grid of 40
+        for seed in range(30):
+            box = np.asarray(DEFAULT_BOX) + np.random.default_rng(seed).uniform(-0.02, 0.02, size=(2, 2))
+            cps = find_critical_points(tw, box, 40)
+            on, off = _graph_bytes_at_both_tolerances(functools.partial(triple_well_graph, tw, cps, ham_M=100))
+            assert on == off
+
+    @pytest.mark.parametrize("case, outcome", [
+        ("quartic-on-its-grid", "capture"), ("cubic", "escape"), ("cubic-with-a-nan-wall", "DomainError"),
+        ("muller-brown-without-0", "budget"),
+    ])
+    def test_untrusted_landing_is_flown_again(self, case, outcome, mb, cps_mb, quartic, monkeypatch):
+        # the quartic's critical points set at their exact places on the grid
+        # -1, 0, 1: the maximum shoots along the axes into the saddles, which
+        # keep the 1e-6 capture; off the cubic x^3 / 3 - x, whose saddle is -1, the branch
+        # to the left escapes, or meets a NaN gradient left of -1.5; without
+        # minimum 0, Muller-Brown's shot into its well stops at the step
+        # budget, cut to 2,000 steps here.  The other shots land, and the graph's record of every
+        # shot is that of the same shot flown once at RTOL, ATOL, steps kept
+        if case.startswith("quartic"):
+            p = quartic[0]
+            grid = itertools.product((-1.0, 0.0, 1.0), repeat=2)
+            cps = CriticalPointSet([classify_point(p, np.array(x)) for x in grid])
+        elif case.startswith("cubic"):
+            wall = case.endswith("wall")
+            p = CustomPotential(
+                1, lambda x: x[:, 0] ** 3 / 3.0 - x[:, 0], lambda x: np.where(wall & (x < -1.5), np.nan, x * x - 1.0)
+            )
+            cps = CriticalPointSet([classify_point(p, np.array([x])) for x in (1.0, -1.0)])
+        else:
+            p, cps = mb, CriticalPointSet(cps_mb.points[1:])
+            monkeypatch.setattr(ompath.heteroclinic, "MAX_STEPS", 2000)
+        outcomes, shoot = [], ompath.heteroclinic._shoot
+        radii = landing_radii(p, cps)
+
+        def logged(p, y0, cols, record=True, rtol=RTOL, atol=ATOL):
+            land = rtol == LAND_RTOL
+            try:
+                shot = shoot(p, y0, cols, record, rtol, atol)
+            except DomainError:
+                outcomes.append(("DomainError", land))
+                raise
+            if 0 <= shot.event < len(cps):
+                outcomes.append(("landed" if radii[shot.event] > CAPTURE else "capture", land))
+            else:
+                budget = shot.n >= ompath.heteroclinic.MAX_STEPS
+                outcomes.append(("escape" if shot.event >= 0 else "budget" if budget else "stop", land))
+            return shot
+
+        def todays(p, cps, source, start, cols):
+            return _shot_end(p, cps, shoot(p, start, cols))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ompath.heteroclinic, "_shoot", logged)
+            got = json.dumps(build_transition_graph(p, cps, ham_M=400).to_dict())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ompath.heteroclinic, "_graph_end", todays)
+            want = json.dumps(build_transition_graph(p, cps, ham_M=400).to_dict())
+        assert got == want
+        # each landing flight that did not land was flown again, and no other
+        landings = [o for o, land in outcomes if land]
+        assert (outcome, True) in outcomes and "landed" in landings
+        assert len(outcomes) == 2 * len(landings) - landings.count("landed")
 
 
 class LoggingTripleWell(TripleWell):
